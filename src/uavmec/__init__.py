@@ -1,20 +1,19 @@
 """Multi-UAV edge computing simulator and per-slot offloading optimizer.
 
-Core pieces: a seeded world model (`model`), air-to-ground and air-to-air
-link models (`channel`), the delay objective (`delay`), the per-slot
-offloading/resource optimizer with oracles (`allocator`), a multi-agent
-actor-critic trajectory learner (`learner`), reference policies
-(`baselines`), and an experiment harness with a CLI (`harness`, `cli`).
+Core pieces: a seeded world model (`model`), the ground-to-air link model
+(`channel`), the delay objective (`delay`), the per-slot offloading/resource
+optimizer with oracles (`allocator`), the time-slotted environment (`env`), a
+numpy MLP with hand-written gradients (`nets`), a multi-agent actor-critic
+trajectory learner (`learner`), reference policies (`baselines`) and the
+shared exception types (`errors`).
 """
 
 from .model import (ScenarioConfig, Scenario, UserState, UavState, Task,
                     MotionOutcome, build_scenario, apply_motion, coverage_radius,
-                    is_covered, min_pairwise_distance, generate_tasks)
+                    pairwise_distances, generate_tasks)
 from .channel import ChannelParams
-from .delay import (LOCAL, SlotContext, SlotDecision, SlotMetrics, local_delay,
-                    offload_delay, exec_delay, edge_delay, slot_dor)
-from .allocator import (AllocationResult, kkt_bandwidth_shares, kkt_cpu_shares,
-                        evaluate_assignment, cd_search, brute_force_oracle,
-                        numeric_convex_oracle)
+from .delay import LOCAL, SlotContext, SlotDecision, SlotMetrics, slot_dor
+from .allocator import (AllocationResult, evaluate_assignment, cd_search,
+                        brute_force_oracle, numeric_convex_oracle)
 
 __version__ = "0.1.0"

@@ -38,33 +38,16 @@ class AllocationResult:
         }
 
 
-def kkt_bandwidth_shares(user_freq, task_cycles, r0, total_bw: float) -> np.ndarray:
-    """Closed-form bandwidth split for users sharing one uplink band.
+def _sqrt_law_shares(capacity: np.ndarray, group: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """Closed-form split of each group's capacity: capacity[g] * w_i / sum of w over g.
 
-    share_i proportional to sqrt(f_i / (c_i * r0_i)); shares sum to total_bw.
+    Minimizes sum_i w_i^2 / x_i per group; for bandwidth w_i = sqrt(f_i / (c_i r0_i)),
+    for processors w_i = sqrt(f_i).
     """
-    f = np.asarray(user_freq, dtype=float)
-    c = np.asarray(task_cycles, dtype=float)
-    r = np.asarray(r0, dtype=float)
-    if f.size == 0:
-        return np.empty(0)
-    if total_bw <= 0:
-        raise ConfigError(f"total_bw must be > 0, got {total_bw}")
-    if np.any(r <= 0):
-        raise InfeasibleError("zero spectral efficiency: user cannot reach its ingress UAV")
-    weights = np.sqrt(f / (c * r))
-    return total_bw * weights / weights.sum()
-
-
-def kkt_cpu_shares(user_freq, uav_freq: float) -> np.ndarray:
-    """Closed-form processor split: share_i proportional to sqrt(f_i)."""
-    f = np.asarray(user_freq, dtype=float)
-    if f.size == 0:
-        return np.empty(0)
-    if uav_freq <= 0:
-        raise ConfigError(f"uav_freq must be > 0, got {uav_freq}")
-    weights = np.sqrt(f)
-    return uav_freq * weights / weights.sum()
+    total = np.zeros(capacity.size)
+    np.add.at(total, group, weights)
+    return capacity[group] * weights / total[group]
 
 
 def evaluate_assignment(assignment, ctx: SlotContext,
@@ -92,14 +75,9 @@ def evaluate_assignment(assignment, ctx: SlotContext,
         if np.any(r0 <= 0):
             raise InfeasibleError("zero spectral efficiency on a chosen ingress link")
         w_bw = np.sqrt(ctx.user_freq[off_idx] / (ctx.task_cycles[off_idx] * r0))
-        denom_bw = np.zeros(ctx.num_uavs)
-        np.add.at(denom_bw, ing, w_bw)
-        bw[off_idx] = ctx.uav_bw[ing] * w_bw / denom_bw[ing]
-
-        w_cpu = np.sqrt(ctx.user_freq[off_idx])
-        denom_cpu = np.zeros(ctx.num_uavs)
-        np.add.at(denom_cpu, a[off_idx], w_cpu)
-        cpu[off_idx] = ctx.uav_cpu[a[off_idx]] * w_cpu / denom_cpu[a[off_idx]]
+        bw[off_idx] = _sqrt_law_shares(ctx.uav_bw, ing, w_bw)
+        cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx],
+                                        np.sqrt(ctx.user_freq[off_idx]))
 
     decision = SlotDecision(assignment=a.copy(), ingress=ingress,
                             bandwidth_hz=bw, cpu_hz=cpu)
@@ -107,22 +85,16 @@ def evaluate_assignment(assignment, ctx: SlotContext,
     return decision, metrics
 
 
-def cd_search(ctx: SlotContext, max_sweeps: int = 100,
-              sweep_rng: np.random.Generator | None = None) -> AllocationResult:
+def cd_search(ctx: SlotContext, max_sweeps: int = 100) -> AllocationResult:
     """Coordinate descent over per-user choices, starting all-local.
 
     Each sweep revisits every user and re-evaluates all of its choices with
     the others held fixed (shares re-solved per candidate); the best strictly
-    improving choice is kept, ties go to the incumbent. Stops when a full
-    sweep changes nothing. The accepted objective sequence is nondecreasing.
-
-    sweep_rng, when given, shuffles the user visit order once per call
-    (robustness experiments); default is ascending index order.
+    improving choice is kept, ties go to the incumbent. Users are visited in
+    ascending index order. Stops when a full sweep changes nothing. The
+    accepted objective sequence is nondecreasing.
     """
     m, n = ctx.num_users, ctx.num_uavs
-    order = np.arange(m)
-    if sweep_rng is not None:
-        sweep_rng.shuffle(order)
     can_offload = ctx.default_ingress != LOCAL
 
     assignment = np.full(m, LOCAL, dtype=int)
@@ -134,7 +106,7 @@ def cd_search(ctx: SlotContext, max_sweeps: int = 100,
     while sweeps < max_sweeps:
         sweeps += 1
         changed = False
-        for user in order:
+        for user in range(m):
             incumbent = assignment[user]
             best_choice = incumbent
             choices = [LOCAL] + (list(range(n)) if can_offload[user] else [])

@@ -13,8 +13,6 @@ import numpy as np
 from .allocator import AllocationResult, evaluate_assignment
 from .delay import LOCAL, SlotContext
 
-POLICY_KINDS = ("learned", "random_trajectory", "all_offload", "all_local")
-
 
 def rt_actions(rng: np.random.Generator, num_uavs: int, max_step: float) -> np.ndarray:
     """Uniform random 3D direction, uniform speed in [0, max_step], per UAV."""
@@ -24,14 +22,9 @@ def rt_actions(rng: np.random.Generator, num_uavs: int, max_step: float) -> np.n
     return direction * speed
 
 
-def hover_actions(num_uavs: int) -> np.ndarray:
-    return np.zeros((num_uavs, 3))
-
-
 def ao_allocate(ctx: SlotContext) -> AllocationResult:
     """Offload every covered user to its best-rate covering UAV; uncovered stay local."""
-    assignment = np.where(ctx.default_ingress != LOCAL, ctx.default_ingress, LOCAL)
-    decision, metrics = evaluate_assignment(assignment, ctx, validate=True)
+    decision, metrics = evaluate_assignment(ctx.default_ingress.copy(), ctx, validate=True)
     return AllocationResult(decision=decision, dor=metrics.dor,
                             iterations=1, converged=True)
 

@@ -1,14 +1,12 @@
-"""Radio links: probabilistic LoS/NLoS ground-to-air model and free-space air-to-air model.
+"""Ground-to-air radio link: the probabilistic LoS/NLoS model.
 
 All helpers accept scalars or numpy arrays and broadcast. Path losses are in dB,
-rates in bits/second. The carrier is stored in MHz: the -27.56 constant in the
-ground-to-air free-space term and the +32.45 constant in the air-to-air form
-(distance in km) both assume MHz carriers.
+spectral efficiencies in bits/second/Hz. The carrier is stored in MHz: the
+-27.56 constant in the free-space term assumes a MHz carrier.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +22,7 @@ class ChannelParams:
     eta_nlos_db: float = 20.0       # excess loss on NLoS links
     carrier_mhz: float = 2000.0
     noise_g2a_watts: float = 1e-10  # -70 dBm
-    noise_a2a_watts: float = 1e-10
     bw_g2a_hz: float = 20e6         # per-UAV uplink band
-    bw_a2a_hz: float = 20e6
-    elevation_uses_3d_distance: bool = False
 
     def __post_init__(self):
         def require(cond, msg):
@@ -39,18 +34,14 @@ class ChannelParams:
         require(self.eta_los_db <= self.eta_nlos_db,
                 f"need eta_los_db <= eta_nlos_db, got {self.eta_los_db} > {self.eta_nlos_db}")
         require(self.carrier_mhz > 0, f"carrier_mhz must be > 0, got {self.carrier_mhz}")
-        require(self.noise_g2a_watts > 0 and self.noise_a2a_watts > 0,
-                "noise powers must be > 0")
-        require(self.bw_g2a_hz > 0 and self.bw_a2a_hz > 0, "bandwidths must be > 0")
+        require(self.noise_g2a_watts > 0, "noise power must be > 0")
+        require(self.bw_g2a_hz > 0, "bandwidth must be > 0")
 
-
-# ---- array-friendly formula cores ----
 
 def elevation_deg_from_geometry(altitude_m, reference_dist_m):
-    """Elevation angle in degrees from UAV altitude and a reference distance.
+    """Elevation angle in degrees from UAV altitude and the horizontal distance.
 
-    The reference distance is horizontal by default; coincident horizontal
-    positions give 90 degrees exactly.
+    Coincident horizontal positions give 90 degrees exactly.
     """
     alt = np.asarray(altitude_m, dtype=float)
     ref = np.asarray(reference_dist_m, dtype=float)
@@ -65,7 +56,7 @@ def los_probability_from_angle(theta_deg, params: ChannelParams):
 
 
 def free_space_loss_db(dist_m, carrier_mhz):
-    """Ground-to-air free-space term, distance in meters, carrier in MHz."""
+    """Free-space term, distance in meters, carrier in MHz."""
     d = np.asarray(dist_m, dtype=float)
     if np.any(d <= 0):
         raise ConfigError("free-space path loss undefined at zero distance")
@@ -80,68 +71,7 @@ def mean_path_loss_db(dist_m, theta_deg, params: ChannelParams):
             + (1.0 - p_los) * (fspl + params.eta_nlos_db))
 
 
-def rate_bps(bandwidth_hz, tx_power_watts, path_loss_db, noise_watts):
-    """Shannon rate with the path loss applied to transmit power in linear scale."""
-    bw = np.asarray(bandwidth_hz, dtype=float)
-    if np.any(bw < 0):
-        raise ConfigError("bandwidth must be >= 0")
-    pl_linear = np.power(10.0, np.asarray(path_loss_db, dtype=float) / 10.0)
-    snr = tx_power_watts / (pl_linear * noise_watts)
-    return bw * np.log2(1.0 + snr)
-
-
-def a2a_loss_db_from_distance(dist_m, carrier_mhz):
-    """Free-space air-to-air loss, distance in meters (internally km)."""
-    d = np.asarray(dist_m, dtype=float)
-    if np.any(d <= 0):
-        raise ConfigError("air-to-air path loss undefined at zero distance")
-    return 20.0 * np.log10(d / 1000.0) + 20.0 * np.log10(carrier_mhz) + 32.45
-
-
-# ---- per-pair typed operations ----
-
-def elevation_angle_deg(user, uav, params: ChannelParams | None = None) -> float:
-    """Elevation of the UAV as seen from the user, in (0, 90]."""
-    horizontal = float(np.linalg.norm(uav.position[:2] - user.position[:2]))
-    if params is not None and params.elevation_uses_3d_distance:
-        reference = float(np.linalg.norm(uav.position - user.position))
-    else:
-        reference = horizontal
-    return float(elevation_deg_from_geometry(uav.position[2], reference))
-
-
-def los_probability(theta_deg: float, params: ChannelParams) -> float:
-    if not 0.0 <= theta_deg <= 90.0:
-        raise ConfigError(f"elevation angle must lie in [0, 90], got {theta_deg}")
-    return float(los_probability_from_angle(theta_deg, params))
-
-
-def g2a_mean_path_loss_db(user, uav, params: ChannelParams) -> float:
-    dist = float(np.linalg.norm(uav.position - user.position))
-    theta = elevation_angle_deg(user, uav, params)
-    return float(mean_path_loss_db(dist, theta, params))
-
-
-def g2a_rate_bps(user, uav, bandwidth_hz: float, params: ChannelParams) -> float:
-    pl = g2a_mean_path_loss_db(user, uav, params)
-    return float(rate_bps(bandwidth_hz, user.tx_power, pl, params.noise_g2a_watts))
-
-
-def a2a_path_loss_db(uav_a, uav_b, params: ChannelParams) -> float:
-    dist = float(np.linalg.norm(uav_a.position - uav_b.position))
-    return float(a2a_loss_db_from_distance(dist, params.carrier_mhz))
-
-
-def a2a_rate_bps(uav_a, uav_b, bandwidth_hz: float, params: ChannelParams) -> float:
-    pl = a2a_path_loss_db(uav_a, uav_b, params)
-    return float(rate_bps(bandwidth_hz, uav_a.tx_power, pl, params.noise_a2a_watts))
-
-
 def spectral_efficiency(tx_power_watts, path_loss_db, noise_watts):
-    """Per-Hz uplink rate log2(1 + SNR); the bandwidth-free factor of the rate."""
+    """Per-Hz uplink rate log2(1 + SNR); the rate is bandwidth times this."""
     pl_linear = np.power(10.0, np.asarray(path_loss_db, dtype=float) / 10.0)
     return np.log2(1.0 + tx_power_watts / (pl_linear * noise_watts))
-
-
-def db_to_linear(db):
-    return math.pow(10.0, db / 10.0)

@@ -7,43 +7,17 @@ values when offloading is slower, and those are deliberately kept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
 from .errors import ValidationError, ConfigError
-from .model import Task, UserState, UavState
+from .model import Task, UserState, UavState, coverage_radius
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
 
 _CAP_RTOL = 1e-9  # slack for capacity sums, floating-point only
-
-
-def local_delay(task: Task, user: UserState) -> float:
-    """Seconds to run the task on the user's own CPU."""
-    if user.cpu_freq <= 0:
-        raise ConfigError(f"user cpu_freq must be > 0, got {user.cpu_freq}")
-    return task.bits * task.cycles_per_bit / user.cpu_freq
-
-
-def offload_delay(task: Task, g2a_rate_bps: float) -> float:
-    """Uplink transmission time; +inf for an unservable zero-rate link."""
-    if g2a_rate_bps <= 0:
-        return math.inf
-    return task.bits / g2a_rate_bps
-
-
-def exec_delay(task: Task, cpu_share_hz: float) -> float:
-    """Execution time on the granted processor share; +inf for a zero share."""
-    if cpu_share_hz <= 0:
-        return math.inf
-    return task.bits * task.cycles_per_bit / cpu_share_hz
-
-
-def edge_delay(task: Task, g2a_rate_bps: float, cpu_share_hz: float) -> float:
-    return offload_delay(task, g2a_rate_bps) + exec_delay(task, cpu_share_hz)
 
 
 class SlotContext:
@@ -72,6 +46,8 @@ class SlotContext:
         self.user_power = np.array([u.tx_power for u in users])
         self.uav_cpu = np.array([u.cpu_freq for u in uavs])
         self.uav_bw = np.full(self.num_uavs, params.bw_g2a_hz)
+        if np.any(self.user_freq <= 0):
+            raise ConfigError(f"user cpu_freq must be > 0, got {self.user_freq.min()}")
         self.t_loc = self.task_bits * self.task_cycles / self.user_freq
 
         upos = np.array([u.position for u in users])          # (M, 3)
@@ -81,18 +57,13 @@ class SlotContext:
         self.horiz = np.linalg.norm(diff[:, :, :2], axis=-1)  # (M, N)
         alt = vpos[:, 2][None, :]
 
-        reference = self.dist3d if params.elevation_uses_3d_distance else self.horiz
-        theta = channel.elevation_deg_from_geometry(alt, reference)
+        theta = channel.elevation_deg_from_geometry(alt, self.horiz)
         pl = channel.mean_path_loss_db(np.maximum(self.dist3d, 1e-9), theta, params)
         self.path_loss_db = pl
         self.r0 = channel.spectral_efficiency(self.user_power[:, None], pl,
                                               params.noise_g2a_watts)
 
-        radius = np.array([
-            u.position[2] * math.tan(math.radians(u.half_angle_deg))
-            if u.half_angle_deg < 90.0 else math.inf
-            for u in uavs
-        ])
+        radius = coverage_radius(vpos[:, 2], [u.half_angle_deg for u in uavs])
         self.coverage = self.horiz <= radius[None, :]         # (M, N)
 
         masked = np.where(self.coverage, self.r0, -np.inf)

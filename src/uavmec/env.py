@@ -16,7 +16,7 @@ import numpy as np
 from .allocator import AllocationResult, cd_search
 from .delay import SlotContext, SlotMetrics, slot_dor
 from .errors import ConfigError
-from .model import Scenario, apply_motion, generate_tasks
+from .model import Scenario, apply_motion, generate_tasks, pairwise_distances
 
 
 @dataclass
@@ -35,28 +35,22 @@ class SlotInfo:
 class EdgeComputeEnv:
     """Time-slotted rollout over one scenario.
 
-    Observations are each UAV's own position; `extended_obs` appends the user
-    centroid. `allocate` maps a SlotContext to an AllocationResult, so
-    baseline offloading policies can ride the same dynamics.
+    Observations are each UAV's own position. `allocate` maps a SlotContext
+    to an AllocationResult, so baseline offloading policies can ride the same
+    dynamics.
     """
 
-    def __init__(self, scenario: Scenario, penalty: float = 10.0,
-                 extended_obs: bool = False, allocate=None):
+    def __init__(self, scenario: Scenario, penalty: float = 10.0, allocate=None):
         self.scenario = scenario
         self.config = scenario.config
         self.penalty = penalty
-        self.extended_obs = extended_obs
         self.allocate = allocate if allocate is not None else cd_search
         self.slot = 0
         self.num_uavs = scenario.config.num_uavs
-        self.obs_dim = 6 if extended_obs else 3
+        self.obs_dim = 3
 
     def observe(self) -> np.ndarray:
-        obs = self.scenario.uav_positions
-        if self.extended_obs:
-            centroid = self.scenario.user_positions.mean(axis=0)
-            obs = np.hstack([obs, np.tile(centroid, (self.num_uavs, 1))])
-        return obs
+        return self.scenario.uav_positions
 
     def reset(self) -> np.ndarray:
         self.scenario.reset_uavs()
@@ -82,12 +76,8 @@ class EdgeComputeEnv:
             if outcome.speed_violation:
                 speed.append(n)
 
-        collisions: set[int] = set()
-        pos = self.scenario.uav_positions
-        for i in range(self.num_uavs):
-            for j in range(i + 1, self.num_uavs):
-                if np.linalg.norm(pos[i] - pos[j]) < self.config.d_min:
-                    collisions.update((i, j))
+        too_close = pairwise_distances(self.scenario.uav_positions) < self.config.d_min
+        collisions = np.flatnonzero(too_close.any(axis=1)).tolist()
 
         self.scenario.advance_users()
         tasks = generate_tasks(self.scenario, self.slot)
@@ -96,13 +86,13 @@ class EdgeComputeEnv:
         allocation = self.allocate(ctx)
         metrics = slot_dor(allocation.decision, ctx, validate=False)
 
-        violators = sorted(set(box) | set(speed) | collisions)
+        violators = sorted(set(box) | set(speed) | set(collisions))
         reward = metrics.dor - self.penalty * len(violators)
 
         info = SlotInfo(slot=self.slot, dor=metrics.dor, reward=reward,
                         metrics=metrics, allocation=allocation,
                         violating_uavs=violators, box_violations=box,
                         speed_violations=speed,
-                        collision_uavs=sorted(collisions))
+                        collision_uavs=collisions)
         self.slot += 1
         return self.observe(), reward, info

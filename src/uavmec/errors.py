@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from dataclasses import fields
+
 
 class ConfigError(ValueError):
     """Invalid configuration or experiment spec (CLI exit code 2)."""
@@ -23,3 +25,14 @@ class ConvergenceError(RuntimeError):
 
 class NumericError(RuntimeError):
     """Non-finite values detected during training (CLI exit code 3)."""
+
+
+def check_fields(cls, data: dict, where: str):
+    """Raise ConfigError unless `data` has exactly the fields of dataclass `cls`."""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(data) - names)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    missing = sorted(names - set(data))
+    if missing:
+        raise ConfigError(f"{where}: missing key(s) {', '.join(missing)}")

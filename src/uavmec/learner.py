@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_fields
 from .model import Scenario
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -41,7 +41,6 @@ class TrainConfig:
     noise_sigma_end: float = 0.05
     noise_decay_fraction: float = 0.6
     penalty: float = 10.0
-    extended_obs: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -142,9 +141,8 @@ class MaddpgTrainer:
         cfg = scenario.config
         self.num_agents = cfg.num_uavs
         self.max_step = cfg.max_step
-        self.obs_dim = 6 if config.extended_obs else 3
-        scale = np.array([cfg.area_x, cfg.area_y, cfg.z_max])
-        self.obs_scale = np.tile(scale, 2) if config.extended_obs else scale
+        self.obs_dim = 3
+        self.obs_scale = np.array([cfg.area_x, cfg.area_y, cfg.z_max])
         self.rng = np.random.default_rng([config.seed, 11])
 
         joint_dim = self.num_agents * (self.obs_dim + 3)
@@ -289,6 +287,12 @@ class MaddpgTrainer:
             raise ConfigError(
                 f"unsupported checkpoint schema_version: {state.get('schema_version')!r}")
 
+        found = {"num_agents": len(state["agents"]), "obs_dim": state["obs_dim"]}
+        for key, value in found.items():
+            if value != getattr(self, key):
+                raise ConfigError(f"checkpoint has {key}={value}, "
+                                  f"this trainer needs {getattr(self, key)}")
+
         def load_net(p: nets.MlpParams, d: dict):
             for w, new in zip(p.weights, d["weights"]):
                 w[...] = np.asarray(new)
@@ -314,8 +318,8 @@ class MaddpgTrainer:
     def load_checkpoint(cls, scenario: Scenario, path: str | os.PathLike) -> "MaddpgTrainer":
         with open(path) as fh:
             state = json.load(fh)
-        cfg = dict(state["config"])
-        trainer = cls(scenario, TrainConfig(**cfg))
+        check_fields(TrainConfig, state["config"], "checkpoint config")
+        trainer = cls(scenario, TrainConfig(**state["config"]))
         trainer.load_state_dict(state)
         return trainer
 
@@ -327,8 +331,7 @@ def train(scenario: Scenario, config: TrainConfig,
     slot_callback(episode, info: SlotInfo), when given, observes every slot.
     """
     trainer = MaddpgTrainer(scenario, config)
-    env = EdgeComputeEnv(scenario, penalty=config.penalty,
-                         extended_obs=config.extended_obs)
+    env = EdgeComputeEnv(scenario, penalty=config.penalty)
     history = TrainingHistory()
 
     for episode in range(config.episodes):

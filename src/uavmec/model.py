@@ -7,14 +7,13 @@ UAVs fly inside the box [0, area_x] x [0, area_y] x [z_min, z_max].
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 SCHEMA_VERSION = 1
 
@@ -216,23 +215,28 @@ class Scenario:
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported scenario schema_version: {version!r}")
-        cfg_dict = dict(data["config"])
-        cfg_dict["channel"] = ChannelParams(**cfg_dict["channel"])
-        for key in ("task_bits_range", "task_cycles_per_bit_range",
-                    "user_freq_range", "user_power_range"):
-            cfg_dict[key] = tuple(cfg_dict[key])
-        if cfg_dict.get("initial_uav_positions") is not None:
-            cfg_dict["initial_uav_positions"] = tuple(
-                tuple(p) for p in cfg_dict["initial_uav_positions"])
-        config = ScenarioConfig(**cfg_dict)
-        users = [UserState(position=np.array(u["position"], dtype=float),
-                           cpu_freq=u["cpu_freq"], tx_power=u["tx_power"])
-                 for u in data["users"]]
-        uavs = [UavState(position=np.array(u["position"], dtype=float),
-                         cpu_freq=u["cpu_freq"], tx_power=u["tx_power"],
-                         half_angle_deg=u["half_angle_deg"])
-                for u in data["uavs"]]
-        initial = np.array(data["initial_uav_positions"], dtype=float)
+        try:
+            cfg_dict = dict(data["config"])
+            check_fields(ScenarioConfig, cfg_dict, "scenario config")
+            check_fields(ChannelParams, cfg_dict["channel"], "scenario channel config")
+            cfg_dict["channel"] = ChannelParams(**cfg_dict["channel"])
+            for key in ("task_bits_range", "task_cycles_per_bit_range",
+                        "user_freq_range", "user_power_range"):
+                cfg_dict[key] = tuple(cfg_dict[key])
+            if cfg_dict["initial_uav_positions"] is not None:
+                cfg_dict["initial_uav_positions"] = tuple(
+                    tuple(p) for p in cfg_dict["initial_uav_positions"])
+            config = ScenarioConfig(**cfg_dict)
+            users = [UserState(position=np.array(u["position"], dtype=float),
+                               cpu_freq=u["cpu_freq"], tx_power=u["tx_power"])
+                     for u in data["users"]]
+            uavs = [UavState(position=np.array(u["position"], dtype=float),
+                             cpu_freq=u["cpu_freq"], tx_power=u["tx_power"],
+                             half_angle_deg=u["half_angle_deg"])
+                    for u in data["uavs"]]
+            initial = np.array(data["initial_uav_positions"], dtype=float)
+        except KeyError as exc:
+            raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc
         return cls(config, users, uavs, initial)
 
     def save(self, path: str | os.PathLike):
@@ -300,27 +304,23 @@ def apply_motion(uav: UavState, delta: np.ndarray, config: ScenarioConfig) -> Mo
                          speed_violation=speed_violation)
 
 
-def coverage_radius(uav: UavState) -> float:
-    """Max horizontal service radius; +inf for a 90-degree half-angle."""
-    if uav.half_angle_deg >= 90.0:
-        return math.inf
-    return float(uav.position[2]) * math.tan(math.radians(uav.half_angle_deg))
+def coverage_radius(altitude_m, half_angle_deg):
+    """Max horizontal service radius per UAV; +inf for a 90-degree half-angle."""
+    alt = np.asarray(altitude_m, dtype=float)
+    angle = np.asarray(half_angle_deg, dtype=float)
+    return np.where(angle < 90.0, alt * np.tan(np.radians(angle)), np.inf)
 
 
-def is_covered(user: UserState, uav: UavState) -> bool:
-    horizontal = float(np.linalg.norm(uav.position[:2] - user.position[:2]))
-    return horizontal <= coverage_radius(uav)
+def pairwise_distances(positions) -> np.ndarray:
+    """3D distance between every pair of positions (N, 3) as an (N, N) array.
 
-
-def min_pairwise_distance(uavs: list[UavState]) -> float:
-    """Minimum 3D separation over UAV pairs; +inf when fewer than two UAVs."""
-    if len(uavs) < 2:
-        return math.inf
-    pos = np.array([u.position for u in uavs])
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    iu = np.triu_indices(len(uavs), k=1)
-    return float(dist[iu].min())
+    The diagonal is +inf, so a UAV is never its own nearest neighbour and the
+    minimum over the array is +inf for fewer than two UAVs.
+    """
+    pos = np.asarray(positions, dtype=float)
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    return dist
 
 
 def generate_tasks(scenario: Scenario, slot: int) -> list[Task]:
@@ -333,7 +333,3 @@ def generate_tasks(scenario: Scenario, slot: int) -> list[Task]:
     cycles = rng.uniform(*cfg.task_cycles_per_bit_range, size=cfg.num_users)
     return [Task(bits=float(b), cycles_per_bit=float(c)) for b, c in zip(bits, cycles)]
 
-
-def scenario_with_seed(config: ScenarioConfig, seed: int) -> Scenario:
-    """Convenience: rebuild the scenario under a replicate seed."""
-    return build_scenario(replace(config, rng_seed=seed))

@@ -76,17 +76,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     batch, squeeze = _as_batch(x)
     if batch.shape[1] != params.in_dim:
         raise ConfigError(f"input dim {batch.shape[1]} != expected {params.in_dim}")
-    h = batch
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
-        if i < last:
-            h = np.maximum(z, 0.0)
-        elif params.output_activation == "tanh":
-            h = np.tanh(z)
-        else:
-            h = z
-    return h[0] if squeeze else h
+    acts, _ = _forward_cached(params, batch)
+    return acts[-1][0] if squeeze else acts[-1]
 
 
 def _forward_cached(params: MlpParams, batch: np.ndarray):

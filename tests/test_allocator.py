@@ -1,56 +1,89 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tests._instances import random_slot_context
 from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment,
-                              kkt_bandwidth_shares, kkt_cpu_shares,
                               minimize_inverse_on_simplex, numeric_convex_oracle)
 from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext
 from uavmec.errors import CapExceededError, InfeasibleError
-from uavmec.model import Task, UavState, UserState
+from uavmec.model import (ScenarioConfig, Task, UavState, UserState, build_scenario,
+                          generate_tasks)
+
+FROZEN_ASSIGNMENTS = Path(__file__).parent / "data" / "cd_assignments.json"
+
+
+def one_uav_context(user_freqs, cycles, uav_cpu=10e9, powers=None):
+    """Users stacked at one ground point under a single full-coverage UAV."""
+    powers = powers if powers is not None else [1.0] * len(user_freqs)
+    users = [UserState(position=np.array([20.0, 20.0, 0.0]), cpu_freq=f, tx_power=p)
+             for f, p in zip(user_freqs, powers)]
+    uavs = [UavState(position=np.array([25.0, 25.0, 12.0]), cpu_freq=uav_cpu,
+                     tx_power=5.0, half_angle_deg=90.0)]
+    tasks = [Task(bits=1e5, cycles_per_bit=c) for c in cycles]
+    return SlotContext(users, uavs, tasks, ChannelParams())
+
+
+def all_offloaded(ctx):
+    return evaluate_assignment(np.zeros(ctx.num_users, dtype=int), ctx)[0]
 
 
 class TestClosedForms:
     def test_identical_users_split_evenly(self):
-        shares = kkt_bandwidth_shares([1e9, 1e9], [700, 700], [5.0, 5.0], 20e6)
-        assert shares == pytest.approx([10e6, 10e6])
-        cpu = kkt_cpu_shares([1e9, 1e9, 1e9], 9e9)
-        assert cpu == pytest.approx([3e9, 3e9, 3e9])
+        decision = all_offloaded(one_uav_context([1e9, 1e9], [700, 700]))
+        assert decision.bandwidth_hz == pytest.approx([10e6, 10e6])
+        decision = all_offloaded(one_uav_context([1e9] * 3, [700] * 3, uav_cpu=9e9))
+        assert decision.cpu_hz == pytest.approx([3e9, 3e9, 3e9])
 
     def test_bandwidth_sqrt_weighting(self):
         # weights f/(c*r0) in ratio 4:1 -> sqrt ratio 2:1 -> shares 2/3, 1/3
-        shares = kkt_bandwidth_shares([1e9, 0.25e9], [700, 700], [5.0, 5.0], 20e6)
-        assert shares == pytest.approx([20e6 * 2 / 3, 20e6 / 3], rel=1e-12)
+        decision = all_offloaded(one_uav_context([1e9, 1e9], [700, 2800]))
+        assert decision.bandwidth_hz == pytest.approx([20e6 * 2 / 3, 20e6 / 3], rel=1e-12)
 
     def test_cpu_sqrt_weighting(self):
-        cpu = kkt_cpu_shares([1e9, 4e9], 9e9)
-        assert cpu == pytest.approx([3e9, 6e9], rel=1e-12)
+        decision = all_offloaded(one_uav_context([1e9, 4e9], [700, 700], uav_cpu=9e9))
+        assert decision.cpu_hz == pytest.approx([3e9, 6e9], rel=1e-12)
 
     def test_single_user_full_resource(self):
-        assert kkt_bandwidth_shares([1e9], [700], [5.0], 20e6) == pytest.approx([20e6])
-        assert kkt_cpu_shares([1e9], 10e9) == pytest.approx([10e9])
+        decision = all_offloaded(one_uav_context([1e9], [700]))
+        assert decision.bandwidth_hz == pytest.approx([20e6])
+        assert decision.cpu_hz == pytest.approx([10e9])
 
     def test_empty_group(self):
-        assert kkt_bandwidth_shares([], [], [], 20e6).size == 0
-        assert kkt_cpu_shares([], 10e9).size == 0
+        # UAVs nobody enters or executes on hold no shares and divide by nothing
+        rng = np.random.default_rng(17)
+        ctx = random_slot_context(rng, num_users=4, num_uavs=3, narrow_coverage_prob=0.0)
+        with np.errstate(all="raise"):
+            local, _ = evaluate_assignment(np.full(4, LOCAL), ctx)
+            on_first, _ = evaluate_assignment(np.zeros(4, dtype=int), ctx)
+        assert not local.bandwidth_hz.any() and not local.cpu_hz.any()
+        assert (on_first.cpu_hz > 0).all()
+        assert on_first.cpu_hz.sum() == pytest.approx(ctx.uav_cpu[0], rel=1e-12)
 
     def test_zero_spectral_efficiency_rejected(self):
+        ctx = one_uav_context([1e9, 1e9], [700, 700], powers=[1.0, 0.0])
+        assert ctx.r0[1, 0] == 0.0
         with pytest.raises(InfeasibleError):
-            kkt_bandwidth_shares([1e9, 1e9], [700, 700], [5.0, 0.0], 20e6)
+            all_offloaded(ctx)
 
     def test_shares_sum_to_capacity(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            k = int(rng.integers(1, 11))
-            f = rng.uniform(0.5e9, 2e9, k)
-            c = rng.uniform(300, 1200, k)
-            r0 = rng.uniform(0.5, 15.0, k)
-            bw = kkt_bandwidth_shares(f, c, r0, 20e6)
-            assert abs(bw.sum() - 20e6) <= 20e6 * 1e-12
-            cpu = kkt_cpu_shares(f, 10e9)
-            assert abs(cpu.sum() - 10e9) <= 10e9 * 1e-12
-            assert (bw >= 0).all() and (cpu >= 0).all()
+            ctx = random_slot_context(rng, max_users=10, max_uavs=4,
+                                      narrow_coverage_prob=0.0)
+            assignment = rng.integers(0, ctx.num_uavs, size=ctx.num_users)
+            decision, _ = evaluate_assignment(assignment, ctx)
+            for uav in range(ctx.num_uavs):
+                bw = decision.bandwidth_hz[decision.ingress == uav]
+                cpu = decision.cpu_hz[decision.assignment == uav]
+                if bw.size:
+                    assert abs(bw.sum() - ctx.uav_bw[uav]) <= ctx.uav_bw[uav] * 1e-12
+                if cpu.size:
+                    assert abs(cpu.sum() - ctx.uav_cpu[uav]) <= ctx.uav_cpu[uav] * 1e-12
+            assert (decision.bandwidth_hz > 0).all() and (decision.cpu_hz > 0).all()
 
 
 class TestProjectedGradientOracle:
@@ -142,14 +175,6 @@ class TestCdSearch:
             gap = deviation_gap(ctx, result.decision.assignment, result.dor)
             assert gap <= 1e-12
 
-    def test_seeded_sweep_order_still_converges(self):
-        rng = np.random.default_rng(4)
-        ctx = random_slot_context(rng, num_users=5, num_uavs=3)
-        shuffled = cd_search(ctx, sweep_rng=np.random.default_rng(9))
-        plain = cd_search(ctx)
-        assert shuffled.converged and plain.converged
-        assert shuffled.dor >= 0 and plain.dor >= 0
-
     def test_dor_never_negative(self):
         # starting all-local and only accepting improvements keeps dor >= 0
         rng = np.random.default_rng(6)
@@ -235,3 +260,28 @@ class TestEvaluateAssignment:
         assert decision.ingress[0] == 0
         assert decision.cpu_hz[0] == pytest.approx(12e9)
         assert metrics.dor > 0
+
+
+def frozen_instances():
+    """The instance family whose cd_search assignments are checked in.
+
+    200 seeded random slots of up to 10 users x 4 UAVs, half with narrow
+    coverage cones, plus slot 0 of the default scenario under seeds 0-2.
+    """
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        yield f"random-{seed}", random_slot_context(rng, max_users=10, max_uavs=4)
+    for seed in range(3):
+        sc = build_scenario(ScenarioConfig(rng_seed=seed))
+        yield f"default-{seed}", SlotContext(sc.users, sc.uavs, generate_tasks(sc, 0),
+                                             sc.config.channel)
+
+
+class TestFrozenAssignments:
+    def test_cd_assignments_match_recorded(self):
+        # recorded from cd_search before the share formulas were merged; any
+        # rewrite of the search (incremental sweeps included) must keep them
+        expected = json.loads(FROZEN_ASSIGNMENTS.read_text())
+        got = {name: cd_search(ctx).decision.assignment.tolist()
+               for name, ctx in frozen_instances()}
+        assert got == expected

@@ -3,162 +3,132 @@ import math
 import numpy as np
 import pytest
 
-from uavmec.channel import (ChannelParams, a2a_path_loss_db, a2a_rate_bps,
-                            elevation_angle_deg, g2a_mean_path_loss_db,
-                            g2a_rate_bps, los_probability)
+from uavmec.channel import (ChannelParams, elevation_deg_from_geometry,
+                            free_space_loss_db, los_probability_from_angle,
+                            mean_path_loss_db, spectral_efficiency)
+from uavmec.delay import SlotContext, SlotDecision, slot_dor
 from uavmec.errors import ConfigError
-from uavmec.model import UavState, UserState
+from uavmec.model import Task, UavState, UserState
 
 # High-precision scalar evaluations (mpmath, 40 digits), frozen before build.
 P_LOS_45 = 0.9676918999472423          # a=9.61, b=0.16
 P_LOS_AT_A = 0.09425070688030160       # theta == a collapses the exponent
 FSPL_100M_2000MHZ = 78.46059991327962
-A2A_1000M_2000MHZ = 98.47059991327962
 G2A_RATE_PL7846 = 7165517.649152558    # B=1 MHz, p=1 W, N=1e-10 W, PL=78.46 dB
-A2A_PL_50M = 72.45                     # exact: 20lg(0.05)+20lg(2000)+32.45
-A2A_RATE_50M = 229486942.73383772      # B=20 MHz, p=5 W, N=1e-10 W
 
 
-def user_at(x, y, power=1.0):
-    return UserState(position=np.array([x, y, 0.0]), cpu_freq=1e9, tx_power=power)
+def link_context(uav_positions, params=None, power=1.0):
+    """Slot context for one user at the origin and UAVs at the given positions."""
+    users = [UserState(position=np.zeros(3), cpu_freq=1e9, tx_power=power)]
+    uavs = [UavState(position=np.array(p, dtype=float), cpu_freq=10e9,
+                     tx_power=5.0, half_angle_deg=90.0) for p in uav_positions]
+    tasks = [Task(bits=1e5, cycles_per_bit=1000.0)]
+    return SlotContext(users, uavs, tasks, params or ChannelParams())
 
 
-def uav_at(x, y, z, power=5.0):
-    return UavState(position=np.array([x, y, z]), cpu_freq=10e9,
-                    tx_power=power, half_angle_deg=90.0)
+def path_loss(uav_positions, params=None):
+    return link_context(uav_positions, params).path_loss_db[0]
 
 
 class TestElevation:
     def test_directly_below_is_90(self):
-        assert elevation_angle_deg(user_at(5, 5), uav_at(5, 5, 10)) == pytest.approx(90.0)
+        assert elevation_deg_from_geometry(10.0, 0.0) == pytest.approx(90.0)
 
     def test_45_degrees(self):
-        assert elevation_angle_deg(user_at(0, 0), uav_at(10, 0, 10)) == pytest.approx(45.0)
+        assert elevation_deg_from_geometry(10.0, 10.0) == pytest.approx(45.0)
 
     def test_30_degrees(self):
         h = 10 * math.sqrt(3)
-        assert elevation_angle_deg(user_at(0, 0), uav_at(h, 0, 10)) == pytest.approx(30.0)
-
-    def test_3d_distance_mode_is_smaller(self):
-        params = ChannelParams(elevation_uses_3d_distance=True)
-        horizontal = elevation_angle_deg(user_at(0, 0), uav_at(10, 0, 10))
-        slant = elevation_angle_deg(user_at(0, 0), uav_at(10, 0, 10), params)
-        assert slant < horizontal
+        assert elevation_deg_from_geometry(10.0, h) == pytest.approx(30.0)
 
 
 class TestLosProbability:
     def test_collapses_at_theta_equal_a(self):
         p = ChannelParams()
-        assert los_probability(p.a, p) == pytest.approx(P_LOS_AT_A, rel=1e-12)
+        assert los_probability_from_angle(p.a, p) == pytest.approx(P_LOS_AT_A, rel=1e-12)
 
     def test_frozen_value_at_45(self):
-        assert los_probability(45.0, ChannelParams()) == pytest.approx(P_LOS_45, rel=1e-12)
+        assert los_probability_from_angle(45.0, ChannelParams()) == pytest.approx(
+            P_LOS_45, rel=1e-12)
 
     def test_strictly_increasing_and_in_unit_interval(self):
-        p = ChannelParams()
-        thetas = np.linspace(0.0, 90.0, 181)
-        vals = [los_probability(t, p) for t in thetas]
-        assert all(0 < v < 1 for v in vals)
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_out_of_range_angle_rejected(self):
-        with pytest.raises(ConfigError):
-            los_probability(-1.0, ChannelParams())
+        vals = los_probability_from_angle(np.linspace(0.0, 90.0, 181), ChannelParams())
+        assert ((0 < vals) & (vals < 1)).all()
+        assert (np.diff(vals) > 0).all()
 
 
 class TestG2aPathLoss:
     def test_free_space_term_when_excess_zero(self):
         params = ChannelParams(eta_los_db=0.0, eta_nlos_db=0.0)
-        pl = g2a_mean_path_loss_db(user_at(0, 0), uav_at(0, 100, 0.01), params)
         # nearly-horizontal 100 m link isolates the free-space term
-        assert pl == pytest.approx(FSPL_100M_2000MHZ, abs=1e-6)
+        assert path_loss([(0, 100, 0.01)], params)[0] == pytest.approx(
+            FSPL_100M_2000MHZ, abs=1e-6)
 
     def test_equal_excess_collapses_mixture(self):
         params = ChannelParams(eta_los_db=5.0, eta_nlos_db=5.0)
         zero = ChannelParams(eta_los_db=0.0, eta_nlos_db=0.0)
-        for uav in [uav_at(0, 0, 10), uav_at(30, 0, 10), uav_at(30, 40, 15)]:
-            with_eta = g2a_mean_path_loss_db(user_at(0, 0), uav, params)
-            base = g2a_mean_path_loss_db(user_at(0, 0), uav, zero)
-            assert with_eta == pytest.approx(base + 5.0, abs=1e-9)
+        uavs = [(0, 0, 10), (30, 0, 10), (30, 40, 15)]
+        assert path_loss(uavs, params) == pytest.approx(path_loss(uavs, zero) + 5.0,
+                                                        abs=1e-9)
 
     def test_loss_bounded_by_los_and_nlos_extremes(self):
         params = ChannelParams()
-        for x in [0, 5, 20, 45]:
-            uav = uav_at(x, 0, 12)
-            pl = g2a_mean_path_loss_db(user_at(0, 0), uav, params)
-            zero = ChannelParams(eta_los_db=0.0, eta_nlos_db=0.0)
-            fspl = g2a_mean_path_loss_db(user_at(0, 0), uav, zero)
-            assert fspl + params.eta_los_db <= pl <= fspl + params.eta_nlos_db
+        uavs = [(x, 0, 12) for x in [0, 5, 20, 45]]
+        pl = path_loss(uavs, params)
+        fspl = path_loss(uavs, ChannelParams(eta_los_db=0.0, eta_nlos_db=0.0))
+        assert (fspl + params.eta_los_db <= pl).all()
+        assert (pl <= fspl + params.eta_nlos_db).all()
 
     def test_loss_increases_with_distance(self):
+        losses = path_loss([(x, 0, 10) for x in [1, 5, 10, 20, 40]])
+        assert (np.diff(losses) > 0).all()
+
+    def test_matches_mixture_formula(self):
+        # the context's loss is the array core evaluated on its own geometry
         params = ChannelParams()
-        losses = [g2a_mean_path_loss_db(user_at(0, 0), uav_at(x, 0, 10), params)
-                  for x in [1, 5, 10, 20, 40]]
-        assert all(a < b for a, b in zip(losses, losses[1:]))
+        uavs = [(3, 4, 10), (30, 40, 15)]
+        dist = np.array([math.sqrt(125), math.sqrt(2725)])
+        theta = elevation_deg_from_geometry([10.0, 15.0], [5.0, 50.0])
+        assert path_loss(uavs, params) == pytest.approx(
+            mean_path_loss_db(dist, theta, params), rel=1e-12)
+
+    def test_log_rules(self):
+        base = free_space_loss_db(100.0, 2000.0)
+        assert free_space_loss_db(1000.0, 2000.0) - base == pytest.approx(20.0, abs=1e-9)
+        assert free_space_loss_db(100.0, 20000.0) - base == pytest.approx(20.0, abs=1e-9)
+
+    def test_zero_distance_rejected(self):
+        with pytest.raises(ConfigError):
+            free_space_loss_db(np.array([5.0, 0.0]), 2000.0)
+
+
+def uplink_seconds(ctx, bandwidth_hz):
+    """Uplink time of the context's one user through UAV 0, read off the slot objective."""
+    cpu = 10e9
+    decision = SlotDecision(assignment=np.array([0]), ingress=np.array([0]),
+                            bandwidth_hz=np.array([bandwidth_hz]), cpu_hz=np.array([cpu]))
+    return slot_dor(decision, ctx).per_user_delay[0] - 1e5 * 1000.0 / cpu
 
 
 class TestRates:
     def test_zero_bandwidth_zero_rate(self):
-        params = ChannelParams()
-        assert g2a_rate_bps(user_at(0, 0), uav_at(3, 4, 10), 0.0, params) == 0.0
-        assert a2a_rate_bps(uav_at(0, 0, 10), uav_at(30, 0, 10), 0.0, params) == 0.0
+        assert uplink_seconds(link_context([(3, 4, 10)]), 0.0) == math.inf
 
     def test_rate_linear_in_bandwidth(self):
-        params = ChannelParams()
-        r1 = g2a_rate_bps(user_at(0, 0), uav_at(3, 4, 10), 1e6, params)
-        r2 = g2a_rate_bps(user_at(0, 0), uav_at(3, 4, 10), 2e6, params)
-        assert r2 == pytest.approx(2 * r1, rel=1e-12)
+        ctx = link_context([(3, 4, 10)])
+        assert uplink_seconds(ctx, 2e6) == pytest.approx(uplink_seconds(ctx, 1e6) / 2,
+                                                          rel=1e-9)
+        assert uplink_seconds(ctx, 1e6) == pytest.approx(1e5 / (1e6 * ctx.r0[0, 0]),
+                                                          rel=1e-9)
 
     def test_frozen_g2a_rate_at_fixed_loss(self):
         # user 1 W, 1 MHz band, noise 1e-10 W, path loss pinned at 78.46 dB
-        from uavmec.channel import rate_bps
-        rate = float(rate_bps(1e6, 1.0, 78.46, 1e-10))
+        rate = 1e6 * float(spectral_efficiency(1.0, 78.46, 1e-10))
         assert rate == pytest.approx(G2A_RATE_PL7846, rel=1e-12)
 
     def test_rate_decreases_with_distance(self):
-        params = ChannelParams()
-        rates = [g2a_rate_bps(user_at(0, 0), uav_at(x, 0, 10), 1e6, params)
-                 for x in [1, 5, 10, 20, 40]]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-        a2a = [a2a_rate_bps(uav_at(0, 0, 10), uav_at(x, 0, 10), 1e6, params)
-               for x in [5, 10, 20, 40]]
-        assert all(a > b for a, b in zip(a2a, a2a[1:]))
-
-
-class TestA2a:
-    def test_frozen_loss_at_1km(self):
-        params = ChannelParams()
-        pl = a2a_path_loss_db(uav_at(0, 0, 10), uav_at(1000, 0, 10), params)
-        assert pl == pytest.approx(A2A_1000M_2000MHZ, abs=1e-9)
-
-    def test_log_rules(self):
-        params = ChannelParams()
-        base = a2a_path_loss_db(uav_at(0, 0, 10), uav_at(100, 0, 10), params)
-        ten_x = a2a_path_loss_db(uav_at(0, 0, 10), uav_at(1000, 0, 10), params)
-        assert ten_x - base == pytest.approx(20.0, abs=1e-9)
-        hi_carrier = ChannelParams(carrier_mhz=20000.0)
-        shifted = a2a_path_loss_db(uav_at(0, 0, 10), uav_at(100, 0, 10), hi_carrier)
-        assert shifted - base == pytest.approx(20.0, abs=1e-9)
-
-    def test_frozen_rate_50m(self):
-        params = ChannelParams()
-        pl = a2a_path_loss_db(uav_at(0, 0, 10), uav_at(30, 40, 10), params)
-        assert pl == pytest.approx(A2A_PL_50M, abs=1e-9)
-        rate = a2a_rate_bps(uav_at(0, 0, 10), uav_at(30, 40, 10), 20e6, params)
-        assert rate == pytest.approx(A2A_RATE_50M, rel=1e-12)
-
-    def test_matches_g2a_free_space_term(self):
-        # the two printed constants (-27.56 vs +32.45) disagree by 0.01 dB
-        params = ChannelParams(eta_los_db=0.0, eta_nlos_db=0.0)
-        for d in [100.0, 500.0, 1000.0, 3000.0]:
-            a2a = a2a_path_loss_db(uav_at(0, 0, 10), uav_at(d, 0, 10), params)
-            g2a_fspl = 20 * math.log10(d) + 20 * math.log10(params.carrier_mhz) - 27.56
-            assert a2a == pytest.approx(g2a_fspl, abs=0.0101)
-
-    def test_zero_distance_rejected(self):
-        params = ChannelParams()
-        with pytest.raises(ConfigError):
-            a2a_path_loss_db(uav_at(0, 0, 10), uav_at(0, 0, 10), params)
+        r0 = link_context([(x, 0, 10) for x in [1, 5, 10, 20, 40]]).r0[0]
+        assert (np.diff(r0) < 0).all()
 
 
 class TestParams:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from uavmec.channel import ChannelParams
-from uavmec.delay import (LOCAL, SlotContext, SlotDecision, edge_delay,
-                          exec_delay, local_delay, offload_delay, slot_dor,
-                          validate_decision)
+from uavmec.delay import LOCAL, SlotContext, SlotDecision, slot_dor, validate_decision
 from uavmec.errors import ConfigError, ValidationError
 from uavmec.model import Task, UavState, UserState
 
@@ -20,28 +18,43 @@ def make_uav(x=0.0, y=0.0, z=10.0, freq=10e9):
                     half_angle_deg=90.0)
 
 
+def edge_delay(task, rate_bps, cpu_share_hz):
+    """Edge delay of one offloaded task at a given uplink rate and processor share,
+    read off the slot objective of a one-user, one-UAV context."""
+    ctx = SlotContext([make_user()], [make_uav()], [task], ChannelParams())
+    decision = SlotDecision(assignment=np.array([0]), ingress=np.array([0]),
+                            bandwidth_hz=np.array([rate_bps / ctx.r0[0, 0]]),
+                            cpu_hz=np.array([cpu_share_hz]))
+    return slot_dor(decision, ctx, validate=False).per_user_delay[0]
+
+
 class TestScalarDelays:
     def test_local_delay_direct(self):
         task = Task(bits=1e5, cycles_per_bit=1000.0)
-        assert local_delay(task, make_user(freq=1e9)) == pytest.approx(0.1)
-        assert local_delay(task, make_user(freq=2e9)) == pytest.approx(0.05)
+        ctx = SlotContext([make_user(freq=1e9), make_user(freq=2e9)], [make_uav()],
+                          [task, task], ChannelParams())
+        assert ctx.t_loc == pytest.approx([0.1, 0.05])
 
     def test_local_delay_zero_freq_rejected(self):
         with pytest.raises(ConfigError):
-            local_delay(Task(bits=1e5, cycles_per_bit=1000.0), make_user(freq=0.0))
+            SlotContext([make_user(freq=0.0)], [make_uav()],
+                        [Task(bits=1e5, cycles_per_bit=1000.0)], ChannelParams())
 
     def test_offload_delay(self):
         task = Task(bits=1e5, cycles_per_bit=500.0)
-        assert offload_delay(task, 1e6) == pytest.approx(0.1)
-        assert offload_delay(task, 1e12) < 1e-6
-        assert offload_delay(task, 0.0) == math.inf
+        instant = 1e30  # execution leg negligible
+        assert edge_delay(task, 1e6, instant) == pytest.approx(0.1)
+        assert edge_delay(task, 1e12, instant) < 1e-6
+        assert edge_delay(task, 0.0, instant) == math.inf
 
     def test_exec_delay(self):
         task = Task(bits=1e5, cycles_per_bit=500.0)
-        assert exec_delay(task, 10e9) == pytest.approx(5e-3)
-        assert exec_delay(task, 0.0) == math.inf
+        instant = 1e30  # uplink leg negligible
+        assert edge_delay(task, instant, 10e9) == pytest.approx(5e-3)
+        assert edge_delay(task, instant, 0.0) == math.inf
         double = Task(bits=2e5, cycles_per_bit=500.0)
-        assert exec_delay(double, 10e9) == pytest.approx(2 * exec_delay(task, 10e9))
+        assert edge_delay(double, instant, 10e9) == pytest.approx(
+            2 * edge_delay(task, instant, 10e9))
 
     def test_edge_delay_sum_and_sentinels(self):
         task = Task(bits=1e5, cycles_per_bit=500.0)

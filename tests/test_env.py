@@ -1,0 +1,89 @@
+import numpy as np
+import pytest
+
+from uavmec.baselines import al_allocate
+from uavmec.env import EdgeComputeEnv
+from uavmec.errors import ConfigError
+from uavmec.model import ScenarioConfig, build_scenario
+
+
+def make_env(positions, allocate=None, **overrides):
+    cfg = dict(num_users=3, num_uavs=len(positions), horizon=50, rng_seed=2,
+               initial_uav_positions=tuple(map(tuple, positions)))
+    cfg.update(overrides)
+    env = EdgeComputeEnv(build_scenario(ScenarioConfig(**cfg)), penalty=10.0,
+                         allocate=allocate)
+    env.reset()
+    return env
+
+
+def loop_collisions(pos, d_min):
+    """Reference: every UAV within d_min of another, by an explicit pair loop."""
+    collisions = set()
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            if np.linalg.norm(pos[i] - pos[j]) < d_min:
+                collisions.update((i, j))
+    return sorted(collisions)
+
+
+class TestPenalties:
+    def test_box_speed_and_collision_accounting(self):
+        env = make_env([(0, 0, 10), (25, 25, 15), (40, 40, 15), (42, 40, 15)])
+        step = env.config.max_step
+        actions = np.zeros((4, 3))
+        actions[0] = [-1.0, 0.0, 0.0]            # leaves the box at x = 0
+        actions[1] = [3 * step, 0.0, 0.0]        # three times the speed cap
+        _, reward, info = env.step(actions)      # UAVs 2 and 3 sit 2 m apart
+        assert info.box_violations == [0]
+        assert info.speed_violations == [1]
+        assert info.collision_uavs == [2, 3]
+        assert info.violating_uavs == [0, 1, 2, 3]
+        assert reward == info.reward == info.dor - 10.0 * 4
+
+    def test_uav_with_several_violations_pays_once(self):
+        env = make_env([(0, 0, 10), (1, 0, 10), (40, 40, 15)])
+        actions = np.zeros((3, 3))
+        actions[0] = [-5.0, 0.0, 0.0]            # overspeed and out of the box
+        _, reward, info = env.step(actions)
+        assert info.box_violations == [0] and info.speed_violations == [0]
+        assert info.collision_uavs == [0, 1]
+        assert info.violating_uavs == [0, 1]
+        assert reward == info.dor - 10.0 * 2
+
+    def test_clean_step_pays_the_slot_objective(self):
+        env = make_env([(10, 10, 12), (40, 40, 12)])
+        _, reward, info = env.step(np.zeros((2, 3)))
+        assert info.violating_uavs == []
+        assert reward == info.dor == info.allocation.dor
+
+    def test_collision_set_matches_pair_loop_on_random_layouts(self):
+        rng = np.random.default_rng(21)
+        env = make_env([(0, 0, 10)] * 6, allocate=al_allocate, d_min=12.0)
+        seen = 0
+        for _ in range(200):
+            env.reset()
+            for uav in env.scenario.uavs:
+                uav.position = rng.uniform([0, 0, 10], [50, 50, 20])
+            _, reward, info = env.step(np.zeros((6, 3)))
+            assert info.collision_uavs == loop_collisions(env.scenario.uav_positions, 12.0)
+            assert reward == info.dor - 10.0 * len(info.violating_uavs)
+            seen += bool(info.collision_uavs)
+        assert 0 < seen < 200
+
+
+class TestEpisode:
+    def test_bad_action_shape_rejected(self):
+        env = make_env([(10, 10, 12), (40, 40, 12)])
+        with pytest.raises(ConfigError):
+            env.step(np.zeros((3, 3)))
+
+    def test_horizon_exhaustion_and_reset(self):
+        env = make_env([(10, 10, 12), (40, 40, 12)], horizon=2)
+        first = env.observe().copy()
+        env.step(np.ones((2, 3)))
+        env.step(np.ones((2, 3)))
+        with pytest.raises(ConfigError):
+            env.step(np.zeros((2, 3)))
+        assert np.array_equal(env.reset(), first)
+        assert env.slot == 0

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from uavmec.channel import ChannelParams
+from uavmec.delay import SlotContext
 from uavmec.errors import ConfigError
-from uavmec.model import (ScenarioConfig, Task, UavState, UserState, apply_motion,
-                          build_scenario, coverage_radius, generate_tasks,
-                          is_covered, min_pairwise_distance)
+from uavmec.model import (Scenario, ScenarioConfig, Task, UavState, UserState,
+                          apply_motion, build_scenario, coverage_radius,
+                          generate_tasks, pairwise_distances)
 
 
 def small_config(**overrides):
@@ -51,9 +53,33 @@ class TestScenarioConstruction:
         sc = build_scenario(small_config())
         path = tmp_path / "scenario.json"
         sc.save(path)
-        from uavmec.model import Scenario
         loaded = Scenario.load(path)
         assert loaded.to_dict() == sc.to_dict()
+
+    @pytest.mark.parametrize("key", ["bw_a2a_hz", "elevation_uses_3d_distance"])
+    def test_snapshot_with_removed_channel_key_names_it(self, key):
+        data = build_scenario(small_config()).to_dict()
+        data["config"]["channel"][key] = 20e6
+        with pytest.raises(ConfigError, match=key):
+            Scenario.from_dict(data)
+
+    def test_snapshot_with_unknown_config_key_names_it(self):
+        data = build_scenario(small_config()).to_dict()
+        data["config"]["swarm_size"] = 3
+        with pytest.raises(ConfigError, match="swarm_size"):
+            Scenario.from_dict(data)
+
+    def test_snapshot_missing_config_key_names_it(self):
+        data = build_scenario(small_config()).to_dict()
+        del data["config"]["d_min"]
+        with pytest.raises(ConfigError, match="d_min"):
+            Scenario.from_dict(data)
+
+    def test_snapshot_missing_key_names_it(self):
+        data = build_scenario(small_config()).to_dict()
+        del data["uavs"][0]["half_angle_deg"]
+        with pytest.raises(ConfigError, match="half_angle_deg"):
+            Scenario.from_dict(data)
 
 
 class TestMotion:
@@ -107,45 +133,40 @@ class TestMotion:
 
 
 class TestCoverage:
-    def _uav(self, z, half_angle):
-        return UavState(position=np.array([10.0, 10.0, z]), cpu_freq=1e9,
-                        tx_power=5.0, half_angle_deg=half_angle)
-
     def test_radius_45_degrees_equals_altitude(self):
-        assert coverage_radius(self._uav(10.0, 45.0)) == pytest.approx(10.0)
-        assert coverage_radius(self._uav(20.0, 45.0)) == pytest.approx(20.0)
+        assert coverage_radius([10.0, 20.0], 45.0) == pytest.approx([10.0, 20.0])
 
     def test_radius_90_degrees_unbounded(self):
-        assert coverage_radius(self._uav(10.0, 90.0)) == math.inf
+        assert coverage_radius(10.0, 90.0) == math.inf
 
     def test_radius_monotone_in_z_and_angle(self):
-        for z1, z2 in [(10, 12), (12, 18)]:
-            assert coverage_radius(self._uav(z1, 45)) <= coverage_radius(self._uav(z2, 45))
-        for a1, a2 in [(10, 30), (30, 60), (60, 89.9)]:
-            assert coverage_radius(self._uav(15, a1)) <= coverage_radius(self._uav(15, a2))
+        assert (np.diff(coverage_radius([10, 12, 18], 45)) >= 0).all()
+        assert (np.diff(coverage_radius(15, [10, 30, 60, 89.9])) >= 0).all()
 
     def test_is_covered(self):
-        below = UserState(position=np.array([10.0, 10.0, 0.0]), cpu_freq=1e9, tx_power=1.0)
-        assert is_covered(below, self._uav(10.0, 45.0))
-        far = UserState(position=np.array([21.0, 10.0, 0.0]), cpu_freq=1e9, tx_power=1.0)
-        assert not is_covered(far, self._uav(10.0, 45.0))  # 11 m out, 10 m radius
-        assert is_covered(far, self._uav(10.0, 90.0))
+        def uav(half_angle):
+            return UavState(position=np.array([10.0, 10.0, 10.0]), cpu_freq=1e9,
+                            tx_power=5.0, half_angle_deg=half_angle)
+        users = [UserState(position=np.array([x, 10.0, 0.0]), cpu_freq=1e9, tx_power=1.0)
+                 for x in (10.0, 21.0)]  # directly below, 11 m out
+        tasks = [Task(bits=1e5, cycles_per_bit=500.0)] * 2
+        ctx = SlotContext(users, [uav(45.0), uav(90.0)], tasks, ChannelParams())
+        # the 45-degree cone at 10 m altitude has a 10 m radius
+        assert ctx.coverage.tolist() == [[True, True], [False, True]]
 
 
 class TestPairwiseDistance:
-    def _uavs(self, positions):
-        return [UavState(position=np.array(p, dtype=float), cpu_freq=1e9,
-                         tx_power=5.0, half_angle_deg=90.0) for p in positions]
-
     def test_coincident_zero(self):
-        assert min_pairwise_distance(self._uavs([(0, 0, 10), (0, 0, 10)])) == 0.0
+        assert pairwise_distances([(0, 0, 10), (0, 0, 10)]).min() == 0.0
 
     def test_three_uavs(self):
-        uavs = self._uavs([(0, 0, 10), (3, 0, 10), (100, 0, 10)])
-        assert min_pairwise_distance(uavs) == pytest.approx(3.0)
+        dist = pairwise_distances([(0, 0, 10), (3, 0, 10), (100, 0, 10)])
+        assert dist.min() == pytest.approx(3.0)
+        assert np.array_equal(dist, dist.T)
+        assert (np.diag(dist) == math.inf).all()
 
     def test_single_uav_infinite(self):
-        assert min_pairwise_distance(self._uavs([(0, 0, 10)])) == math.inf
+        assert pairwise_distances([(0, 0, 10)]).min() == math.inf
 
 
 class TestTasks:
