@@ -50,6 +50,19 @@ def _sqrt_law_shares(capacity: np.ndarray, group: np.ndarray,
     return capacity[group] * weights / total[group]
 
 
+def _share_weights(ctx: SlotContext, users: np.ndarray,
+                   ingress: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square-root-law weights (bandwidth, cpu) of `users` entering via `ingress`.
+
+    w_bw = sqrt(f / (c r0)) on the ingress link, w_cpu = sqrt(f).
+    """
+    r0 = ctx.r0[users, ingress]
+    if np.any(r0 <= 0):
+        raise InfeasibleError("zero spectral efficiency on a chosen ingress link")
+    f = ctx.user_freq[users]
+    return np.sqrt(f / (ctx.task_cycles[users] * r0)), np.sqrt(f)
+
+
 def evaluate_assignment(assignment, ctx: SlotContext,
                         validate: bool = False) -> tuple[SlotDecision, SlotMetrics]:
     """Resource shares (closed forms per UAV group) and objective for one assignment.
@@ -71,13 +84,9 @@ def evaluate_assignment(assignment, ctx: SlotContext,
     off_idx = np.flatnonzero(off)
     if off_idx.size:
         ing = ingress[off_idx]
-        r0 = ctx.r0[off_idx, ing]
-        if np.any(r0 <= 0):
-            raise InfeasibleError("zero spectral efficiency on a chosen ingress link")
-        w_bw = np.sqrt(ctx.user_freq[off_idx] / (ctx.task_cycles[off_idx] * r0))
+        w_bw, w_cpu = _share_weights(ctx, off_idx, ing)
         bw[off_idx] = _sqrt_law_shares(ctx.uav_bw, ing, w_bw)
-        cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx],
-                                        np.sqrt(ctx.user_freq[off_idx]))
+        cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx], w_cpu)
 
     decision = SlotDecision(assignment=a.copy(), ingress=ingress,
                             bandwidth_hz=bw, cpu_hz=cpu)
@@ -88,38 +97,57 @@ def evaluate_assignment(assignment, ctx: SlotContext,
 def cd_search(ctx: SlotContext, max_sweeps: int = 100) -> AllocationResult:
     """Coordinate descent over per-user choices, starting all-local.
 
-    Each sweep revisits every user and re-evaluates all of its choices with
-    the others held fixed (shares re-solved per candidate); the best strictly
-    improving choice is kept, ties go to the incumbent. Users are visited in
-    ascending index order. Stops when a full sweep changes nothing. The
-    accepted objective sequence is nondecreasing.
-    """
-    m, n = ctx.num_users, ctx.num_uavs
-    can_offload = ctx.default_ingress != LOCAL
+    With ingress fixed per user and square-root-law shares, the objective of
+    any assignment is a closed form in per-UAV group sums:
 
-    assignment = np.full(m, LOCAL, dtype=int)
-    _, metrics = evaluate_assignment(assignment, ctx)
-    best_dor = metrics.dor
+        DOR = |offloaded| - sum_k S_bw,k^2 / B_k - sum_k S_cpu,k^2 / F_k,
+
+    where S_bw,k sums w_bw = sqrt(f / (c r0)) over the users entering UAV k and
+    S_cpu,k sums w_cpu = sqrt(f) over the users executing on UAV k. Each sweep
+    visits users in ascending index order and scores all of a user's choices
+    (LOCAL, then UAVs 0..N-1) at once from the group sums with that user taken
+    out; the best strictly improving choice is kept, so ties go to the
+    incumbent and then to the earlier choice. Stops when a full sweep changes
+    nothing. The returned decision and DOR come from a single
+    `evaluate_assignment` of the final assignment.
+    """
+    n = ctx.num_uavs
+    ingress = ctx.default_ingress
+    covered = np.flatnonzero(ingress != LOCAL)
+    w_bw = np.zeros(ctx.num_users)
+    w_cpu = np.zeros(ctx.num_users)
+    w_bw[covered], w_cpu[covered] = _share_weights(ctx, covered, ingress[covered])
+
+    assignment = np.full(ctx.num_users, LOCAL, dtype=int)
+    s_bw = np.zeros(n)
+    s_cpu = np.zeros(n)
+    scores = np.zeros(n + 1)  # scores[0] is LOCAL, scores[1 + k] is UAV k
 
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
         sweeps += 1
         changed = False
-        for user in range(m):
+        for user in covered:
             incumbent = assignment[user]
-            best_choice = incumbent
-            choices = [LOCAL] + (list(range(n)) if can_offload[user] else [])
-            for choice in choices:
-                if choice == incumbent:
-                    continue
-                assignment[user] = choice
-                _, trial = evaluate_assignment(assignment, ctx)
-                if trial.dor > best_dor:
-                    best_dor = trial.dor
-                    best_choice = choice
-            assignment[user] = best_choice
-            if best_choice != incumbent:
+            k = ingress[user]
+            wb, wc = w_bw[user], w_cpu[user]
+            sb, sc = s_bw[k], s_cpu
+            if incumbent != LOCAL:
+                sb = sb - wb
+                sc = s_cpu.copy()
+                sc[incumbent] -= wc
+            # DOR gain over LOCAL of offloading `user` to each UAV; adding w to a
+            # group with sum S adds ((S + w)^2 - S^2) / capacity = w (2S + w) / capacity
+            gain = 1.0 - wb * (2.0 * sb + wb) / ctx.uav_bw[k]
+            scores[1:] = gain - wc * (2.0 * sc + wc) / ctx.uav_cpu
+            best = int(np.argmax(scores)) - 1
+            if scores[best + 1] > scores[incumbent + 1]:
+                assignment[user] = best
+                # fresh sums, not running updates: an emptied group is exactly 0
+                off = assignment != LOCAL
+                s_bw = np.bincount(ingress[off], w_bw[off], minlength=n)
+                s_cpu = np.bincount(assignment[off], w_cpu[off], minlength=n)
                 changed = True
         if not changed:
             converged = True

@@ -22,7 +22,8 @@ from .env import EdgeComputeEnv, SlotInfo
 from .errors import ConfigError, NumericError, check_fields
 from .model import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
+REPLAY_FIELDS = ("obs", "act", "rew", "next_obs")
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,26 @@ class ReplayBuffer:
 
     def __len__(self):
         return self.size
+
+    def contents(self) -> dict[str, np.ndarray]:
+        """Copies of the filled rows, keyed by field name."""
+        return {name: getattr(self, name)[:self.size].copy() for name in REPLAY_FIELDS}
+
+    def restore(self, contents: dict, size: int, cursor: int):
+        """Refill from `contents()` output; raise ConfigError if it does not fit."""
+        if not (0 <= size <= self.capacity and 0 <= cursor < self.capacity):
+            raise ConfigError(f"{size} replay rows at cursor {cursor} do not fit "
+                              f"a buffer of capacity {self.capacity}")
+        for name in REPLAY_FIELDS:
+            have = np.shape(contents[name]) if name in contents else None
+            need = (size,) + getattr(self, name).shape[1:]
+            if have != need:
+                raise ConfigError(f"replay field {name} has shape {have}, "
+                                  f"the checkpoint needs {need}")
+        for name in REPLAY_FIELDS:
+            getattr(self, name)[:size] = contents[name]
+        self.size = size
+        self.cursor = cursor
 
 
 @dataclass
@@ -279,6 +300,7 @@ class MaddpgTrainer:
             ],
             "buffer_cursor": self.buffer.cursor,
             "buffer_size": self.buffer.size,
+            "replay": self.buffer.contents(),
             "rng_state": self.rng.bit_generator.state,
         }
 
@@ -304,13 +326,22 @@ class MaddpgTrainer:
             load_net(a.critic, d["critic"])
             load_net(a.target_actor, d["target_actor"])
             load_net(a.target_critic, d["target_critic"])
-        self.buffer.cursor = state["buffer_cursor"]
+        self.buffer.restore(state["replay"], state["buffer_size"], state["buffer_cursor"])
         self.rng.bit_generator.state = state["rng_state"]
 
     def save_checkpoint(self, path: str | os.PathLike):
+        """Write the state as JSON at `path` and the replay rows as `.npz` beside it.
+
+        Each file is written to a temporary name and renamed into place.
+        """
+        state = self.state_dict()
+        tmp = f"{replay_path(path)}.tmp"
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **state.pop("replay"))
+        os.replace(tmp, replay_path(path))
         tmp = f"{path}.tmp"
         with open(tmp, "w") as fh:
-            json.dump(self.state_dict(), fh, sort_keys=True)
+            json.dump(state, fh, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
 
@@ -320,8 +351,18 @@ class MaddpgTrainer:
             state = json.load(fh)
         check_fields(TrainConfig, state["config"], "checkpoint config")
         trainer = cls(scenario, TrainConfig(**state["config"]))
+        try:
+            with np.load(replay_path(path)) as replay:
+                state["replay"] = {name: replay[name] for name in replay.files}
+        except FileNotFoundError:
+            raise ConfigError(f"checkpoint replay file {replay_path(path)} is missing") from None
         trainer.load_state_dict(state)
         return trainer
+
+
+def replay_path(path: str | os.PathLike) -> str:
+    """Where a checkpoint at `path` keeps its replay rows."""
+    return f"{path}.replay.npz"
 
 
 def train(scenario: Scenario, config: TrainConfig,

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import os
 
+import numpy as np
 import pytest
 
 from uavmec.errors import ConfigError
-from uavmec.learner import MaddpgTrainer, TrainConfig, train
+from uavmec.learner import MaddpgTrainer, TrainConfig, replay_path, train
 from uavmec.model import ScenarioConfig, build_scenario
 
 SMALL = TrainConfig(episodes=2, batch_size=8, min_fill=8, buffer_capacity=64,
@@ -48,6 +51,37 @@ class TestCheckpointInput:
         trainer.save_checkpoint(path)
         loaded = MaddpgTrainer.load_checkpoint(scenario(), path)
         assert loaded.state_dict()["agents"] == trainer.state_dict()["agents"]
+
+    @pytest.mark.parametrize("capacity", [64, 16])  # 24 slots: partly filled, wrapped
+    def test_round_trip_restores_replay_buffer(self, tmp_path, capacity):
+        path = tmp_path / "ckpt.json"
+        trainer, _ = train(scenario(), dataclasses.replace(SMALL, buffer_capacity=capacity))
+        trainer.save_checkpoint(path)
+        loaded = MaddpgTrainer.load_checkpoint(scenario(), path)
+        assert (loaded.buffer.size, loaded.buffer.cursor) == (trainer.buffer.size,
+                                                              trainer.buffer.cursor)
+        for name in ("obs", "act", "rew", "next_obs"):
+            assert np.array_equal(getattr(loaded.buffer, name), getattr(trainer.buffer, name))
+        draw = trainer.buffer.sample(8, trainer.rng)
+        again = loaded.buffer.sample(8, loaded.rng)
+        for a, b in zip(draw, again):
+            assert np.array_equal(a, b)
+
+    def test_missing_replay_file_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        train(scenario(), SMALL)[0].save_checkpoint(path)
+        os.remove(replay_path(path))
+        with pytest.raises(ConfigError, match="replay"):
+            MaddpgTrainer.load_checkpoint(scenario(), path)
+
+    def test_mismatched_replay_file_rejected(self, tmp_path):
+        path, other = tmp_path / "ckpt.json", tmp_path / "other.json"
+        trainer, _ = train(scenario(), SMALL)
+        trainer.save_checkpoint(path)
+        MaddpgTrainer(scenario(), SMALL).save_checkpoint(other)  # empty buffer
+        os.replace(replay_path(other), replay_path(path))
+        with pytest.raises(ConfigError, match="replay field obs"):
+            MaddpgTrainer.load_checkpoint(scenario(), path)
 
 
 class TestTraining:
