@@ -164,6 +164,9 @@ class MaddpgTrainer:
         self.max_step = cfg.max_step
         self.obs_dim = 3
         self.obs_scale = np.array([cfg.area_x, cfg.area_y, cfg.z_max])
+        self.joint_obs_scale = np.tile(self.obs_scale, self.num_agents)
+        self.input_scale = np.concatenate([self.joint_obs_scale,
+                                           np.full(self.num_agents * 3, self.max_step)])
         self.rng = np.random.default_rng([config.seed, 11])
 
         joint_dim = self.num_agents * (self.obs_dim + 3)
@@ -180,91 +183,75 @@ class MaddpgTrainer:
 
     # ---- acting ----
 
-    def policy_action(self, agent: int, obs: np.ndarray,
-                      params: nets.MlpParams | None = None) -> np.ndarray:
-        """Deterministic normalized action in (-1, 1)^3 for one agent."""
-        net = params if params is not None else self.agents[agent].actor
-        return nets.mlp_forward(net, np.asarray(obs) / self.obs_scale)
-
-    def act(self, agent: int, obs: np.ndarray, noise_sigma: float) -> np.ndarray:
-        """Displacement command in meters: scaled policy output plus Gaussian noise.
-
-        The command is clipped to the per-axis step budget; the environment's
-        motion enforcement still applies on top.
-        """
-        u = self.policy_action(agent, obs)
-        if noise_sigma > 0:
-            u = u + self.rng.normal(scale=noise_sigma, size=3)
-        u = np.clip(u, -1.0, 1.0)
-        return u * self.max_step
-
     def joint_actions(self, obs: np.ndarray, noise_sigma: float) -> np.ndarray:
-        return np.stack([self.act(n, obs[n], noise_sigma)
-                         for n in range(self.num_agents)])
+        """Displacement commands in meters, one row per agent.
 
-    # ---- batched network inputs ----
-
-    def _split_obs(self, joint_obs: np.ndarray, agent: int) -> np.ndarray:
-        return joint_obs[:, agent * self.obs_dim:(agent + 1) * self.obs_dim]
-
-    def _critic_input(self, joint_obs: np.ndarray, joint_act_norm: np.ndarray) -> np.ndarray:
-        obs_norm = joint_obs / np.tile(self.obs_scale, self.num_agents)
-        return np.hstack([obs_norm, joint_act_norm])
-
-    def _target_joint_actions(self, next_joint_obs: np.ndarray) -> np.ndarray:
-        cols = []
-        for n in range(self.num_agents):
-            o = self._split_obs(next_joint_obs, n) / self.obs_scale
-            cols.append(nets.mlp_forward(self.agents[n].target_actor, o))
-        return np.hstack(cols)
+        Each row is the agent's policy output plus Gaussian noise, clipped to
+        the per-axis step budget; the environment's motion enforcement still
+        applies on top.
+        """
+        obs_norm = np.asarray(obs) / self.obs_scale
+        u = np.stack([nets.mlp_forward(a.actor, o) for a, o in zip(self.agents, obs_norm)])
+        if noise_sigma > 0:
+            u = u + self.rng.normal(scale=noise_sigma, size=u.shape)
+        return np.clip(u, -1.0, 1.0) * self.max_step
 
     # ---- updates ----
 
+    def normalise_batch(self, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Network inputs for one `ReplayBuffer.sample` batch: (x, rew, next_obs).
+
+        x = [obs, act] / input_scale is the critic input with the stored
+        actions; next_obs is divided by the box extents.
+        """
+        obs, act, rew, next_obs = batch
+        return np.hstack([obs, act]) / self.input_scale, rew, next_obs / self.joint_obs_scale
+
     def td_target(self, agent: int, batch) -> np.ndarray:
         """y = r + gamma * Q'(S', A') with A' from the target actors."""
-        _, _, rew, next_obs = batch
-        next_actions = self._target_joint_actions(next_obs)
+        _, rew, next_obs = batch
+        d = self.obs_dim
+        next_actions = [nets.mlp_forward(a.target_actor, next_obs[:, n * d:(n + 1) * d])
+                        for n, a in enumerate(self.agents)]
         q_next = nets.mlp_forward(self.agents[agent].target_critic,
-                                  self._critic_input(next_obs, next_actions))
+                                  np.hstack([next_obs] + next_actions))
         return rew + self.config.gamma * q_next[:, 0]
 
     def critic_update(self, agent: int, batch) -> float:
-        """One mean-squared TD-error descent step; returns the pre-step loss."""
-        obs, act, _, _ = batch
+        """One mean-squared TD-error descent step on a `normalise_batch` batch;
+        returns the pre-step loss."""
         y = self.td_target(agent, batch)
-        x = self._critic_input(obs, act / self.max_step)
         critic = self.agents[agent].critic
-        q = nets.mlp_forward(critic, x)[:, 0]
-        err = q - y
+        acts = nets.mlp_activations(critic, batch[0])
+        err = acts[-1][:, 0] - y
         loss = float(np.mean(err ** 2))
         upstream = (2.0 / err.size) * err[:, None]
-        grads, _ = nets.mlp_gradients(critic, x, upstream)
-        nets.apply_gradients(critic, grads, -self.config.lr_critic)
+        grad, _ = nets.mlp_backward(critic, acts, upstream, input_grad=False)
+        nets.apply_gradients(critic, grad, -self.config.lr_critic)
         return loss
 
     def actor_update(self, agent: int, batch) -> float:
         """One ascent step on mean Q with the agent's own action re-derived
-        from its policy; returns the actor gradient norm."""
-        obs, act, _, _ = batch
-        own_obs_norm = self._split_obs(obs, agent) / self.obs_scale
+        from its policy, on a `normalise_batch` batch; returns the actor
+        gradient norm."""
+        x = batch[0]
+        d = self.obs_dim
         actor = self.agents[agent].actor
-        own_u = nets.mlp_forward(actor, own_obs_norm)
+        actor_acts = nets.mlp_activations(actor, x[:, agent * d:(agent + 1) * d])
 
-        joint_u = act / self.max_step
-        joint_u = joint_u.copy()
-        joint_u[:, agent * 3:(agent + 1) * 3] = own_u
-
-        x = self._critic_input(obs, joint_u)
-        batch_size = obs.shape[0]
+        start = self.num_agents * d + agent * 3
+        own = slice(start, start + 3)
+        joint = x.copy()
+        joint[:, own] = actor_acts[-1]
+        critic = self.agents[agent].critic
+        batch_size = x.shape[0]
         upstream = np.full((batch_size, 1), 1.0 / batch_size)
-        _, dx = nets.mlp_gradients(self.agents[agent].critic, x, upstream)
-        act_cols = self.num_agents * self.obs_dim + agent * 3
-        d_own_u = dx[:, act_cols:act_cols + 3]
+        _, dx = nets.mlp_backward(critic, nets.mlp_activations(critic, joint), upstream,
+                                  params_grad=False)
 
-        grads, _ = nets.mlp_gradients(actor, own_obs_norm, d_own_u)
-        nets.apply_gradients(actor, grads, +self.config.lr_actor)
-        return float(np.sqrt(sum(float((gw ** 2).sum() + (gb ** 2).sum())
-                                 for gw, gb in grads)))
+        grad, _ = nets.mlp_backward(actor, actor_acts, dx[:, own], input_grad=False)
+        nets.apply_gradients(actor, grad, +self.config.lr_actor)
+        return float(np.linalg.norm(grad))
 
     def soft_update_agent(self, agent: int, tau: float | None = None):
         t = self.config.tau if tau is None else tau
@@ -386,9 +373,10 @@ def train(scenario: Scenario, config: TrainConfig,
             next_obs, reward, info = env.step(actions)
             trainer.buffer.push(obs.ravel(), actions.ravel(), reward,
                                 next_obs.ravel())
-            if trainer.buffer.ready(config.min_fill) and config.batch_size <= len(trainer.buffer):
+            if trainer.buffer.ready(config.min_fill):
                 for n in range(trainer.num_agents):
-                    batch = trainer.buffer.sample(config.batch_size, trainer.rng)
+                    batch = trainer.normalise_batch(
+                        trainer.buffer.sample(config.batch_size, trainer.rng))
                     trainer.critic_update(n, batch)
                     trainer.actor_update(n, batch)
                     trainer.soft_update_agent(n)

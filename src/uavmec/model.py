@@ -141,6 +141,7 @@ class Scenario:
         self.users = users
         self.uavs = uavs
         self.initial_uav_positions = initial_uav_positions
+        self._walk_start: np.ndarray | None = None   # user positions before the first walk step
         self._waypoints: np.ndarray | None = None
         self._mobility_rng: np.random.Generator | None = None
 
@@ -157,8 +158,12 @@ class Scenario:
             uav.position = pos.copy()
 
     def reset_mobility(self):
-        """Re-arm the waypoint walk so a fresh episode replays identically."""
-        self._mobility_rng = np.random.default_rng([self.config.rng_seed, 7])
+        """Put users back where the waypoint walk started and re-arm it, so a
+        fresh episode replays identically."""
+        if self._walk_start is not None:
+            for user, pos in zip(self.users, self._walk_start):
+                user.position[...] = pos
+        self._mobility_rng = None
         self._waypoints = None
 
     def advance_users(self):
@@ -166,8 +171,10 @@ class Scenario:
         cfg = self.config
         if cfg.user_mobility != "random_waypoint":
             return
+        if self._walk_start is None:
+            self._walk_start = self.user_positions
         if self._mobility_rng is None:
-            self.reset_mobility()
+            self._mobility_rng = np.random.default_rng([cfg.rng_seed, 7])
         rng = self._mobility_rng
         if self._waypoints is None:
             self._waypoints = rng.uniform([0, 0], [cfg.area_x, cfg.area_y],

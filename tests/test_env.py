@@ -87,3 +87,22 @@ class TestEpisode:
             env.step(np.zeros((2, 3)))
         assert np.array_equal(env.reset(), first)
         assert env.slot == 0
+
+    def test_mobile_episodes_replay_after_reset(self):
+        env = make_env([(10, 10, 12), (40, 40, 12)], num_users=5, horizon=20,
+                       user_mobility="random_waypoint", user_speed=2.0)
+        start = env.scenario.user_positions
+
+        def episode():
+            env.reset()
+            assert np.array_equal(env.scenario.user_positions, start)
+            rewards, users = [], []
+            for _ in range(env.config.horizon):
+                rewards.append(env.step(np.zeros((2, 3)))[1])
+                users.append(env.scenario.user_positions)
+            return rewards, users
+
+        first, again = episode(), episode()
+        assert not np.array_equal(first[1][-1], start)
+        assert first[0] == again[0]
+        assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from tests import _maddpg_reference as reference
+from uavmec import learner
 from uavmec.errors import ConfigError
-from uavmec.learner import MaddpgTrainer, TrainConfig, replay_path, train
+from uavmec.learner import MaddpgTrainer, TrainConfig, TrainingHistory, replay_path, train
 from uavmec.model import ScenarioConfig, build_scenario
 
 SMALL = TrainConfig(episodes=2, batch_size=8, min_fill=8, buffer_capacity=64,
@@ -15,6 +17,12 @@ SMALL = TrainConfig(episodes=2, batch_size=8, min_fill=8, buffer_capacity=64,
 
 def scenario(num_uavs=4):
     return build_scenario(ScenarioConfig(num_users=4, num_uavs=num_uavs, horizon=12))
+
+
+def network_bytes(trainer: MaddpgTrainer) -> list[bytes]:
+    """Every network's flat parameter vector, as raw bytes."""
+    return [net.theta.tobytes() for a in trainer.agents
+            for net in (a.actor, a.critic, a.target_actor, a.target_critic)]
 
 
 class TestCheckpointInput:
@@ -51,6 +59,7 @@ class TestCheckpointInput:
         trainer.save_checkpoint(path)
         loaded = MaddpgTrainer.load_checkpoint(scenario(), path)
         assert loaded.state_dict()["agents"] == trainer.state_dict()["agents"]
+        assert network_bytes(loaded) == network_bytes(trainer)
 
     @pytest.mark.parametrize("capacity", [64, 16])  # 24 slots: partly filled, wrapped
     def test_round_trip_restores_replay_buffer(self, tmp_path, capacity):
@@ -90,3 +99,32 @@ class TestTraining:
         _, again = train(scenario(), SMALL)
         assert first.as_rows() == again.as_rows()
         assert len(first.episode_reward) == SMALL.episodes
+
+
+class TestReferenceUpdate:
+    def test_train_matches_reference_after_every_slot(self, monkeypatch):
+        # 3 x 110 slots with min_fill 128: 203 slots run learner updates
+        sc_config = ScenarioConfig(horizon=110)
+        config = TrainConfig(episodes=3, batch_size=128, min_fill=128,
+                             buffer_capacity=1000, seed=8)
+        made = []
+
+        class Recording(MaddpgTrainer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(learner, "MaddpgTrainer", Recording)
+        ref_history = TrainingHistory()
+        ref = reference.training_slots(build_scenario(sc_config), config, ref_history)
+        slots = []
+
+        def on_slot(episode, info):
+            ref_trainer = next(ref)
+            assert network_bytes(made[0]) == network_bytes(ref_trainer), f"slot {len(slots)}"
+            slots.append(info.slot)
+
+        _, history = train(build_scenario(sc_config), config, slot_callback=on_slot)
+        assert next(ref, None) is None
+        assert len(slots) == 330
+        assert history.as_rows() == ref_history.as_rows()

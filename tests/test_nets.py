@@ -158,3 +158,65 @@ class TestSoftUpdate:
         rng = np.random.default_rng(24)
         with pytest.raises(ConfigError):
             nets.soft_update(tiny_net(rng), tiny_net(rng), 0.0)
+
+
+class TestPartialBackward:
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    def test_partial_products_equal_full_gradients(self, activation):
+        rng = np.random.default_rng(30)
+        net = nets.init_mlp(6, 16, 3, activation, rng)
+        x = rng.normal(size=(32, 6))
+        upstream = rng.normal(size=(32, 3))
+        grads, dx = nets.mlp_gradients(net, x, upstream)
+        acts = nets.mlp_activations(net, x)
+        only_params, none = nets.mlp_backward(net, acts, upstream, input_grad=False)
+        none_too, only_input = nets.mlp_backward(net, acts, upstream, params_grad=False)
+        assert none is None and none_too is None
+        full = np.concatenate([p.ravel() for layer in grads for p in layer])
+        assert only_params.tobytes() == full.tobytes()
+        assert only_input.tobytes() == dx.tobytes()
+
+    def test_upstream_shape_rejected(self):
+        rng = np.random.default_rng(31)
+        net = tiny_net(rng)
+        acts = nets.mlp_activations(net, rng.normal(size=(4, 3)))
+        with pytest.raises(ConfigError):
+            nets.mlp_backward(net, acts, np.zeros((4, 3)))
+
+
+class TestFlatParameters:
+    def test_layers_are_views_into_theta(self):
+        net = tiny_net(np.random.default_rng(40))
+        for p in net.weights + net.biases:
+            assert np.shares_memory(p, net.theta)
+        net.weights[1][0, 0] = 7.0
+        assert 7.0 in net.theta
+
+    def test_copy_is_independent(self):
+        net = tiny_net(np.random.default_rng(41))
+        twin = net.copy()
+        before = net.flat()
+        twin.theta += 1.0
+        twin.biases[0][...] = 5.0
+        assert np.array_equal(net.flat(), before)
+        assert not np.shares_memory(twin.theta, net.theta)
+        assert all(np.shares_memory(w, twin.theta) for w in twin.weights)
+
+    def test_flat_round_trip(self):
+        rng = np.random.default_rng(42)
+        net, other = tiny_net(rng), tiny_net(rng)
+        theta = net.flat()
+        other.load_flat(theta)
+        assert other.theta.tobytes() == net.theta.tobytes()
+        for w, v in zip(other.weights, net.weights):
+            assert np.array_equal(w, v)
+        with pytest.raises(ConfigError):
+            other.load_flat(theta[:-1])
+
+    def test_constructor_packs_layer_order(self):
+        w = [np.full((2, 3), 1.0), np.full((1, 2), 3.0)]
+        b = [np.full(2, 2.0), np.full(1, 4.0)]
+        net = nets.MlpParams(weights=w, biases=b, output_activation="linear")
+        assert net.theta.tolist() == [1.0] * 6 + [2.0] * 2 + [3.0] * 2 + [4.0]
+        with pytest.raises(ConfigError):
+            nets.MlpParams(weights=w, biases=b[::-1], output_activation="linear")
