@@ -13,7 +13,6 @@ import numpy as np
 
 from .delay import LOCAL, SlotContext, SlotDecision, SlotMetrics, slot_dor
 from .errors import CapExceededError, ConfigError, ConvergenceError, InfeasibleError
-from .model import Scenario, Task
 
 BRUTE_FORCE_CAP = 2 ** 20
 
@@ -24,18 +23,6 @@ class AllocationResult:
     dor: float
     iterations: int      # full coordinate-descent sweeps (1 for the oracles)
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "dor": self.dor,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "assignment": [int(x) for x in self.decision.assignment],
-            "ingress": [int(x) for x in self.decision.ingress],
-            "bandwidth_hz": [float(x) for x in self.decision.bandwidth_hz],
-            "cpu_hz": [float(x) for x in self.decision.cpu_hz],
-        }
 
 
 def _sqrt_law_shares(capacity: np.ndarray, group: np.ndarray,
@@ -276,22 +263,3 @@ def numeric_convex_oracle(assignment, ctx: SlotContext, tol: float = 1e-8,
                                                          tol=tol, max_iter=max_iter)
     return bw, cpu
 
-
-# ---- slot-context JSON (consumed by the `alloc` CLI verb) ----
-
-def slot_context_from_dict(data: dict) -> SlotContext:
-    version = data.get("schema_version")
-    if version != 1:
-        raise ConfigError(f"unsupported slot-context schema_version: {version!r}")
-    scenario = Scenario.from_dict(data["scenario"])
-    tasks = [Task(bits=t["bits"], cycles_per_bit=t["cycles_per_bit"])
-             for t in data["tasks"]]
-    return SlotContext(scenario.users, scenario.uavs, tasks, scenario.config.channel)
-
-
-def slot_context_to_dict(scenario: Scenario, tasks: list[Task]) -> dict:
-    return {
-        "schema_version": 1,
-        "scenario": scenario.to_dict(),
-        "tasks": [{"bits": t.bits, "cycles_per_bit": t.cycles_per_bit} for t in tasks],
-    }

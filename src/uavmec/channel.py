@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,6 @@ class ChannelParams:
     bw_g2a_hz: float = 20e6         # per-UAV uplink band
 
     def __post_init__(self):
-        def require(cond, msg):
-            if not cond:
-                raise ConfigError(msg)
-
         require(self.a > 0 and self.b > 0,
                 f"environment constants a, b must be > 0, got a={self.a}, b={self.b}")
         require(self.eta_los_db <= self.eta_nlos_db,

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import channel
 from .errors import ValidationError, ConfigError
-from .model import Task, UserState, UavState, coverage_radius
+from .model import TaskArrays, UavArrays, UserArrays, coverage_radius
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
 
@@ -27,31 +27,34 @@ class SlotContext:
     is the covering UAV with the best r0 (-1 when nobody covers the user); it is
     the uplink entry point for user m regardless of which UAV executes the task,
     since the relay hop between UAVs is treated as delay-free.
+
+    users, uavs and tasks are the model's array bundles, or record lists that
+    are stacked into bundles first. task_bits, user_freq, uav_cpu, ... are the
+    bundles' own arrays, not copies; positions are not kept.
     """
 
-    def __init__(self, users: list[UserState], uavs: list[UavState],
-                 tasks: list[Task], params: channel.ChannelParams):
-        if not (len(users) == len(tasks)):
-            raise ConfigError(f"{len(tasks)} tasks for {len(users)} users")
-        self.users = users
-        self.uavs = uavs
-        self.tasks = tasks
-        self.params = params
-        self.num_users = len(users)
-        self.num_uavs = len(uavs)
+    def __init__(self, users: UserArrays | list, uavs: UavArrays | list,
+                 tasks: TaskArrays | list, params: channel.ChannelParams):
+        users, uavs, tasks = (bundle if isinstance(bundle, kind) else kind.from_records(bundle)
+                              for kind, bundle in ((UserArrays, users), (UavArrays, uavs),
+                                                   (TaskArrays, tasks)))
+        self.num_users = len(users.cpu_freq)
+        self.num_uavs = len(uavs.cpu_freq)
+        if len(tasks.bits) != self.num_users:
+            raise ConfigError(f"{len(tasks.bits)} tasks for {self.num_users} users")
 
-        self.task_bits = np.array([t.bits for t in tasks])
-        self.task_cycles = np.array([t.cycles_per_bit for t in tasks])
-        self.user_freq = np.array([u.cpu_freq for u in users])
-        self.user_power = np.array([u.tx_power for u in users])
-        self.uav_cpu = np.array([u.cpu_freq for u in uavs])
+        self.task_bits = tasks.bits
+        self.task_cycles = tasks.cycles_per_bit
+        self.user_freq = users.cpu_freq
+        self.user_power = users.tx_power
+        self.uav_cpu = uavs.cpu_freq
         self.uav_bw = np.full(self.num_uavs, params.bw_g2a_hz)
         if np.any(self.user_freq <= 0):
             raise ConfigError(f"user cpu_freq must be > 0, got {self.user_freq.min()}")
         self.t_loc = self.task_bits * self.task_cycles / self.user_freq
 
-        upos = np.array([u.position for u in users])          # (M, 3)
-        vpos = np.array([u.position for u in uavs])           # (N, 3)
+        upos = users.position                                 # (M, 3)
+        vpos = uavs.position                                  # (N, 3)
         diff = upos[:, None, :] - vpos[None, :, :]
         self.dist3d = np.linalg.norm(diff, axis=-1)           # (M, N)
         self.horiz = np.linalg.norm(diff[:, :, :2], axis=-1)  # (M, N)
@@ -63,7 +66,7 @@ class SlotContext:
         self.r0 = channel.spectral_efficiency(self.user_power[:, None], pl,
                                               params.noise_g2a_watts)
 
-        radius = coverage_radius(vpos[:, 2], [u.half_angle_deg for u in uavs])
+        radius = coverage_radius(vpos[:, 2], uavs.half_angle_deg)
         self.coverage = self.horiz <= radius[None, :]         # (M, N)
 
         masked = np.where(self.coverage, self.r0, -np.inf)
@@ -123,17 +126,14 @@ def validate_decision(decision: SlotDecision, ctx: SlotContext):
         raise ValidationError(
             f"ingress UAV {ing[bad]} does not cover user {bad}")
 
-    for uav in range(n):
-        total_bw = bw[ing == uav].sum()
-        if total_bw > ctx.uav_bw[uav] * (1 + _CAP_RTOL):
-            raise ValidationError(
-                f"bandwidth oversubscribed on UAV {uav}: "
-                f"{total_bw:.6g} > {ctx.uav_bw[uav]:.6g} Hz")
-        total_cpu = cpu[a == uav].sum()
-        if total_cpu > ctx.uav_cpu[uav] * (1 + _CAP_RTOL):
-            raise ValidationError(
-                f"cpu oversubscribed on UAV {uav}: "
-                f"{total_cpu:.6g} > {ctx.uav_cpu[uav]:.6g} Hz")
+    for kind, group, share, capacity in (("bandwidth", ing, bw, ctx.uav_bw),
+                                         ("cpu", a, cpu, ctx.uav_cpu)):
+        total = np.bincount(group[offloaded], share[offloaded], minlength=n)
+        over = np.flatnonzero(total > capacity * (1 + _CAP_RTOL))
+        if over.size:
+            uav = over[0]
+            raise ValidationError(f"{kind} oversubscribed on UAV {uav}: "
+                                  f"{total[uav]:.6g} > {capacity[uav]:.6g} Hz")
 
 
 def slot_dor(decision: SlotDecision, ctx: SlotContext, validate: bool = True) -> SlotMetrics:

@@ -35,9 +35,9 @@ class SlotInfo:
 class EdgeComputeEnv:
     """Time-slotted rollout over one scenario.
 
-    Observations are each UAV's own position. `allocate` maps a SlotContext
-    to an AllocationResult, so baseline offloading policies can ride the same
-    dynamics.
+    Observations are each UAV's own position, a fresh (N, 3) array that later
+    steps never write. `allocate` maps a SlotContext to an AllocationResult,
+    so baseline offloading policies can ride the same dynamics.
     """
 
     def __init__(self, scenario: Scenario, penalty: float = 10.0, allocate=None):
@@ -67,32 +67,25 @@ class EdgeComputeEnv:
         if self.slot >= self.config.horizon:
             raise ConfigError("episode exhausted; call reset()")
 
-        box, speed = [], []
-        for n, uav in enumerate(self.scenario.uavs):
-            outcome = apply_motion(uav, actions[n], self.config)
-            uav.position = outcome.new_position
-            if outcome.box_violation:
-                box.append(n)
-            if outcome.speed_violation:
-                speed.append(n)
+        scenario = self.scenario
+        positions, box, speed = apply_motion(scenario.uavs.position, actions, self.config)
+        scenario.uavs.position[...] = positions
+        collisions = (pairwise_distances(positions) < self.config.d_min).any(axis=1)
 
-        too_close = pairwise_distances(self.scenario.uav_positions) < self.config.d_min
-        collisions = np.flatnonzero(too_close.any(axis=1)).tolist()
-
-        self.scenario.advance_users()
-        tasks = generate_tasks(self.scenario, self.slot)
-        ctx = SlotContext(self.scenario.users, self.scenario.uavs, tasks,
-                          self.config.channel)
+        scenario.advance_users()
+        tasks = generate_tasks(scenario, self.slot)
+        ctx = SlotContext(scenario.users, scenario.uavs, tasks, self.config.channel)
         allocation = self.allocate(ctx)
         metrics = slot_dor(allocation.decision, ctx, validate=False)
 
-        violators = sorted(set(box) | set(speed) | set(collisions))
-        reward = metrics.dor - self.penalty * len(violators)
+        violators = box | speed | collisions
+        reward = metrics.dor - self.penalty * np.count_nonzero(violators)
 
         info = SlotInfo(slot=self.slot, dor=metrics.dor, reward=reward,
                         metrics=metrics, allocation=allocation,
-                        violating_uavs=violators, box_violations=box,
-                        speed_violations=speed,
-                        collision_uavs=collisions)
+                        violating_uavs=np.flatnonzero(violators).tolist(),
+                        box_violations=np.flatnonzero(box).tolist(),
+                        speed_violations=np.flatnonzero(speed).tolist(),
+                        collision_uavs=np.flatnonzero(collisions).tolist())
         self.slot += 1
         return self.observe(), reward, info

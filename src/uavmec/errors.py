@@ -27,6 +27,12 @@ class NumericError(RuntimeError):
     """Non-finite values detected during training (CLI exit code 3)."""
 
 
+def require(cond, msg: str):
+    """Raise ConfigError(msg) unless `cond` holds."""
+    if not cond:
+        raise ConfigError(msg)
+
+
 def check_fields(cls, data: dict, where: str):
     """Raise ConfigError unless `data` has exactly the fields of dataclass `cls`."""
     names = {f.name for f in fields(cls)}

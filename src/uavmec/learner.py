@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
-from .errors import ConfigError, NumericError, check_fields
+from .errors import ConfigError, NumericError, check_fields, require
 from .model import Scenario
 
 CHECKPOINT_SCHEMA_VERSION = 2
@@ -45,10 +45,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def require(cond, msg):
-            if not cond:
-                raise ConfigError(msg)
-
         require(self.lr_actor >= 0 and self.lr_critic >= 0, "learning rates must be >= 0")
         require(0.0 < self.tau <= 1.0, f"tau must lie in (0, 1], got {self.tau}")
         require(0.0 <= self.gamma < 1.0, f"gamma must lie in [0, 1), got {self.gamma}")
@@ -279,12 +275,8 @@ class MaddpgTrainer:
             "config": asdict(self.config),
             "num_agents": self.num_agents,
             "obs_dim": self.obs_dim,
-            "agents": [
-                {"actor": net_dict(a.actor), "critic": net_dict(a.critic),
-                 "target_actor": net_dict(a.target_actor),
-                 "target_critic": net_dict(a.target_critic)}
-                for a in self.agents
-            ],
+            "agents": [{role: net_dict(net) for role, net in vars(a).items()}
+                       for a in self.agents],
             "buffer_cursor": self.buffer.cursor,
             "buffer_size": self.buffer.size,
             "replay": self.buffer.contents(),
@@ -309,10 +301,8 @@ class MaddpgTrainer:
                 b[...] = np.asarray(new)
 
         for a, d in zip(self.agents, state["agents"]):
-            load_net(a.actor, d["actor"])
-            load_net(a.critic, d["critic"])
-            load_net(a.target_actor, d["target_actor"])
-            load_net(a.target_critic, d["target_critic"])
+            for role, net in vars(a).items():
+                load_net(net, d[role])
         self.buffer.restore(state["replay"], state["buffer_size"], state["buffer_cursor"])
         self.rng.bit_generator.state = state["rng_state"]
 

@@ -2,18 +2,29 @@
 
 Positions are 3-vectors in meters. Users sit on the ground plane (z = 0);
 UAVs fly inside the box [0, area_x] x [0, area_y] x [z_min, z_max].
+
+The world is a struct of arrays, row i belonging to user or UAV i, all float64:
+
+    UserArrays  position (M, 3), cpu_freq (M,), tx_power (M,)
+    UavArrays   position (N, 3), cpu_freq (N,), tx_power (N,), half_angle_deg (N,)
+    TaskArrays  bits (M,), cycles_per_bit (M,); one slot's tasks, checked when built
+
+Each part of a slot's world step (`Scenario.advance_users`, `apply_motion`,
+`generate_tasks`) is one array operation over all users or all UAVs. The
+records `UserState`, `UavState` and `Task` describe one entity each; their
+only use is `from_records`, which stacks a list of them into a bundle.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, require
 
 SCHEMA_VERSION = 1
 
@@ -46,10 +57,6 @@ class ScenarioConfig:
     initial_uav_positions: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self):
-        def require(cond, msg):
-            if not cond:
-                raise ConfigError(msg)
-
         require(self.area_x > 0, f"area_x must be > 0, got {self.area_x}")
         require(self.area_y > 0, f"area_y must be > 0, got {self.area_y}")
         require(0 < self.z_min <= self.z_max,
@@ -70,6 +77,7 @@ class ScenarioConfig:
                 f"coverage_half_angle_deg must lie in [0, 90], got {self.coverage_half_angle_deg}")
         require(self.user_mobility in ("static", "random_waypoint"),
                 f"user_mobility must be 'static' or 'random_waypoint', got {self.user_mobility!r}")
+        require(self.user_speed >= 0, f"user_speed must be >= 0, got {self.user_speed}")
 
     @property
     def max_step(self) -> float:
@@ -97,18 +105,63 @@ class Task:
     bits: float
     cycles_per_bit: float
 
-    def __post_init__(self):
-        if not self.bits > 0:
-            raise ConfigError(f"task bits must be > 0, got {self.bits}")
-        if not self.cycles_per_bit > 0:
-            raise ConfigError(f"task cycles_per_bit must be > 0, got {self.cycles_per_bit}")
+
+class _Columns:
+    """A bundle of float64 arrays, one per dataclass field, one row per entity."""
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Stack mappings that carry every field name (snapshot rows) into arrays."""
+        return cls(*(np.array([row[f.name] for row in rows], dtype=float)
+                     for f in fields(cls)))
+
+    @classmethod
+    def from_records(cls, records):
+        """Stack per-entity records (`UserState`, `UavState` or `Task`) into arrays."""
+        return cls(*(np.array([getattr(record, f.name) for record in records], dtype=float)
+                     for f in fields(cls)))
+
+    def to_rows(self) -> list[dict]:
+        names = [f.name for f in fields(self)]
+        columns = [getattr(self, name).tolist() for name in names]
+        return [dict(zip(names, row)) for row in zip(*columns)]
+
+
+@dataclass
+class UserArrays(_Columns):
+    position: np.ndarray        # (M, 3), z fixed at 0
+    cpu_freq: np.ndarray        # (M,) Hz
+    tx_power: np.ndarray        # (M,) watts
+
+
+@dataclass
+class UavArrays(_Columns):
+    position: np.ndarray        # (N, 3)
+    cpu_freq: np.ndarray        # (N,) Hz
+    tx_power: np.ndarray        # (N,) watts
+    half_angle_deg: np.ndarray  # (N,) coverage half-angle
 
 
 @dataclass(frozen=True)
-class MotionOutcome:
-    new_position: np.ndarray
-    box_violation: bool
-    speed_violation: bool
+class TaskArrays(_Columns):
+    """One slot's tasks, row m for user m; every entry finite and > 0."""
+
+    bits: np.ndarray            # (M,)
+    cycles_per_bit: np.ndarray  # (M,)
+
+    def __post_init__(self):
+        for name in ("bits", "cycles_per_bit"):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+            if bad.size:
+                raise ConfigError(f"task {name} of user {bad[0]} must be finite and > 0, "
+                                  f"got {values[bad[0]]}")
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Norm of each row of a (K, D) array, bitwise equal to `np.linalg.norm(row)`
+    per row (`np.linalg.norm(d, axis=1)` and `np.hypot` are not)."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
 def _default_uav_positions(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -130,13 +183,17 @@ def _default_uav_positions(config: ScenarioConfig, rng: np.random.Generator) -> 
 class Scenario:
     """Users, UAVs, and the configuration that produced them.
 
-    Single-writer: mutation happens only through explicit position updates
-    (the environment adapter) or `advance_users`. Independent scenarios share
-    no state, so many can run in parallel.
+    `users` is a `UserArrays` and `uavs` a `UavArrays` (shapes in the module
+    docstring). Single-writer rule: only two arrays are ever written after
+    construction, both in place. `advance_users` and `reset_mobility` write
+    `users.position`; the environment's step and `reset_uavs` write
+    `uavs.position`. `user_positions` and `uav_positions` return copies, and
+    `initial_uav_positions` is never written. Independent scenarios share no
+    state, so many can run in parallel.
     """
 
-    def __init__(self, config: ScenarioConfig, users: list[UserState],
-                 uavs: list[UavState], initial_uav_positions: np.ndarray):
+    def __init__(self, config: ScenarioConfig, users: UserArrays,
+                 uavs: UavArrays, initial_uav_positions: np.ndarray):
         self.config = config
         self.users = users
         self.uavs = uavs
@@ -147,74 +204,60 @@ class Scenario:
 
     @property
     def user_positions(self) -> np.ndarray:
-        return np.array([u.position for u in self.users])
+        return self.users.position.copy()
 
     @property
     def uav_positions(self) -> np.ndarray:
-        return np.array([u.position for u in self.uavs])
+        return self.uavs.position.copy()
 
     def reset_uavs(self):
-        for uav, pos in zip(self.uavs, self.initial_uav_positions):
-            uav.position = pos.copy()
+        self.uavs.position[...] = self.initial_uav_positions
 
     def reset_mobility(self):
         """Put users back where the waypoint walk started and re-arm it, so a
         fresh episode replays identically."""
         if self._walk_start is not None:
-            for user, pos in zip(self.users, self._walk_start):
-                user.position[...] = pos
+            self.users.position[...] = self._walk_start
         self._mobility_rng = None
         self._waypoints = None
 
     def advance_users(self):
-        """One slot of random-waypoint motion; no-op for static users."""
+        """One slot of random-waypoint motion for every user; no-op for static users.
+
+        Users within one step of their waypoint land on it and draw the next
+        one, in user order; the others move one step towards theirs."""
         cfg = self.config
         if cfg.user_mobility != "random_waypoint":
             return
+        pos = self.users.position
         if self._walk_start is None:
-            self._walk_start = self.user_positions
+            self._walk_start = pos.copy()
         if self._mobility_rng is None:
             self._mobility_rng = np.random.default_rng([cfg.rng_seed, 7])
         rng = self._mobility_rng
+        area = [cfg.area_x, cfg.area_y]
         if self._waypoints is None:
-            self._waypoints = rng.uniform([0, 0], [cfg.area_x, cfg.area_y],
-                                          size=(cfg.num_users, 2))
+            self._waypoints = rng.uniform([0, 0], area, size=(cfg.num_users, 2))
         step = cfg.user_speed * cfg.slot_seconds
-        for m, user in enumerate(self.users):
-            target = self._waypoints[m]
-            delta = target - user.position[:2]
-            dist = float(np.linalg.norm(delta))
-            if dist <= step:
-                user.position[:2] = target
-                self._waypoints[m] = rng.uniform([0, 0], [cfg.area_x, cfg.area_y])
-            else:
-                user.position[:2] += delta * (step / dist)
+        delta = self._waypoints - pos[:, :2]
+        dist = _row_norms(delta)
+        reached = dist <= step
+        walking = ~reached
+        pos[walking, :2] += delta[walking] * (step / dist[walking])[:, None]
+        if reached.any():
+            pos[reached, :2] = self._waypoints[reached]
+            self._waypoints[reached] = rng.uniform([0, 0], area,
+                                                   size=(np.count_nonzero(reached), 2))
 
-    # ---- JSON snapshot (schema shared with the allocator CLI) ----
+    # ---- JSON snapshot (schema v1) ----
 
     def to_dict(self) -> dict:
-        cfg = asdict(self.config)
-        cfg["task_bits_range"] = list(self.config.task_bits_range)
-        cfg["task_cycles_per_bit_range"] = list(self.config.task_cycles_per_bit_range)
-        cfg["user_freq_range"] = list(self.config.user_freq_range)
-        cfg["user_power_range"] = list(self.config.user_power_range)
-        if cfg["initial_uav_positions"] is not None:
-            cfg["initial_uav_positions"] = [list(p) for p in cfg["initial_uav_positions"]]
         return {
             "schema_version": SCHEMA_VERSION,
-            "config": cfg,
-            "users": [
-                {"position": list(map(float, u.position)),
-                 "cpu_freq": u.cpu_freq, "tx_power": u.tx_power}
-                for u in self.users
-            ],
-            "uavs": [
-                {"position": list(map(float, u.position)),
-                 "cpu_freq": u.cpu_freq, "tx_power": u.tx_power,
-                 "half_angle_deg": u.half_angle_deg}
-                for u in self.uavs
-            ],
-            "initial_uav_positions": [list(map(float, p)) for p in self.initial_uav_positions],
+            "config": json.loads(json.dumps(asdict(self.config))),  # tuples become lists
+            "users": self.users.to_rows(),
+            "uavs": self.uavs.to_rows(),
+            "initial_uav_positions": self.initial_uav_positions.tolist(),
         }
 
     @classmethod
@@ -234,13 +277,8 @@ class Scenario:
                 cfg_dict["initial_uav_positions"] = tuple(
                     tuple(p) for p in cfg_dict["initial_uav_positions"])
             config = ScenarioConfig(**cfg_dict)
-            users = [UserState(position=np.array(u["position"], dtype=float),
-                               cpu_freq=u["cpu_freq"], tx_power=u["tx_power"])
-                     for u in data["users"]]
-            uavs = [UavState(position=np.array(u["position"], dtype=float),
-                             cpu_freq=u["cpu_freq"], tx_power=u["tx_power"],
-                             half_angle_deg=u["half_angle_deg"])
-                    for u in data["uavs"]]
+            users = UserArrays.from_rows(data["users"])
+            uavs = UavArrays.from_rows(data["uavs"])
             initial = np.array(data["initial_uav_positions"], dtype=float)
         except KeyError as exc:
             raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc
@@ -264,8 +302,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                      size=(config.num_users, 2))
     freqs = rng.uniform(*config.user_freq_range, size=config.num_users)
     powers = rng.uniform(*config.user_power_range, size=config.num_users)
-    users = [UserState(position=np.array([x, y, 0.0]), cpu_freq=float(f), tx_power=float(p))
-             for (x, y), f, p in zip(xy, freqs, powers)]
+    users = UserArrays(position=np.column_stack([xy, np.zeros(config.num_users)]),
+                       cpu_freq=freqs, tx_power=powers)
 
     if config.initial_uav_positions is not None:
         if len(config.initial_uav_positions) != config.num_uavs:
@@ -278,37 +316,38 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     else:
         initial = _default_uav_positions(config, rng)
 
-    uavs = [UavState(position=p.copy(), cpu_freq=config.uav_freq,
-                     tx_power=config.uav_power,
-                     half_angle_deg=config.coverage_half_angle_deg)
-            for p in initial]
+    n = config.num_uavs
+    uavs = UavArrays(position=initial.copy(),
+                     cpu_freq=np.full(n, config.uav_freq, dtype=float),
+                     tx_power=np.full(n, config.uav_power, dtype=float),
+                     half_angle_deg=np.full(n, config.coverage_half_angle_deg, dtype=float))
     return Scenario(config, users, uavs, initial)
 
 
-def apply_motion(uav: UavState, delta: np.ndarray, config: ScenarioConfig) -> MotionOutcome:
-    """Enforce the speed cap and the flight box on a commanded displacement.
+def apply_motion(positions: np.ndarray, deltas,
+                 config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enforce the speed cap and the flight box on every UAV's commanded displacement.
 
-    Oversized displacements are rescaled to v_max * slot_seconds; the resulting
-    position is clamped componentwise. Enforcement never rejects, it flags.
+    positions and deltas are (N, 3). Oversized displacements are rescaled to
+    v_max * slot_seconds; the resulting positions are clamped componentwise.
+    Enforcement never rejects, it flags. Returns the new (N, 3) positions and
+    the (N,) box and speed violation masks; neither input is written.
     """
-    delta = np.asarray(delta, dtype=float)
-    if not np.all(np.isfinite(delta)):
-        raise ConfigError(f"motion delta must be finite, got {delta}")
+    deltas = np.asarray(deltas, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"motion delta of UAV {bad[0]} must be finite, got {deltas[bad[0]]}")
 
-    speed_violation = False
-    norm = float(np.linalg.norm(delta))
+    norm = _row_norms(deltas)
     max_step = config.max_step
-    if norm > max_step:
-        delta = delta * (max_step / norm)
-        speed_violation = True
+    speed = norm > max_step
+    if speed.any():
+        deltas = deltas.copy()
+        deltas[speed] *= (max_step / norm[speed])[:, None]
 
-    raw = uav.position + delta
-    lo = np.array([0.0, 0.0, config.z_min])
-    hi = np.array([config.area_x, config.area_y, config.z_max])
-    clamped = np.clip(raw, lo, hi)
-    box_violation = bool(np.any(clamped != raw))
-    return MotionOutcome(new_position=clamped, box_violation=box_violation,
-                         speed_violation=speed_violation)
+    raw = positions + deltas
+    clamped = np.clip(raw, [0.0, 0.0, config.z_min], [config.area_x, config.area_y, config.z_max])
+    return clamped, (clamped != raw).any(axis=1), speed
 
 
 def coverage_radius(altitude_m, half_angle_deg):
@@ -330,7 +369,7 @@ def pairwise_distances(positions) -> np.ndarray:
     return dist
 
 
-def generate_tasks(scenario: Scenario, slot: int) -> list[Task]:
+def generate_tasks(scenario: Scenario, slot: int) -> TaskArrays:
     """One task per user for the given slot, keyed by (rng_seed, slot) only."""
     cfg = scenario.config
     if slot >= cfg.horizon:
@@ -338,5 +377,5 @@ def generate_tasks(scenario: Scenario, slot: int) -> list[Task]:
     rng = np.random.default_rng([cfg.rng_seed, slot])
     bits = rng.uniform(*cfg.task_bits_range, size=cfg.num_users)
     cycles = rng.uniform(*cfg.task_cycles_per_bit_range, size=cfg.num_users)
-    return [Task(bits=float(b), cycles_per_bit=float(c)) for b, c in zip(bits, cycles)]
+    return TaskArrays(bits=bits, cycles_per_bit=cycles)
 

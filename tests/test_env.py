@@ -63,8 +63,8 @@ class TestPenalties:
         seen = 0
         for _ in range(200):
             env.reset()
-            for uav in env.scenario.uavs:
-                uav.position = rng.uniform([0, 0, 10], [50, 50, 20])
+            for position in env.scenario.uavs.position:
+                position[...] = rng.uniform([0, 0, 10], [50, 50, 20])
             _, reward, info = env.step(np.zeros((6, 3)))
             assert info.collision_uavs == loop_collisions(env.scenario.uav_positions, 12.0)
             assert reward == info.dor - 10.0 * len(info.violating_uavs)
@@ -106,3 +106,52 @@ class TestEpisode:
         assert not np.array_equal(first[1][-1], start)
         assert first[0] == again[0]
         assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))
+
+
+class TestAliasing:
+    def test_accessors_return_copies(self):
+        env = make_env([(10, 10, 12), (40, 40, 12)])
+        scenario = env.scenario
+        for returned, live in ((env.observe(), scenario.uavs.position),
+                               (scenario.uav_positions, scenario.uavs.position),
+                               (scenario.user_positions, scenario.users.position)):
+            assert np.array_equal(returned, live)
+            assert not np.shares_memory(returned, live)
+
+    def test_step_never_writes_earlier_outputs(self):
+        env = make_env([(0, 0, 10), (40, 40, 12)], num_users=5,
+                       user_mobility="random_waypoint", user_speed=2.0)
+        initial = env.scenario.initial_uav_positions
+        initial_before = initial.copy()
+        returned = [env.reset(), env.scenario.uav_positions, env.scenario.user_positions]
+        saved = [a.copy() for a in returned]
+        for _ in range(5):
+            obs, _, _ = env.step(np.full((2, 3), 3.0))
+            returned.append(obs)
+            saved.append(obs.copy())
+        env.reset()
+        env.step(np.full((2, 3), -3.0))
+        assert all(np.array_equal(a, b) for a, b in zip(returned, saved))
+        assert np.array_equal(initial, initial_before)
+        assert np.array_equal(env.reset(), initial_before)
+
+    def test_step_never_writes_the_actions(self):
+        env = make_env([(0, 0, 10), (40, 40, 12)])
+        actions = np.array([[-5.0, 0.0, 0.0], [4.0, 4.0, 4.0]])  # overspeed and off the box
+        before = actions.copy()
+        _, _, info = env.step(actions)
+        assert info.speed_violations == [0, 1] and info.box_violations == [0]
+        assert np.array_equal(actions, before)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_action_row_names_the_uav(self, value):
+        env = make_env([(10, 10, 12), (40, 40, 12), (25, 25, 15)])
+        start = env.scenario.uav_positions
+        actions = np.zeros((3, 3))
+        actions[1, 2] = value
+        with pytest.raises(ConfigError, match="UAV 1"):
+            env.step(actions)
+        assert env.slot == 0
+        assert np.array_equal(env.scenario.uav_positions, start)

@@ -6,8 +6,8 @@ import pytest
 from uavmec.channel import ChannelParams
 from uavmec.delay import SlotContext
 from uavmec.errors import ConfigError
-from uavmec.model import (Scenario, ScenarioConfig, Task, UavState, UserState,
-                          apply_motion, build_scenario, coverage_radius,
+from uavmec.model import (Scenario, ScenarioConfig, Task, TaskArrays, UavState,
+                          UserState, apply_motion, build_scenario, coverage_radius,
                           generate_tasks, pairwise_distances)
 
 
@@ -25,21 +25,20 @@ class TestScenarioConstruction:
 
     def test_users_inside_box_on_ground(self):
         sc = build_scenario(small_config(num_users=4))
-        for user in sc.users:
-            x, y, z = user.position
+        for x, y, z in sc.users.position:
             assert 0 <= x <= 50 and 0 <= y <= 50
             assert z == 0.0
 
     def test_default_uav_corners(self):
         sc = build_scenario(small_config(num_uavs=4))
-        got = [tuple(u.position) for u in sc.uavs]
+        got = [tuple(p) for p in sc.uavs.position]
         assert got == [(0, 0, 10), (0, 50, 10), (50, 0, 10), (50, 50, 10)]
 
     def test_extra_uavs_at_z_min_inside_box(self):
         sc = build_scenario(small_config(num_uavs=6))
-        for uav in sc.uavs:
-            assert uav.position[2] == 10.0
-            assert 0 <= uav.position[0] <= 50 and 0 <= uav.position[1] <= 50
+        for position in sc.uavs.position:
+            assert position[2] == 10.0
+            assert 0 <= position[0] <= 50 and 0 <= position[1] <= 50
 
     def test_invalid_config_names_bound(self):
         with pytest.raises(ConfigError, match="z_min"):
@@ -48,6 +47,8 @@ class TestScenarioConstruction:
             ScenarioConfig(task_bits_range=(150e3, 100e3))
         with pytest.raises(ConfigError, match="v_max"):
             ScenarioConfig(v_max=-1.0)
+        with pytest.raises(ConfigError, match="user_speed"):
+            ScenarioConfig(user_speed=-1.0)
 
     def test_snapshot_round_trip(self, tmp_path):
         sc = build_scenario(small_config())
@@ -85,51 +86,46 @@ class TestScenarioConstruction:
 class TestMotion:
     def test_zero_delta_identity(self):
         cfg = small_config()
-        uav = UavState(position=np.array([25.0, 25.0, 15.0]), cpu_freq=1e9,
-                       tx_power=5.0, half_angle_deg=90.0)
-        out = apply_motion(uav, np.zeros(3), cfg)
-        assert np.allclose(out.new_position, uav.position)
-        assert not out.box_violation and not out.speed_violation
+        position = np.array([[25.0, 25.0, 15.0]])
+        new, box, speed = apply_motion(position, np.zeros((1, 3)), cfg)
+        assert np.allclose(new, position)
+        assert not box[0] and not speed[0]
 
     def test_overspeed_rescaled(self):
         cfg = small_config()
-        uav = UavState(position=np.array([25.0, 25.0, 15.0]), cpu_freq=1e9,
-                       tx_power=5.0, half_angle_deg=90.0)
-        delta = np.array([2 * cfg.max_step, 0.0, 0.0])
-        out = apply_motion(uav, delta, cfg)
-        moved = np.linalg.norm(out.new_position - uav.position)
+        position = np.array([[25.0, 25.0, 15.0]])
+        delta = np.array([[2 * cfg.max_step, 0.0, 0.0]])
+        new, box, speed = apply_motion(position, delta, cfg)
+        moved = np.linalg.norm(new[0] - position[0])
         assert moved == pytest.approx(cfg.max_step, rel=1e-12)
-        assert out.speed_violation and not out.box_violation
+        assert speed[0] and not box[0]
 
     def test_box_clamp_flags(self):
         cfg = small_config()
-        uav = UavState(position=np.array([0.0, 0.0, 10.0]), cpu_freq=1e9,
-                       tx_power=5.0, half_angle_deg=90.0)
-        out = apply_motion(uav, np.array([-1.0, 0.0, 0.0]), cfg)
-        assert out.new_position[0] == 0.0
-        assert out.box_violation
+        position = np.array([[0.0, 0.0, 10.0]])
+        new, box, _ = apply_motion(position, np.array([[-1.0, 0.0, 0.0]]), cfg)
+        assert new[0, 0] == 0.0
+        assert box[0]
 
     def test_constraints_hold_after_many_random_steps(self):
         cfg = small_config()
         rng = np.random.default_rng(3)
-        uav = UavState(position=np.array([25.0, 25.0, 15.0]), cpu_freq=1e9,
-                       tx_power=5.0, half_angle_deg=90.0)
+        position = np.array([[25.0, 25.0, 15.0]])
         for _ in range(500):
             delta = rng.normal(scale=3.0, size=3)
-            out = apply_motion(uav, delta, cfg)
-            step = np.linalg.norm(out.new_position - uav.position)
+            new, _, _ = apply_motion(position, delta[None, :], cfg)
+            step = np.linalg.norm(new[0] - position[0])
             assert step <= cfg.max_step + 1e-9
-            x, y, z = out.new_position
+            x, y, z = new[0]
             assert 0 <= x <= cfg.area_x and 0 <= y <= cfg.area_y
             assert cfg.z_min <= z <= cfg.z_max
-            uav.position = out.new_position
+            position = new
 
     def test_non_finite_delta_rejected(self):
         cfg = small_config()
-        uav = UavState(position=np.array([25.0, 25.0, 15.0]), cpu_freq=1e9,
-                       tx_power=5.0, half_angle_deg=90.0)
+        position = np.array([[25.0, 25.0, 15.0]])
         with pytest.raises(ConfigError):
-            apply_motion(uav, np.array([np.nan, 0.0, 0.0]), cfg)
+            apply_motion(position, np.array([[np.nan, 0.0, 0.0]]), cfg)
 
 
 class TestCoverage:
@@ -173,27 +169,38 @@ class TestTasks:
     def test_draws_within_ranges(self):
         sc = build_scenario(small_config(num_users=50))
         tasks = generate_tasks(sc, 0)
-        assert len(tasks) == 50
-        for t in tasks:
-            assert 100e3 <= t.bits <= 150e3
-            assert 500 <= t.cycles_per_bit <= 1000
+        assert len(tasks.bits) == len(tasks.cycles_per_bit) == 50
+        for bits, cycles_per_bit in zip(tasks.bits, tasks.cycles_per_bit):
+            assert 100e3 <= bits <= 150e3
+            assert 500 <= cycles_per_bit <= 1000
 
     def test_seed_slot_determinism(self):
         sc = build_scenario(small_config())
         again = build_scenario(small_config())
-        assert generate_tasks(sc, 3) == generate_tasks(again, 3)
-        assert generate_tasks(sc, 3) != generate_tasks(sc, 4)
+        def rows(tasks):
+            return np.column_stack([tasks.bits, tasks.cycles_per_bit])
+
+        assert np.array_equal(rows(generate_tasks(sc, 3)), rows(generate_tasks(again, 3)))
+        assert not np.array_equal(rows(generate_tasks(sc, 3)), rows(generate_tasks(sc, 4)))
 
     def test_degenerate_range(self):
         sc = build_scenario(small_config(task_bits_range=(100e3, 100e3)))
-        for t in generate_tasks(sc, 1):
-            assert t.bits == 100e3
+        for bits in generate_tasks(sc, 1).bits:
+            assert bits == 100e3
 
     def test_task_invariants(self):
         with pytest.raises(ConfigError):
-            Task(bits=0.0, cycles_per_bit=500.0)
+            TaskArrays.from_records([Task(bits=0.0, cycles_per_bit=500.0)])
         with pytest.raises(ConfigError):
-            Task(bits=1e5, cycles_per_bit=0.0)
+            TaskArrays.from_records([Task(bits=1e5, cycles_per_bit=0.0)])
+
+    @pytest.mark.parametrize("field", ["bits", "cycles_per_bit"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_task_entry_names_the_user(self, field, value):
+        columns = {"bits": np.full(4, 1e5), "cycles_per_bit": np.full(4, 500.0)}
+        columns[field][2] = value
+        with pytest.raises(ConfigError, match=f"task {field} of user 2"):
+            TaskArrays(**columns)
 
     def test_slot_outside_horizon(self):
         sc = build_scenario(small_config(horizon=5))
