@@ -15,6 +15,7 @@ from .delay import LOCAL, SlotContext, SlotDecision, SlotMetrics, slot_dor
 from .errors import CapExceededError, ConfigError, ConvergenceError, InfeasibleError
 
 BRUTE_FORCE_CAP = 2 ** 20
+MAX_SWEEPS = 100
 
 
 @dataclass
@@ -32,8 +33,7 @@ def _sqrt_law_shares(capacity: np.ndarray, group: np.ndarray,
     Minimizes sum_i w_i^2 / x_i per group; for bandwidth w_i = sqrt(f_i / (c_i r0_i)),
     for processors w_i = sqrt(f_i).
     """
-    total = np.zeros(capacity.size)
-    np.add.at(total, group, weights)
+    total = np.bincount(group, weights, minlength=capacity.size)
     return capacity[group] * weights / total[group]
 
 
@@ -81,7 +81,7 @@ def evaluate_assignment(assignment, ctx: SlotContext,
     return decision, metrics
 
 
-def cd_search(ctx: SlotContext, max_sweeps: int = 100) -> AllocationResult:
+def cd_search(ctx: SlotContext) -> AllocationResult:
     """Coordinate descent over per-user choices, starting all-local.
 
     With ingress fixed per user and square-root-law shares, the objective of
@@ -95,8 +95,8 @@ def cd_search(ctx: SlotContext, max_sweeps: int = 100) -> AllocationResult:
     (LOCAL, then UAVs 0..N-1) at once from the group sums with that user taken
     out; the best strictly improving choice is kept, so ties go to the
     incumbent and then to the earlier choice. Stops when a full sweep changes
-    nothing. The returned decision and DOR come from a single
-    `evaluate_assignment` of the final assignment.
+    nothing, or unconverged after MAX_SWEEPS sweeps. The returned decision and
+    DOR come from a single `evaluate_assignment` of the final assignment.
     """
     n = ctx.num_uavs
     ingress = ctx.default_ingress
@@ -112,7 +112,7 @@ def cd_search(ctx: SlotContext, max_sweeps: int = 100) -> AllocationResult:
 
     sweeps = 0
     converged = False
-    while sweeps < max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         changed = False
         for user in covered:

@@ -47,7 +47,6 @@ class EdgeComputeEnv:
         self.allocate = allocate if allocate is not None else cd_search
         self.slot = 0
         self.num_uavs = scenario.config.num_uavs
-        self.obs_dim = 3
 
     def observe(self) -> np.ndarray:
         return self.scenario.uav_positions

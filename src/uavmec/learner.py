@@ -7,13 +7,22 @@ exploration noise, step the environment (which solves the slot allocation),
 store the transition, and once the buffer is warm run one critic and one
 actor gradient step per agent per slot. Plain gradient steps, no adaptive
 moments.
+
+A checkpoint is one `.npz` archive of plain arrays (schema version 3): `meta`,
+a JSON string holding schema_version, config (the TrainConfig), obs_dim,
+buffer_size, buffer_cursor and rng_state; for each role (actor, critic,
+target_actor, target_critic) one (num_agents, P) stack whose row n is agent
+n's `theta`; and the buffer_size filled replay rows as obs, act, rew and
+next_obs. `save_checkpoint` moves the archive into place with one rename, so a
+reader finds the previous checkpoint or the new one, never a mix.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+import zipfile
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -22,7 +31,9 @@ from .env import EdgeComputeEnv, SlotInfo
 from .errors import ConfigError, NumericError, check_fields, require
 from .model import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
+META_KEYS = ("schema_version", "config", "obs_dim", "buffer_size", "buffer_cursor",
+             "rng_state")
 REPLAY_FIELDS = ("obs", "act", "rew", "next_obs")
 
 
@@ -73,6 +84,9 @@ class AgentNets:
     target_critic: nets.MlpParams
 
 
+ROLES = tuple(f.name for f in fields(AgentNets))
+
+
 class ReplayBuffer:
     """Fixed-capacity ring of (joint obs, joint action, reward, next joint obs)."""
 
@@ -106,20 +120,14 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch_size)
         return (self.obs[idx], self.act[idx], self.rew[idx], self.next_obs[idx])
 
-    def __len__(self):
-        return self.size
-
-    def contents(self) -> dict[str, np.ndarray]:
-        """Copies of the filled rows, keyed by field name."""
-        return {name: getattr(self, name)[:self.size].copy() for name in REPLAY_FIELDS}
-
     def restore(self, contents: dict, size: int, cursor: int):
-        """Refill from `contents()` output; raise ConfigError if it does not fit."""
+        """Refill the first `size` rows from `contents[field]` arrays; raise
+        ConfigError if they do not fit."""
         if not (0 <= size <= self.capacity and 0 <= cursor < self.capacity):
             raise ConfigError(f"{size} replay rows at cursor {cursor} do not fit "
                               f"a buffer of capacity {self.capacity}")
         for name in REPLAY_FIELDS:
-            have = np.shape(contents[name]) if name in contents else None
+            have = np.shape(contents[name])
             need = (size,) + getattr(self, name).shape[1:]
             if have != need:
                 raise ConfigError(f"replay field {name} has shape {have}, "
@@ -135,14 +143,6 @@ class TrainingHistory:
     episode_reward: list[float] = field(default_factory=list)
     episode_mean_dor: list[float] = field(default_factory=list)
     episode_violations: list[int] = field(default_factory=list)
-
-    def as_rows(self):
-        return [
-            {"episode": i, "cumulative_reward": r, "mean_dor": d, "violations": v}
-            for i, (r, d, v) in enumerate(zip(self.episode_reward,
-                                              self.episode_mean_dor,
-                                              self.episode_violations))
-        ]
 
 
 class MaddpgTrainer:
@@ -249,11 +249,10 @@ class MaddpgTrainer:
         nets.apply_gradients(actor, grad, +self.config.lr_actor)
         return float(np.linalg.norm(grad))
 
-    def soft_update_agent(self, agent: int, tau: float | None = None):
-        t = self.config.tau if tau is None else tau
+    def soft_update_agent(self, agent: int):
         a = self.agents[agent]
-        nets.soft_update(a.target_actor, a.actor, t)
-        nets.soft_update(a.target_critic, a.critic, t)
+        nets.soft_update(a.target_actor, a.actor, self.config.tau)
+        nets.soft_update(a.target_critic, a.critic, self.config.tau)
 
     def check_finite(self, where: str):
         for n, a in enumerate(self.agents):
@@ -264,82 +263,79 @@ class MaddpgTrainer:
 
     # ---- checkpoints ----
 
-    def state_dict(self) -> dict:
-        def net_dict(p: nets.MlpParams) -> dict:
-            return {"weights": [w.tolist() for w in p.weights],
-                    "biases": [b.tolist() for b in p.biases],
-                    "output_activation": p.output_activation}
-
-        return {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "config": asdict(self.config),
-            "num_agents": self.num_agents,
-            "obs_dim": self.obs_dim,
-            "agents": [{role: net_dict(net) for role, net in vars(a).items()}
-                       for a in self.agents],
-            "buffer_cursor": self.buffer.cursor,
-            "buffer_size": self.buffer.size,
-            "replay": self.buffer.contents(),
-            "rng_state": self.rng.bit_generator.state,
-        }
+    def state_dict(self) -> dict[str, np.ndarray | str]:
+        """The checkpoint archive's entries (module docstring), as copies."""
+        meta = {"schema_version": CHECKPOINT_SCHEMA_VERSION, "config": asdict(self.config),
+                "obs_dim": self.obs_dim, "buffer_size": self.buffer.size,
+                "buffer_cursor": self.buffer.cursor, "rng_state": self.rng.bit_generator.state}
+        state = {"meta": json.dumps(meta, sort_keys=True)}
+        for role in ROLES:
+            state[role] = np.stack([getattr(a, role).theta for a in self.agents])
+        for name in REPLAY_FIELDS:
+            state[name] = getattr(self.buffer, name)[:self.buffer.size].copy()
+        return state
 
     def load_state_dict(self, state: dict):
-        if state.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported checkpoint schema_version: {state.get('schema_version')!r}")
-
-        found = {"num_agents": len(state["agents"]), "obs_dim": state["obs_dim"]}
-        for key, value in found.items():
-            if value != getattr(self, key):
-                raise ConfigError(f"checkpoint has {key}={value}, "
-                                  f"this trainer needs {getattr(self, key)}")
-
-        def load_net(p: nets.MlpParams, d: dict):
-            for w, new in zip(p.weights, d["weights"]):
-                w[...] = np.asarray(new)
-            for b, new in zip(p.biases, d["biases"]):
-                b[...] = np.asarray(new)
-
-        for a, d in zip(self.agents, state["agents"]):
-            for role, net in vars(a).items():
-                load_net(net, d[role])
-        self.buffer.restore(state["replay"], state["buffer_size"], state["buffer_cursor"])
-        self.rng.bit_generator.state = state["rng_state"]
+        """Restore from `state_dict()` output. If it does not fit this trainer,
+        raise ConfigError naming the entry, before anything is changed."""
+        meta = checkpoint_meta(state)
+        require(meta["obs_dim"] == self.obs_dim, f"checkpoint has obs_dim={meta['obs_dim']}, "
+                                                 f"this trainer needs {self.obs_dim}")
+        for role in ROLES:
+            need = (self.num_agents, getattr(self.agents[0], role).theta.size)
+            require(np.shape(state[role]) == need,
+                    f"checkpoint {role} stack has shape {np.shape(state[role])}, "
+                    f"this trainer needs (num_agents, parameters) = {need}")
+        try:   # on a scratch generator, so a bad state changes nothing here
+            type(self.rng.bit_generator)().state = meta["rng_state"]
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ConfigError(f"checkpoint rng_state does not fit: {exc!r}") from exc
+        self.buffer.restore(state, meta["buffer_size"], meta["buffer_cursor"])
+        for role in ROLES:
+            for a, theta in zip(self.agents, state[role]):
+                getattr(a, role).load_flat(theta)
+        self.rng.bit_generator.state = meta["rng_state"]
 
     def save_checkpoint(self, path: str | os.PathLike):
-        """Write the state as JSON at `path` and the replay rows as `.npz` beside it.
-
-        Each file is written to a temporary name and renamed into place.
-        """
-        state = self.state_dict()
-        tmp = f"{replay_path(path)}.tmp"
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **state.pop("replay"))
-        os.replace(tmp, replay_path(path))
+        """Write `state_dict()` (`meta` JSON, one (num_agents, P) stack per role,
+        the filled replay rows) as one `.npz` archive at exactly `path`. It goes
+        to `<path>.tmp`, then replaces `path` in a single `os.replace`, so an
+        interrupted save leaves the previous checkpoint whole and loadable."""
         tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(state, fh, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:   # a handle: np.savez would add ".npz" to a name
+            np.savez(fh, **self.state_dict())
         os.replace(tmp, path)
 
     @classmethod
     def load_checkpoint(cls, scenario: Scenario, path: str | os.PathLike) -> "MaddpgTrainer":
-        with open(path) as fh:
-            state = json.load(fh)
-        check_fields(TrainConfig, state["config"], "checkpoint config")
-        trainer = cls(scenario, TrainConfig(**state["config"]))
-        try:
-            with np.load(replay_path(path)) as replay:
-                state["replay"] = {name: replay[name] for name in replay.files}
-        except FileNotFoundError:
-            raise ConfigError(f"checkpoint replay file {replay_path(path)} is missing") from None
+        """A trainer for `scenario` restored from a `save_checkpoint` archive."""
+        try:   # a lone .npy array is no context manager: TypeError
+            with open(path, "rb") as fh, np.load(fh) as archive:
+                state = dict(archive)
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path} is not a checkpoint archive") from exc
+        config = checkpoint_meta(state)["config"]
+        check_fields(TrainConfig, config, "checkpoint config")
+        trainer = cls(scenario, TrainConfig(**config))
         trainer.load_state_dict(state)
         return trainer
 
 
-def replay_path(path: str | os.PathLike) -> str:
-    """Where a checkpoint at `path` keeps its replay rows."""
-    return f"{path}.replay.npz"
+def checkpoint_meta(state: dict) -> dict:
+    """A checkpoint state's parsed `meta`; ConfigError, naming what is wrong,
+    unless every entry is present and meta is schema-3 JSON with all META_KEYS."""
+    missing = [name for name in ("meta",) + ROLES + REPLAY_FIELDS if name not in state]
+    require(not missing, f"checkpoint is missing array(s) {', '.join(missing)}")
+    try:
+        meta = json.loads(str(state["meta"]))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"checkpoint meta is not JSON: {exc}") from None
+    version = meta.get("schema_version") if isinstance(meta, dict) else None
+    require(version == CHECKPOINT_SCHEMA_VERSION,
+            f"unsupported checkpoint schema_version: {version!r}")
+    missing = [key for key in META_KEYS if key not in meta]
+    require(not missing, f"checkpoint meta is missing key(s) {', '.join(missing)}")
+    return meta
 
 
 def train(scenario: Scenario, config: TrainConfig,

@@ -282,6 +282,11 @@ class Scenario:
             initial = np.array(data["initial_uav_positions"], dtype=float)
         except KeyError as exc:
             raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc
+        for key, rows, need in (("users", users.position, config.num_users),
+                                ("uavs", uavs.position, config.num_uavs),
+                                ("initial_uav_positions", initial, config.num_uavs)):
+            require(np.shape(rows) == (need, 3), f"scenario snapshot {key} has shape "
+                    f"{np.shape(rows)}, its config needs ({need}, 3)")
         return cls(config, users, uavs, initial)
 
     def save(self, path: str | os.PathLike):

@@ -61,10 +61,6 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.shapes[0][1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.shapes[-1][0]
-
     def flat(self) -> np.ndarray:
         return self.theta.copy()
 

@@ -156,6 +156,14 @@ class TestCdSearch:
         assert result.decision.assignment[0] == 0
         assert result.dor > 0
 
+    def test_sweep_cap_stops_unconverged(self, monkeypatch):
+        # the user offloads in sweep 1, so a second sweep would be needed to
+        # find that nothing changes any more
+        monkeypatch.setattr(allocator, "MAX_SWEEPS", 1)
+        result = cd_search(one_uav_context([0.9e9], [800.0]))
+        assert result.decision.assignment[0] == 0
+        assert (result.converged, result.iterations) == (False, 1)
+
     def test_no_coverage_stays_local(self):
         users = [UserState(position=np.array([0.0, 0.0, 0.0]), cpu_freq=1e9,
                            tx_power=1.0) for _ in range(3)]

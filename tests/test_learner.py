@@ -8,7 +8,7 @@ import pytest
 from tests import _maddpg_reference as reference
 from uavmec import learner
 from uavmec.errors import ConfigError
-from uavmec.learner import MaddpgTrainer, TrainConfig, TrainingHistory, replay_path, train
+from uavmec.learner import MaddpgTrainer, TrainConfig, TrainingHistory, train
 from uavmec.model import ScenarioConfig, build_scenario
 
 SMALL = TrainConfig(episodes=2, batch_size=8, min_fill=8, buffer_capacity=64,
@@ -25,79 +25,172 @@ def network_bytes(trainer: MaddpgTrainer) -> list[bytes]:
             for net in (a.actor, a.critic, a.target_actor, a.target_critic)]
 
 
+def replay_bytes(trainer: MaddpgTrainer) -> list[bytes]:
+    return [getattr(trainer.buffer, name).tobytes() for name in learner.REPLAY_FIELDS]
+
+
+def edit_meta(state: dict, **changes) -> str:
+    """`state`'s meta JSON with top-level keys replaced."""
+    return json.dumps({**json.loads(state["meta"]), **changes})
+
+
+def rewrite(path, drop=(), **entries):
+    """Rewrite the archive at `path` with `entries` replaced and `drop` left out."""
+    with np.load(path) as archive:
+        state = {name: archive[name] for name in archive.files if name not in drop}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**state, **entries})
+
+
 class TestCheckpointInput:
     def test_fewer_agents_rejected(self):
         state = MaddpgTrainer(scenario(), SMALL).state_dict()
-        state["agents"] = state["agents"][:3]
-        with pytest.raises(ConfigError, match="num_agents"):
+        for role in learner.ROLES:
+            state[role] = state[role][:3]
+        with pytest.raises(ConfigError, match="actor stack.*num_agents"):
+            MaddpgTrainer(scenario(), SMALL).load_state_dict(state)
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_one_role_with_wrong_row_count_rejected(self, rows):
+        state = MaddpgTrainer(scenario(), SMALL).state_dict()
+        state["critic"] = np.resize(state["critic"], (rows, state["critic"].shape[1]))
+        with pytest.raises(ConfigError, match=rf"critic stack has shape \({rows}, "):
             MaddpgTrainer(scenario(), SMALL).load_state_dict(state)
 
     def test_other_uav_count_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         MaddpgTrainer(scenario(num_uavs=3), SMALL).save_checkpoint(path)
         with pytest.raises(ConfigError, match="num_agents"):
             MaddpgTrainer.load_checkpoint(scenario(num_uavs=4), path)
 
     def test_other_obs_dim_rejected(self):
         state = MaddpgTrainer(scenario(), SMALL).state_dict()
-        state["obs_dim"] = 6
+        state["meta"] = edit_meta(state, obs_dim=6)
         with pytest.raises(ConfigError, match="obs_dim"):
             MaddpgTrainer(scenario(), SMALL).load_state_dict(state)
 
-    def test_removed_config_key_named(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+    @pytest.mark.parametrize("meta, message", [
+        ({"rng_state": {"bit_generator": "MT19937"}}, "rng_state"),
+        ({"buffer_size": 25}, "replay field obs"),
+    ], ids=["rng_state", "buffer_size"])
+    def test_rejected_state_changes_nothing(self, meta, message):
+        state = train(scenario(), SMALL)[0].state_dict()   # 24 replay rows
+        state["meta"] = edit_meta(state, **meta)
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        before = network_bytes(trainer), replay_bytes(trainer), trainer.rng.bit_generator.state
+        with pytest.raises(ConfigError, match=message):
+            trainer.load_state_dict(state)
+        assert (network_bytes(trainer), replay_bytes(trainer),
+                trainer.rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("meta, message", [
+        ('{"schema_version": 2', "not JSON"),
+        ("[3]", "schema_version: None"),
+        ('{"schema_version": 2}', "schema_version: 2"),
+        ('{"schema_version": 3}', "missing key.*config"),
+    ], ids=["not-json", "not-an-object", "schema-2", "missing-keys"])
+    def test_bad_meta_rejected(self, tmp_path, meta, message):
+        path = tmp_path / "ckpt.npz"
         MaddpgTrainer(scenario(), SMALL).save_checkpoint(path)
-        state = json.loads(path.read_text())
-        state["config"]["extended_obs"] = False
-        path.write_text(json.dumps(state))
+        rewrite(path, meta=meta)
+        with pytest.raises(ConfigError, match=message):
+            MaddpgTrainer.load_checkpoint(scenario(), path)
+
+    def test_removed_config_key_named(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        trainer.save_checkpoint(path)
+        config = {**dataclasses.asdict(SMALL), "extended_obs": False}
+        rewrite(path, meta=edit_meta(trainer.state_dict(), config=config))
         with pytest.raises(ConfigError, match="extended_obs"):
             MaddpgTrainer.load_checkpoint(scenario(), path)
 
     def test_round_trip_restores_networks(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         trainer, _ = train(scenario(), SMALL)
         trainer.save_checkpoint(path)
         loaded = MaddpgTrainer.load_checkpoint(scenario(), path)
-        assert loaded.state_dict()["agents"] == trainer.state_dict()["agents"]
+        for role in learner.ROLES:
+            assert loaded.state_dict()[role].tobytes() == trainer.state_dict()[role].tobytes()
         assert network_bytes(loaded) == network_bytes(trainer)
 
     @pytest.mark.parametrize("capacity", [64, 16])  # 24 slots: partly filled, wrapped
     def test_round_trip_restores_replay_buffer(self, tmp_path, capacity):
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         trainer, _ = train(scenario(), dataclasses.replace(SMALL, buffer_capacity=capacity))
         trainer.save_checkpoint(path)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
         loaded = MaddpgTrainer.load_checkpoint(scenario(), path)
+        assert network_bytes(loaded) == network_bytes(trainer)
         assert (loaded.buffer.size, loaded.buffer.cursor) == (trainer.buffer.size,
                                                               trainer.buffer.cursor)
-        for name in ("obs", "act", "rew", "next_obs"):
-            assert np.array_equal(getattr(loaded.buffer, name), getattr(trainer.buffer, name))
+        assert replay_bytes(loaded) == replay_bytes(trainer)
         draw = trainer.buffer.sample(8, trainer.rng)
         again = loaded.buffer.sample(8, loaded.rng)
         for a, b in zip(draw, again):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
 
-    def test_missing_replay_file_rejected(self, tmp_path):
-        path = tmp_path / "ckpt.json"
+    @pytest.mark.parametrize("name", ["critic", "next_obs"])
+    def test_missing_array_rejected(self, tmp_path, name):
+        path = tmp_path / "ckpt.npz"
         train(scenario(), SMALL)[0].save_checkpoint(path)
-        os.remove(replay_path(path))
-        with pytest.raises(ConfigError, match="replay"):
+        rewrite(path, drop=[name])
+        with pytest.raises(ConfigError, match=f"missing array.*{name}"):
             MaddpgTrainer.load_checkpoint(scenario(), path)
 
     def test_mismatched_replay_file_rejected(self, tmp_path):
-        path, other = tmp_path / "ckpt.json", tmp_path / "other.json"
-        trainer, _ = train(scenario(), SMALL)
-        trainer.save_checkpoint(path)
-        MaddpgTrainer(scenario(), SMALL).save_checkpoint(other)  # empty buffer
-        os.replace(replay_path(other), replay_path(path))
+        path = tmp_path / "ckpt.npz"
+        train(scenario(), SMALL)[0].save_checkpoint(path)
+        rewrite(path, obs=np.zeros((5, 12)))
         with pytest.raises(ConfigError, match="replay field obs"):
             MaddpgTrainer.load_checkpoint(scenario(), path)
+
+    @pytest.mark.parametrize("content", [
+        b'{"schema_version": 2, "agents": []}\n',    # the old JSON checkpoint
+        b"",
+        np.arange(3.0),                               # a lone .npy array
+        "truncated",
+    ], ids=["old-json-checkpoint", "empty", "lone-npy", "truncated"])
+    def test_non_archive_rejected(self, tmp_path, content):
+        path = tmp_path / "ckpt.npz"
+        if isinstance(content, np.ndarray):
+            with open(path, "wb") as fh:
+                np.save(fh, content)
+        elif content == "truncated":
+            MaddpgTrainer(scenario(), SMALL).save_checkpoint(path)
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match="not a checkpoint archive"):
+            MaddpgTrainer.load_checkpoint(scenario(), path)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.npz"
+        old = MaddpgTrainer(scenario(), SMALL)
+        for i in range(SMALL.buffer_capacity):
+            old.buffer.push(np.full(12, i), np.zeros(12), -1.0, np.zeros(12))
+        old.save_checkpoint(path)
+        saved = path.read_bytes()
+        new, _ = train(scenario(), dataclasses.replace(SMALL, seed=9))
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            new.save_checkpoint(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == saved
+        loaded = MaddpgTrainer.load_checkpoint(scenario(), path)
+        assert network_bytes(loaded) == network_bytes(old) != network_bytes(new)
+        assert replay_bytes(loaded) == replay_bytes(old) != replay_bytes(new)
 
 
 class TestTraining:
     def test_seeded_run_is_bitwise_repeatable(self):
         _, first = train(scenario(), SMALL)
         _, again = train(scenario(), SMALL)
-        assert first.as_rows() == again.as_rows()
+        assert first == again
         assert len(first.episode_reward) == SMALL.episodes
 
 
@@ -127,4 +220,4 @@ class TestReferenceUpdate:
         _, history = train(build_scenario(sc_config), config, slot_callback=on_slot)
         assert next(ref, None) is None
         assert len(slots) == 330
-        assert history.as_rows() == ref_history.as_rows()
+        assert history == ref_history

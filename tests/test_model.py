@@ -76,6 +76,14 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigError, match="d_min"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("key, count", [("users", 5), ("uavs", 5),
+                                            ("initial_uav_positions", 3)])
+    def test_snapshot_row_count_names_it(self, key, count):
+        data = build_scenario(small_config()).to_dict()
+        data[key] = (data[key] * 2)[:count]     # 4 rows in the config
+        with pytest.raises(ConfigError, match=rf"{key} has shape \({count}, 3\).*\(4, 3\)"):
+            Scenario.from_dict(data)
+
     def test_snapshot_missing_key_names_it(self):
         data = build_scenario(small_config()).to_dict()
         del data["uavs"][0]["half_angle_deg"]

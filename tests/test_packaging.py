@@ -13,6 +13,8 @@ PACKAGE = ROOT / "src" / "uavmec"
 
 # The runtime dependency rule: the standard library and numpy, nothing else.
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+# Loading a snapshot or checkpoint must never run code from the file.
+UNPICKLERS = {"pickle", "_pickle", "shelve"}
 
 
 def test_every_console_script_target_imports():
@@ -31,16 +33,30 @@ def test_every_exported_name_imports():
         assert namespace[name] is getattr(uavmec, name), name
 
 
-def test_package_imports_only_stdlib_and_numpy():
-    outside = []
+def package_nodes():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {name}" for name in names
-                        if name.partition(".")[0] not in ALLOWED_TOP_LEVEL]
+            yield path.name, node
+
+
+def imported_modules():
+    for filename, node in package_nodes():
+        if isinstance(node, ast.Import):
+            yield from ((filename, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield filename, node.module
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    outside = [f"{filename}: {name}" for filename, name in imported_modules()
+               if name.partition(".")[0] not in ALLOWED_TOP_LEVEL]
     assert outside == []
+
+
+def test_package_never_unpickles():
+    unpicklers = [f"{filename}: {name}" for filename, name in imported_modules()
+                  if name.partition(".")[0] in UNPICKLERS]
+    allow_pickle = [f"{filename}:{node.lineno}" for filename, node in package_nodes()
+                    if isinstance(node, ast.keyword) and node.arg == "allow_pickle"
+                    and not (isinstance(node.value, ast.Constant) and node.value.value is False)]
+    assert unpicklers == [] and allow_pickle == []
