@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator import AllocationResult, cd_search
-from .delay import SlotContext, SlotMetrics, slot_dor
+from .delay import SlotContext
+from .delay import slot_dor  # noqa: F401  not called here; bench/tracing.py patches it by this name
 from .errors import ConfigError
 from .model import Scenario, apply_motion, generate_tasks, pairwise_distances
 
@@ -24,7 +25,6 @@ class SlotInfo:
     slot: int
     dor: float
     reward: float
-    metrics: SlotMetrics
     allocation: AllocationResult
     violating_uavs: list[int]
     box_violations: list[int] = field(default_factory=list)
@@ -37,7 +37,8 @@ class EdgeComputeEnv:
 
     Observations are each UAV's own position, a fresh (N, 3) array that later
     steps never write. `allocate` maps a SlotContext to an AllocationResult,
-    so baseline offloading policies can ride the same dynamics.
+    so baseline offloading policies can ride the same dynamics; its `dor`,
+    the slot objective of its decision, is the reward before penalties.
     """
 
     def __init__(self, scenario: Scenario, penalty: float = 10.0, allocate=None):
@@ -75,13 +76,12 @@ class EdgeComputeEnv:
         tasks = generate_tasks(scenario, self.slot)
         ctx = SlotContext(scenario.users, scenario.uavs, tasks, self.config.channel)
         allocation = self.allocate(ctx)
-        metrics = slot_dor(allocation.decision, ctx, validate=False)
 
         violators = box | speed | collisions
-        reward = metrics.dor - self.penalty * np.count_nonzero(violators)
+        reward = allocation.dor - self.penalty * np.count_nonzero(violators)
 
-        info = SlotInfo(slot=self.slot, dor=metrics.dor, reward=reward,
-                        metrics=metrics, allocation=allocation,
+        info = SlotInfo(slot=self.slot, dor=allocation.dor, reward=reward,
+                        allocation=allocation,
                         violating_uavs=np.flatnonzero(violators).tolist(),
                         box_violations=np.flatnonzero(box).tolist(),
                         speed_violations=np.flatnonzero(speed).tolist(),

@@ -8,17 +8,21 @@ store the transition, and once the buffer is warm run one critic and one
 actor gradient step per agent per slot. Plain gradient steps, no adaptive
 moments.
 
+Each role (actor, critic, target_actor, target_critic) is stored as one
+(num_agents, P) array, `MaddpgTrainer.stacks[role]`, whose row n is the `theta`
+of agent n's network of that role: a write through either is seen by both.
+
 A checkpoint is one `.npz` archive of plain arrays (schema version 3): `meta`,
 a JSON string holding schema_version, config (the TrainConfig), obs_dim,
-buffer_size, buffer_cursor and rng_state; for each role (actor, critic,
-target_actor, target_critic) one (num_agents, P) stack whose row n is agent
-n's `theta`; and the buffer_size filled replay rows as obs, act, rew and
+buffer_size, buffer_cursor and rng_state; the four role stacks, written as
+they are; and the buffer_size filled replay rows as obs, act, rew and
 next_obs. `save_checkpoint` moves the archive into place with one rename, so a
 reader finds the previous checkpoint or the new one, never a mix.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zipfile
@@ -146,7 +150,8 @@ class TrainingHistory:
 
 
 class MaddpgTrainer:
-    """Owns the per-agent networks, the replay buffer, and the update rules.
+    """Owns the role stacks, the per-agent networks over their rows, the replay
+    buffer, and the update rules.
 
     Network inputs are normalized: observations divide by the box extents,
     actions divide by the per-slot step budget so the critic sees the actor's
@@ -166,13 +171,20 @@ class MaddpgTrainer:
         self.rng = np.random.default_rng([config.seed, 11])
 
         joint_dim = self.num_agents * (self.obs_dim + 3)
-        self.agents: list[AgentNets] = []
-        for _ in range(self.num_agents):
-            actor = nets.init_mlp(self.obs_dim, config.hidden_actor, 3, "tanh", self.rng)
-            critic = nets.init_mlp(joint_dim, config.hidden_critic, 1, "linear", self.rng)
-            self.agents.append(AgentNets(actor=actor, critic=critic,
-                                         target_actor=actor.copy(),
-                                         target_critic=critic.copy()))
+        actor = (nets.mlp_shapes(self.obs_dim, config.hidden_actor, 3), "tanh")
+        critic = (nets.mlp_shapes(joint_dim, config.hidden_critic, 1), "linear")
+        layout = {"actor": actor, "critic": critic,
+                  "target_actor": actor, "target_critic": critic}
+        self.stacks = {role: np.empty((self.num_agents, nets.param_count(layout[role][0])))
+                       for role in ROLES}
+        self.agents = [AgentNets(**{role: nets.MlpParams(self.stacks[role][n], *layout[role])
+                                    for role in ROLES})
+                       for n in range(self.num_agents)]
+        for a in self.agents:   # one rng stream: actor n, then critic n
+            nets.init_mlp(a.actor, self.rng)
+            nets.init_mlp(a.critic, self.rng)
+        self.stacks["target_actor"][...] = self.stacks["actor"]
+        self.stacks["target_critic"][...] = self.stacks["critic"]
         self.buffer = ReplayBuffer(config.buffer_capacity,
                                    self.num_agents * self.obs_dim,
                                    self.num_agents * 3)
@@ -223,7 +235,7 @@ class MaddpgTrainer:
         loss = float(np.mean(err ** 2))
         upstream = (2.0 / err.size) * err[:, None]
         grad, _ = nets.mlp_backward(critic, acts, upstream, input_grad=False)
-        nets.apply_gradients(critic, grad, -self.config.lr_critic)
+        critic.theta += -self.config.lr_critic * grad
         return loss
 
     def actor_update(self, agent: int, batch) -> float:
@@ -246,7 +258,7 @@ class MaddpgTrainer:
                                   params_grad=False)
 
         grad, _ = nets.mlp_backward(actor, actor_acts, dx[:, own], input_grad=False)
-        nets.apply_gradients(actor, grad, +self.config.lr_actor)
+        actor.theta += self.config.lr_actor * grad
         return float(np.linalg.norm(grad))
 
     def soft_update_agent(self, agent: int):
@@ -255,11 +267,11 @@ class MaddpgTrainer:
         nets.soft_update(a.target_critic, a.critic, self.config.tau)
 
     def check_finite(self, where: str):
-        for n, a in enumerate(self.agents):
-            for name, net in (("actor", a.actor), ("critic", a.critic)):
-                if not nets.params_finite(net):
-                    raise NumericError(
-                        f"non-finite parameters in agent {n} {name} at {where}")
+        """NumericError naming the first agent, then role, with a non-finite parameter."""
+        finite = np.array([np.isfinite(self.stacks[role]).all(axis=1) for role in ROLES])
+        if not finite.all():
+            n, r = np.argwhere(~finite.T)[0]
+            raise NumericError(f"non-finite parameters in agent {n} {ROLES[r]} at {where}")
 
     # ---- checkpoints ----
 
@@ -270,7 +282,7 @@ class MaddpgTrainer:
                 "buffer_cursor": self.buffer.cursor, "rng_state": self.rng.bit_generator.state}
         state = {"meta": json.dumps(meta, sort_keys=True)}
         for role in ROLES:
-            state[role] = np.stack([getattr(a, role).theta for a in self.agents])
+            state[role] = self.stacks[role].copy()
         for name in REPLAY_FIELDS:
             state[name] = getattr(self.buffer, name)[:self.buffer.size].copy()
         return state
@@ -282,7 +294,7 @@ class MaddpgTrainer:
         require(meta["obs_dim"] == self.obs_dim, f"checkpoint has obs_dim={meta['obs_dim']}, "
                                                  f"this trainer needs {self.obs_dim}")
         for role in ROLES:
-            need = (self.num_agents, getattr(self.agents[0], role).theta.size)
+            need = self.stacks[role].shape
             require(np.shape(state[role]) == need,
                     f"checkpoint {role} stack has shape {np.shape(state[role])}, "
                     f"this trainer needs (num_agents, parameters) = {need}")
@@ -292,19 +304,27 @@ class MaddpgTrainer:
             raise ConfigError(f"checkpoint rng_state does not fit: {exc!r}") from exc
         self.buffer.restore(state, meta["buffer_size"], meta["buffer_cursor"])
         for role in ROLES:
-            for a, theta in zip(self.agents, state[role]):
-                getattr(a, role).load_flat(theta)
+            self.stacks[role][...] = state[role]
         self.rng.bit_generator.state = meta["rng_state"]
 
     def save_checkpoint(self, path: str | os.PathLike):
         """Write `state_dict()` (`meta` JSON, one (num_agents, P) stack per role,
         the filled replay rows) as one `.npz` archive at exactly `path`. It goes
         to `<path>.tmp`, then replaces `path` in a single `os.replace`, so an
-        interrupted save leaves the previous checkpoint whole and loadable."""
+        interrupted save leaves the previous checkpoint whole and loadable. The
+        bytes are synced to disk before the rename; if the write or the rename
+        raises, `<path>.tmp` is removed."""
         tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:   # a handle: np.savez would add ".npz" to a name
-            np.savez(fh, **self.state_dict())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:   # a handle: np.savez would add ".npz" to a name
+                np.savez(fh, **self.state_dict())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):   # keep the original error
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load_checkpoint(cls, scenario: Scenario, path: str | os.PathLike) -> "MaddpgTrainer":
@@ -323,7 +343,8 @@ class MaddpgTrainer:
 
 def checkpoint_meta(state: dict) -> dict:
     """A checkpoint state's parsed `meta`; ConfigError, naming what is wrong,
-    unless every entry is present and meta is schema-3 JSON with all META_KEYS."""
+    unless every entry is present and meta is schema-3 JSON with all META_KEYS,
+    the counts as ints and config and rng_state as objects."""
     missing = [name for name in ("meta",) + ROLES + REPLAY_FIELDS if name not in state]
     require(not missing, f"checkpoint is missing array(s) {', '.join(missing)}")
     try:
@@ -335,6 +356,11 @@ def checkpoint_meta(state: dict) -> dict:
             f"unsupported checkpoint schema_version: {version!r}")
     missing = [key for key in META_KEYS if key not in meta]
     require(not missing, f"checkpoint meta is missing key(s) {', '.join(missing)}")
+    for key in ("obs_dim", "buffer_size", "buffer_cursor"):
+        require(type(meta[key]) is int, f"checkpoint meta {key} must be an integer, "
+                                         f"got {meta[key]!r}")
+    for key in ("config", "rng_state"):
+        require(isinstance(meta[key], dict), f"checkpoint meta {key} must be a JSON object")
     return meta
 
 

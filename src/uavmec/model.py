@@ -110,10 +110,21 @@ class _Columns:
     """A bundle of float64 arrays, one per dataclass field, one row per entity."""
 
     @classmethod
-    def from_rows(cls, rows):
-        """Stack mappings that carry every field name (snapshot rows) into arrays."""
-        return cls(*(np.array([row[f.name] for row in rows], dtype=float)
-                     for f in fields(cls)))
+    def from_rows(cls, rows, key: str):
+        """Stack mappings that carry every field name (snapshot rows under `key`)
+        into arrays; ConfigError naming `key` and the field unless every value
+        is a number (a vector for `position`)."""
+        columns = []
+        for f in fields(cls):
+            try:
+                column = np.array([row[f.name] for row in rows], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"scenario snapshot {key} field {f.name!r} is not a "
+                                  f"numeric column: {exc}") from exc
+            require(column.ndim == (2 if f.name == "position" else 1),
+                    f"scenario snapshot {key} field {f.name!r} has shape {column.shape}")
+            columns.append(column)
+        return cls(*columns)
 
     @classmethod
     def from_records(cls, records):
@@ -277,8 +288,8 @@ class Scenario:
                 cfg_dict["initial_uav_positions"] = tuple(
                     tuple(p) for p in cfg_dict["initial_uav_positions"])
             config = ScenarioConfig(**cfg_dict)
-            users = UserArrays.from_rows(data["users"])
-            uavs = UavArrays.from_rows(data["uavs"])
+            users = UserArrays.from_rows(data["users"], "users")
+            uavs = UavArrays.from_rows(data["uavs"], "uavs")
             initial = np.array(data["initial_uav_positions"], dtype=float)
         except KeyError as exc:
             raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc

@@ -4,7 +4,8 @@ Two rectifier hidden layers; the output layer is tanh (policies, bounded in
 (-1, 1)) or linear (value heads). Everything is plain numpy so the whole
 training loop stays dependency-free and bit-reproducible.
 
-A network keeps all its parameters in one flat vector, `MlpParams.theta`;
+A network keeps all its parameters in one flat vector, `MlpParams.theta`,
+which may be a row of a larger array (the trainer keeps one row per agent);
 the per-layer weights and biases are views into it, so a blend or a
 gradient step is one array operation per network. Gradients use the same
 flat layout. `mlp_activations` is the checked forward pass that keeps every
@@ -24,21 +25,17 @@ class MlpParams:
     """Layer weights (fan_out, fan_in) and biases (fan_out,) as views into `theta`.
 
     `theta` holds each layer's weights, row-major, then its biases, layer by
-    layer. Writing to a weight or bias writes to `theta` and back.
+    layer. It is used as given, not copied: writing to a weight or bias
+    writes to `theta` and to the array it is a row of.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
+    def __init__(self, theta: np.ndarray, shapes: list[tuple[int, int]],
                  output_activation: str):
-        shapes = [np.shape(w) for w in weights]
-        for i, (shape, b) in enumerate(zip(shapes, biases)):
-            if len(shape) != 2 or np.shape(b) != shape[:1]:
-                raise ConfigError(f"layer {i} has weights {shape} and biases {np.shape(b)}")
-        parts = [np.ravel(p) for w, b in zip(weights, biases) for p in (w, b)]
-        self._bind(np.concatenate(parts).astype(float, copy=False), shapes,
-                   output_activation)
-
-    def _bind(self, theta: np.ndarray, shapes: list[tuple[int, int]],
-              output_activation: str):
+        if output_activation not in ("tanh", "linear"):
+            raise ConfigError(f"unknown output activation {output_activation!r}")
+        if theta.shape != (param_count(shapes),):
+            raise ConfigError(f"parameter vector shape {theta.shape} != "
+                              f"({param_count(shapes)},) for layers {shapes}")
         self.theta = theta
         self.shapes = shapes                  # (fan_out, fan_in) per layer
         self.output_activation = output_activation   # "tanh" | "linear"
@@ -54,45 +51,29 @@ class MlpParams:
             i += fan_out
         return weights, biases
 
-    def copy(self) -> "MlpParams":
-        return _bound(self.theta.copy(), self.shapes, self.output_activation)
-
     @property
     def in_dim(self) -> int:
         return self.shapes[0][1]
 
-    def flat(self) -> np.ndarray:
-        return self.theta.copy()
 
-    def load_flat(self, theta: np.ndarray):
-        if np.shape(theta) != self.theta.shape:
-            raise ConfigError(f"parameter vector shape {np.shape(theta)} "
-                              f"!= expected {self.theta.shape}")
-        self.theta[...] = theta
-
-
-def _bound(theta: np.ndarray, shapes: list[tuple[int, int]],
-           output_activation: str) -> MlpParams:
-    """MlpParams over an existing flat vector, without copying it."""
-    params = object.__new__(MlpParams)
-    params._bind(theta, shapes, output_activation)
-    return params
-
-
-def init_mlp(in_dim: int, hidden: int, out_dim: int, output_activation: str,
-             rng: np.random.Generator) -> MlpParams:
-    """Fan-in scaled uniform init; a small final layer keeps early outputs near zero."""
-    if output_activation not in ("tanh", "linear"):
-        raise ConfigError(f"unknown output activation {output_activation!r}")
+def mlp_shapes(in_dim: int, hidden: int, out_dim: int) -> list[tuple[int, int]]:
+    """(fan_out, fan_in) of the two hidden layers and the output layer."""
     dims = [in_dim, hidden, hidden, out_dim]
-    shapes = list(zip(dims[1:], dims[:-1]))
-    params = _bound(np.empty(sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)),
-                    shapes, output_activation)
+    return list(zip(dims[1:], dims[:-1]))
+
+
+def param_count(shapes: list[tuple[int, int]]) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_out, fan_in in shapes)
+
+
+def init_mlp(params: MlpParams, rng: np.random.Generator):
+    """Fan-in scaled uniform init of `params.theta` in place, layer by layer,
+    weights before biases; a small final layer keeps early outputs near zero."""
+    last = len(params.shapes) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        bound = 3e-3 if i == len(dims) - 2 else 1.0 / np.sqrt(dims[i])
+        bound = 3e-3 if i == last else 1.0 / np.sqrt(w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
         b[...] = rng.uniform(-bound, bound, size=b.shape)
-    return params
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -175,18 +156,9 @@ def mlp_gradients(params: MlpParams, x: np.ndarray,
     return grads, (d_input[0] if squeeze else d_input)
 
 
-def apply_gradients(params: MlpParams, grad: np.ndarray, scale: float):
-    """In-place theta += scale * grad (negative scale descends)."""
-    params.theta += scale * grad
-
-
 def soft_update(target: MlpParams, online: MlpParams, tau: float):
     """Convex blend target <- tau * online + (1 - tau) * target, elementwise."""
     if not 0.0 < tau <= 1.0:
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
     target.theta *= (1.0 - tau)
     target.theta += tau * online.theta
-
-
-def params_finite(params: MlpParams) -> bool:
-    return bool(np.isfinite(params.theta).all())

@@ -11,18 +11,18 @@ def fd_gradient(scalar_fn, params, step=FD_STEP):
 
     `params` is an MlpParams; scalar_fn must read it afresh on every call.
     """
-    theta = params.flat()
+    theta = params.theta.copy()
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         bump = theta.copy()
         bump[i] += step
-        params.load_flat(bump)
+        params.theta[...] = bump
         hi = scalar_fn()
         bump[i] -= 2 * step
-        params.load_flat(bump)
+        params.theta[...] = bump
         lo = scalar_fn()
         grad[i] = (hi - lo) / (2 * step)
-    params.load_flat(theta)
+    params.theta[...] = theta
     return grad
 
 

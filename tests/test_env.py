@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from uavmec.baselines import al_allocate
+from uavmec import allocator
+from uavmec import env as env_module
+from uavmec.allocator import cd_search
+from uavmec.baselines import al_allocate, ao_allocate
 from uavmec.env import EdgeComputeEnv
 from uavmec.errors import ConfigError
 from uavmec.model import ScenarioConfig, build_scenario
@@ -70,6 +73,21 @@ class TestPenalties:
             assert reward == info.dor - 10.0 * len(info.violating_uavs)
             seen += bool(info.collision_uavs)
         assert 0 < seen < 200
+
+
+    @pytest.mark.parametrize("allocate", [cd_search, ao_allocate])
+    def test_one_slot_evaluation_per_step(self, monkeypatch, allocate):
+        calls = []
+        for owner in (allocator, env_module):
+            def counted(*args, _fn=owner.slot_dor, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, "slot_dor", counted)
+        env = make_env([(10, 10, 12), (40, 40, 12)], allocate=allocate)
+        for steps in range(1, 6):
+            _, reward, info = env.step(np.zeros((2, 3)))
+            assert len(calls) == steps
+            assert reward == info.dor == info.allocation.dor
 
 
 class TestEpisode:

@@ -7,7 +7,7 @@ import pytest
 
 from tests import _maddpg_reference as reference
 from uavmec import learner
-from uavmec.errors import ConfigError
+from uavmec.errors import ConfigError, NumericError
 from uavmec.learner import MaddpgTrainer, TrainConfig, TrainingHistory, train
 from uavmec.model import ScenarioConfig, build_scenario
 
@@ -72,7 +72,14 @@ class TestCheckpointInput:
     @pytest.mark.parametrize("meta, message", [
         ({"rng_state": {"bit_generator": "MT19937"}}, "rng_state"),
         ({"buffer_size": 25}, "replay field obs"),
-    ], ids=["rng_state", "buffer_size"])
+        ({"buffer_size": "0"}, "buffer_size must be an integer"),
+        ({"buffer_size": True}, "buffer_size must be an integer"),
+        ({"buffer_cursor": 1.5}, "buffer_cursor must be an integer"),
+        ({"obs_dim": 3.0}, "obs_dim must be an integer"),
+        ({"config": []}, "config must be a JSON object"),
+        ({"rng_state": "PCG64"}, "rng_state must be a JSON object"),
+    ], ids=["rng_state", "buffer_size", "buffer_size-str", "buffer_size-bool",
+            "buffer_cursor-float", "obs_dim-float", "config-list", "rng_state-str"])
     def test_rejected_state_changes_nothing(self, meta, message):
         state = train(scenario(), SMALL)[0].state_dict()   # 24 replay rows
         state["meta"] = edit_meta(state, **meta)
@@ -180,10 +187,85 @@ class TestCheckpointInput:
         with pytest.raises(KeyboardInterrupt):
             new.save_checkpoint(path)
         monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
         assert path.read_bytes() == saved
         loaded = MaddpgTrainer.load_checkpoint(scenario(), path)
         assert network_bytes(loaded) == network_bytes(old) != network_bytes(new)
         assert replay_bytes(loaded) == replay_bytes(old) != replay_bytes(new)
+
+
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.npz"
+        MaddpgTrainer(scenario(), SMALL).save_checkpoint(path)
+        saved = path.read_bytes()
+
+        def disk_full(fh, **arrays):
+            fh.write(b"PK partial archive")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            train(scenario(), SMALL)[0].save_checkpoint(path)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        assert path.read_bytes() == saved
+
+    def test_save_syncs_before_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.npz"
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync") or fsync(fd))
+        monkeypatch.setattr(os, "replace",
+                            lambda src, dst: calls.append("replace") or replace(src, dst))
+        MaddpgTrainer(scenario(), SMALL).save_checkpoint(path)
+        assert calls == ["fsync", "replace"]
+
+
+class TestParameterStacks:
+    def test_agent_networks_are_rows_of_role_stacks(self):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        for n, a in enumerate(trainer.agents):
+            for role in learner.ROLES:
+                net, stack = getattr(a, role), trainer.stacks[role]
+                assert net.theta.base is stack
+                assert np.shares_memory(net.theta, stack[n])
+                assert all(np.shares_memory(p, stack[n]) for p in net.weights + net.biases)
+                others = np.delete(np.arange(trainer.num_agents), n)
+                assert not any(np.shares_memory(net.theta, stack[m]) for m in others)
+
+    def test_targets_start_as_copies_of_online_stacks(self):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        for online in ("actor", "critic"):
+            target = trainer.stacks[f"target_{online}"]
+            assert target.tobytes() == trainer.stacks[online].tobytes()
+            assert not np.shares_memory(target, trainer.stacks[online])
+
+    def test_state_dict_does_not_alias_stacks(self):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        state = trainer.state_dict()
+        before = network_bytes(trainer)
+        for role in learner.ROLES:
+            assert not np.shares_memory(state[role], trainer.stacks[role])
+            state[role] += 1.0
+        assert network_bytes(trainer) == before
+
+    def test_load_state_dict_is_seen_through_every_view(self):
+        trained, _ = train(scenario(), SMALL)
+        trainer = MaddpgTrainer(scenario(), dataclasses.replace(SMALL, seed=9))
+        views = [getattr(a, role) for a in trainer.agents for role in learner.ROLES]
+        trainer.load_state_dict(trained.state_dict())
+        assert [net.theta.tobytes() for net in views] == network_bytes(trained)
+        assert network_bytes(trainer) == network_bytes(trained)
+
+    @pytest.mark.parametrize("role", learner.ROLES)
+    def test_check_finite_names_agent_and_role(self, role):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        trainer.check_finite("start")
+        getattr(trainer.agents[2], role).biases[1][0] = np.nan
+        for stack in trainer.stacks.values():   # a later agent is not named
+            stack[3, 0] = np.inf
+        with pytest.raises(NumericError,
+                           match=f"non-finite parameters in agent 2 {role} at episode 7"):
+            trainer.check_finite("episode 7")
 
 
 class TestTraining:

@@ -84,6 +84,24 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigError, match=rf"{key} has shape \({count}, 3\).*\(4, 3\)"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("key, field, value", [
+        ("users", "position", [1.0, 2.0]),
+        ("users", "cpu_freq", "fast"),
+        ("uavs", "position", [1.0, 2.0, "high"]),
+        ("uavs", "cpu_freq", "fast"),
+        ("users", "tx_power", [1.0, 1.1]),
+    ], ids=["user-position-2d", "user-cpu_freq-str", "uav-position-str", "uav-cpu_freq-str",
+            "user-tx_power-vector"])
+    def test_snapshot_bad_row_names_key_and_field(self, key, field, value):
+        data = build_scenario(small_config()).to_dict()
+        data[key][1][field] = value
+        with pytest.raises(ConfigError, match=f"{key} field '{field}'"):
+            Scenario.from_dict(data)
+        for row in data[key]:          # the same value in every row
+            row[field] = value
+        with pytest.raises(ConfigError, match=f"{key} field '{field}'|{key} has shape"):
+            Scenario.from_dict(data)
+
     def test_snapshot_missing_key_names_it(self):
         data = build_scenario(small_config()).to_dict()
         del data["uavs"][0]["half_angle_deg"]

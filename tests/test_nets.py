@@ -9,7 +9,15 @@ from uavmec.errors import ConfigError
 
 
 def tiny_net(rng, in_dim=3, hidden=4, out_dim=2, activation="tanh"):
-    return nets.init_mlp(in_dim, hidden, out_dim, activation, rng)
+    shapes = nets.mlp_shapes(in_dim, hidden, out_dim)
+    net = nets.MlpParams(np.empty(nets.param_count(shapes)), shapes, activation)
+    nets.init_mlp(net, rng)
+    return net
+
+
+def twin(net):
+    """An independent network with `net`'s parameters."""
+    return nets.MlpParams(net.theta.copy(), net.shapes, net.output_activation)
 
 
 class TestForward:
@@ -25,9 +33,8 @@ class TestForward:
 
     def test_identity_chain_hand_value(self):
         # 1-1-1-1 chain with unit weights, zero biases: relu -> relu -> tanh
-        one = [np.ones((1, 1)) for _ in range(3)]
-        zero = [np.zeros(1) for _ in range(3)]
-        net = nets.MlpParams(weights=one, biases=zero, output_activation="tanh")
+        theta = np.array([1.0, 0.0] * 3)          # per layer: weight, then bias
+        net = nets.MlpParams(theta, [(1, 1)] * 3, "tanh")
         assert nets.mlp_forward(net, np.array([0.5]))[0] == pytest.approx(math.tanh(0.5))
         assert nets.mlp_forward(net, np.array([-0.5]))[0] == 0.0  # relu kills it
 
@@ -140,7 +147,7 @@ class TestSoftUpdate:
     def test_idempotent_when_equal(self):
         rng = np.random.default_rng(22)
         online = tiny_net(rng)
-        target = online.copy()
+        target = twin(online)
         nets.soft_update(target, online, 0.37)
         for tw, ow in zip(target.weights, online.weights):
             assert np.allclose(tw, ow)
@@ -164,7 +171,7 @@ class TestPartialBackward:
     @pytest.mark.parametrize("activation", ["tanh", "linear"])
     def test_partial_products_equal_full_gradients(self, activation):
         rng = np.random.default_rng(30)
-        net = nets.init_mlp(6, 16, 3, activation, rng)
+        net = tiny_net(rng, 6, 16, 3, activation)
         x = rng.normal(size=(32, 6))
         upstream = rng.normal(size=(32, 3))
         grads, dx = nets.mlp_gradients(net, x, upstream)
@@ -192,31 +199,29 @@ class TestFlatParameters:
         net.weights[1][0, 0] = 7.0
         assert 7.0 in net.theta
 
-    def test_copy_is_independent(self):
-        net = tiny_net(np.random.default_rng(41))
-        twin = net.copy()
-        before = net.flat()
-        twin.theta += 1.0
-        twin.biases[0][...] = 5.0
-        assert np.array_equal(net.flat(), before)
-        assert not np.shares_memory(twin.theta, net.theta)
-        assert all(np.shares_memory(w, twin.theta) for w in twin.weights)
+    def test_theta_row_is_used_without_copy(self):
+        shapes = nets.mlp_shapes(3, 4, 2)
+        stack = np.zeros((3, nets.param_count(shapes)))
+        net = nets.MlpParams(stack[1], shapes, "tanh")
+        assert net.theta.base is stack
+        nets.init_mlp(net, np.random.default_rng(41))
+        net.biases[0][...] = 5.0
+        assert np.array_equal(stack[1], net.theta) and 5.0 in stack[1]
+        assert not stack[0].any() and not stack[2].any()
+        assert all(np.shares_memory(w, stack) for w in net.weights + net.biases)
 
-    def test_flat_round_trip(self):
-        rng = np.random.default_rng(42)
-        net, other = tiny_net(rng), tiny_net(rng)
-        theta = net.flat()
-        other.load_flat(theta)
-        assert other.theta.tobytes() == net.theta.tobytes()
-        for w, v in zip(other.weights, net.weights):
-            assert np.array_equal(w, v)
-        with pytest.raises(ConfigError):
-            other.load_flat(theta[:-1])
+    def test_constructor_checks_theta_shape_and_activation(self):
+        shapes = nets.mlp_shapes(3, 4, 2)
+        size = nets.param_count(shapes)
+        for theta in (np.zeros(size - 1), np.zeros((1, size)), np.zeros(size + 1)):
+            with pytest.raises(ConfigError, match="parameter vector shape"):
+                nets.MlpParams(theta, shapes, "tanh")
+        with pytest.raises(ConfigError, match="unknown output activation"):
+            nets.MlpParams(np.zeros(size), shapes, "relu")
 
     def test_constructor_packs_layer_order(self):
-        w = [np.full((2, 3), 1.0), np.full((1, 2), 3.0)]
-        b = [np.full(2, 2.0), np.full(1, 4.0)]
-        net = nets.MlpParams(weights=w, biases=b, output_activation="linear")
-        assert net.theta.tolist() == [1.0] * 6 + [2.0] * 2 + [3.0] * 2 + [4.0]
-        with pytest.raises(ConfigError):
-            nets.MlpParams(weights=w, biases=b[::-1], output_activation="linear")
+        net = nets.MlpParams(np.arange(11.0), [(2, 3), (1, 2)], "linear")
+        assert net.weights[0].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert net.biases[0].tolist() == [6.0, 7.0]
+        assert net.weights[1].tolist() == [[8.0, 9.0]]
+        assert net.biases[1].tolist() == [10.0]
