@@ -11,6 +11,17 @@ moments.
 Each role (actor, critic, target_actor, target_critic) is stored as one
 (num_agents, P) array, `MaddpgTrainer.stacks[role]`, whose row n is the `theta`
 of agent n's network of that role: a write through either is seen by both.
+Each row keeps the `nets` layout, (fan_out, fan_in) weights then biases per
+layer. The actor and target-actor stacks are also viewed as `nets.MlpStack`s,
+built once, so acting runs all actors in one stacked forward pass, and each
+TD target runs all target actors in one.
+
+A warm slot draws every agent's replay batch at once, (num_agents,
+batch_size) indices in one call, and normalises them together. The critic,
+actor and soft updates then run agent by agent, as in sequential MADDPG
+(Lowe et al. 2017, arXiv:1706.02275): agent n + 1's TD target reads agent
+n's target actor as just blended, so the agents cannot be updated as one
+stacked step without changing the result.
 
 A checkpoint is one `.npz` archive of plain arrays (schema version 3): `meta`,
 a JSON string holding schema_version, config (the TrainConfig), obs_dim,
@@ -117,11 +128,14 @@ class ReplayBuffer:
     def ready(self, min_fill: int) -> bool:
         return self.size >= min_fill
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
+    def sample(self, batches: int, batch_size: int, rng: np.random.Generator):
+        """(obs, act, rew, next_obs) of `batches` batches, each field shaped
+        (batches, batch_size, ...), at uniform indices drawn in one call: the
+        same indices as `batches` draws of batch_size, in order."""
         if batch_size > self.size:
             raise ConfigError(
                 f"cannot sample {batch_size} from a buffer holding {self.size}")
-        idx = rng.integers(0, self.size, size=batch_size)
+        idx = rng.integers(0, self.size, size=(batches, batch_size))
         return (self.obs[idx], self.act[idx], self.rew[idx], self.next_obs[idx])
 
     def restore(self, contents: dict, size: int, cursor: int):
@@ -185,6 +199,8 @@ class MaddpgTrainer:
             nets.init_mlp(a.critic, self.rng)
         self.stacks["target_actor"][...] = self.stacks["actor"]
         self.stacks["target_critic"][...] = self.stacks["critic"]
+        self.actors = nets.MlpStack(self.stacks["actor"], *actor)
+        self.target_actors = nets.MlpStack(self.stacks["target_actor"], *actor)
         self.buffer = ReplayBuffer(config.buffer_capacity,
                                    self.num_agents * self.obs_dim,
                                    self.num_agents * 3)
@@ -199,7 +215,7 @@ class MaddpgTrainer:
         applies on top.
         """
         obs_norm = np.asarray(obs) / self.obs_scale
-        u = np.stack([nets.mlp_forward(a.actor, o) for a, o in zip(self.agents, obs_norm)])
+        u = nets.mlp_forward_stack(self.actors, obs_norm[:, None, :])[:, 0]
         if noise_sigma > 0:
             u = u + self.rng.normal(scale=noise_sigma, size=u.shape)
         return np.clip(u, -1.0, 1.0) * self.max_step
@@ -207,22 +223,25 @@ class MaddpgTrainer:
     # ---- updates ----
 
     def normalise_batch(self, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Network inputs for one `ReplayBuffer.sample` batch: (x, rew, next_obs).
+        """Network inputs for `ReplayBuffer.sample` batches: (x, rew, next_obs),
+        with the leading axes of the sample.
 
         x = [obs, act] / input_scale is the critic input with the stored
         actions; next_obs is divided by the box extents.
         """
         obs, act, rew, next_obs = batch
-        return np.hstack([obs, act]) / self.input_scale, rew, next_obs / self.joint_obs_scale
+        x = np.concatenate([obs, act], axis=-1) / self.input_scale
+        return x, rew, next_obs / self.joint_obs_scale
 
     def td_target(self, agent: int, batch) -> np.ndarray:
-        """y = r + gamma * Q'(S', A') with A' from the target actors."""
+        """y = r + gamma * Q'(S', A') with A' from one stacked pass of the target actors."""
         _, rew, next_obs = batch
-        d = self.obs_dim
-        next_actions = [nets.mlp_forward(a.target_actor, next_obs[:, n * d:(n + 1) * d])
-                        for n, a in enumerate(self.agents)]
-        q_next = nets.mlp_forward(self.agents[agent].target_critic,
-                                  np.hstack([next_obs] + next_actions))
+        batch_size = next_obs.shape[0]
+        own_obs = next_obs.reshape(batch_size, self.num_agents, self.obs_dim).transpose(1, 0, 2)
+        next_actions = nets.mlp_forward_stack(self.target_actors, own_obs)
+        critic_in = np.concatenate(
+            [next_obs, next_actions.transpose(1, 0, 2).reshape(batch_size, -1)], axis=1)
+        q_next = nets.mlp_forward(self.agents[agent].target_critic, critic_in)
         return rew + self.config.gamma * q_next[:, 0]
 
     def critic_update(self, agent: int, batch) -> float:
@@ -268,10 +287,7 @@ class MaddpgTrainer:
 
     def check_finite(self, where: str):
         """NumericError naming the first agent, then role, with a non-finite parameter."""
-        finite = np.array([np.isfinite(self.stacks[role]).all(axis=1) for role in ROLES])
-        if not finite.all():
-            n, r = np.argwhere(~finite.T)[0]
-            raise NumericError(f"non-finite parameters in agent {n} {ROLES[r]} at {where}")
+        check_finite_stacks(self.stacks, f"at {where}")
 
     # ---- checkpoints ----
 
@@ -289,7 +305,8 @@ class MaddpgTrainer:
 
     def load_state_dict(self, state: dict):
         """Restore from `state_dict()` output. If it does not fit this trainer,
-        raise ConfigError naming the entry, before anything is changed."""
+        raise ConfigError naming the entry, or NumericError naming the first
+        agent and role with a non-finite parameter, before anything is changed."""
         meta = checkpoint_meta(state)
         require(meta["obs_dim"] == self.obs_dim, f"checkpoint has obs_dim={meta['obs_dim']}, "
                                                  f"this trainer needs {self.obs_dim}")
@@ -298,6 +315,7 @@ class MaddpgTrainer:
             require(np.shape(state[role]) == need,
                     f"checkpoint {role} stack has shape {np.shape(state[role])}, "
                     f"this trainer needs (num_agents, parameters) = {need}")
+        check_finite_stacks(state, "in the checkpoint")
         try:   # on a scratch generator, so a bad state changes nothing here
             type(self.rng.bit_generator)().state = meta["rng_state"]
         except (TypeError, ValueError, KeyError) as exc:
@@ -339,6 +357,15 @@ class MaddpgTrainer:
         trainer = cls(scenario, TrainConfig(**config))
         trainer.load_state_dict(state)
         return trainer
+
+
+def check_finite_stacks(stacks: dict, where: str):
+    """NumericError naming the first agent, then role, whose `stacks[role]` row
+    holds a non-finite parameter."""
+    finite = np.array([np.isfinite(stacks[role]).all(axis=1) for role in ROLES])
+    if not finite.all():
+        n, r = np.argwhere(~finite.T)[0]
+        raise NumericError(f"non-finite parameters in agent {n} {ROLES[r]} {where}")
 
 
 def checkpoint_meta(state: dict) -> dict:
@@ -386,9 +413,10 @@ def train(scenario: Scenario, config: TrainConfig,
             trainer.buffer.push(obs.ravel(), actions.ravel(), reward,
                                 next_obs.ravel())
             if trainer.buffer.ready(config.min_fill):
+                batches = trainer.normalise_batch(trainer.buffer.sample(
+                    trainer.num_agents, config.batch_size, trainer.rng))
                 for n in range(trainer.num_agents):
-                    batch = trainer.normalise_batch(
-                        trainer.buffer.sample(config.batch_size, trainer.rng))
+                    batch = tuple(part[n] for part in batches)
                     trainer.critic_update(n, batch)
                     trainer.actor_update(n, batch)
                     trainer.soft_update_agent(n)

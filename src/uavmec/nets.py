@@ -6,12 +6,23 @@ training loop stays dependency-free and bit-reproducible.
 
 A network keeps all its parameters in one flat vector, `MlpParams.theta`,
 which may be a row of a larger array (the trainer keeps one row per agent);
-the per-layer weights and biases are views into it, so a blend or a
-gradient step is one array operation per network. Gradients use the same
-flat layout. `mlp_activations` is the checked forward pass that keeps every
-layer's activation, and `mlp_backward` runs the reverse pass over that cache
-and computes only the products asked for: the parameter gradient, the input
-gradient, or both.
+layer by layer it holds the (fan_out, fan_in) weight matrix, row-major, then
+the fan_out biases, and the per-layer weights and biases are views into it,
+so a blend or a gradient step is one array operation per network. Gradients
+use the same flat layout. `mlp_activations` is the checked forward pass that
+keeps every layer's activation, and `mlp_backward` runs the reverse pass over
+that cache and computes only the products asked for: the parameter gradient,
+the input gradient, or both.
+
+`MlpStack` views an (N, P) array of such rows as N networks of one shape, and
+`mlp_forward_stack` runs all N on their own batches in one stacked pass. Each
+stacked product is the per-network product, computed by the same BLAS call on
+the same memory, so a stacked pass is bitwise equal to N `mlp_forward` calls.
+
+The weights stay (fan_out, fan_in). Storing them (fan_in, fan_out) makes the
+B = 128 forward product cheaper, but OpenBLAS then sums in another order for
+a single input row (a gemv over columns, not rows) and for small batches (its
+small-matrix kernels), so the results differ in the last bits.
 """
 
 from __future__ import annotations
@@ -33,9 +44,10 @@ class MlpParams:
                  output_activation: str):
         if output_activation not in ("tanh", "linear"):
             raise ConfigError(f"unknown output activation {output_activation!r}")
-        if theta.shape != (param_count(shapes),):
+        size = param_count(shapes)
+        if theta.shape != (size,):
             raise ConfigError(f"parameter vector shape {theta.shape} != "
-                              f"({param_count(shapes)},) for layers {shapes}")
+                              f"({size},) for layers {shapes}")
         self.theta = theta
         self.shapes = shapes                  # (fan_out, fan_in) per layer
         self.output_activation = output_activation   # "tanh" | "linear"
@@ -54,6 +66,30 @@ class MlpParams:
     @property
     def in_dim(self) -> int:
         return self.shapes[0][1]
+
+
+class MlpStack:
+    """N networks of one shape whose `theta` vectors are the rows of `stack` (N, P).
+
+    Per layer, `kernels` are (N, fan_in, fan_out) views of the stored weights,
+    each the transpose of that row's (fan_out, fan_in) matrix, and `biases` are
+    (N, 1, fan_out) views; a write to `stack` is seen through both.
+    """
+
+    def __init__(self, stack: np.ndarray, shapes: list[tuple[int, int]],
+                 output_activation: str):
+        if stack.ndim != 2 or stack.shape[1] != param_count(shapes):
+            raise ConfigError(f"parameter stack shape {stack.shape} != "
+                              f"(N, {param_count(shapes)}) for layers {shapes}")
+        num = len(stack)
+        self.kernels, self.biases, i = [], [], 0
+        for fan_out, fan_in in shapes:   # each row laid out as in MlpParams.views
+            j = i + fan_out * fan_in
+            self.kernels.append(stack[:, i:j].reshape(num, fan_out, fan_in).transpose(0, 2, 1))
+            self.biases.append(stack[:, j:j + fan_out][:, None, :])
+            i = j + fan_out
+        self.in_dim = shapes[0][1]
+        self.output_activation = output_activation
 
 
 def mlp_shapes(in_dim: int, hidden: int, out_dim: int) -> list[tuple[int, int]]:
@@ -97,17 +133,34 @@ def mlp_activations(params: MlpParams, batch: np.ndarray) -> list[np.ndarray]:
     """
     if batch.ndim != 2 or batch.shape[1] != params.in_dim:
         raise ConfigError(f"input shape {batch.shape} != (batch, {params.in_dim})")
-    acts = [batch]
-    last = len(params.weights) - 1
-    h = batch
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
+    return _activations(batch, [w.T for w in params.weights], params.biases,
+                        params.output_activation)
+
+
+def mlp_forward_stack(stack: MlpStack, x: np.ndarray) -> np.ndarray:
+    """Outputs (N, B, out) of the N stacked networks, network n on batch x[n].
+
+    Bitwise equal to `mlp_forward(net_n, x[n])` for every n.
+    """
+    if x.ndim != 3 or x.shape[0] != len(stack.kernels[0]) or x.shape[2] != stack.in_dim:
+        raise ConfigError(f"input shape {x.shape} != "
+                          f"({len(stack.kernels[0])}, batch, {stack.in_dim})")
+    return _activations(x, stack.kernels, stack.biases, stack.output_activation)[-1]
+
+
+def _activations(h: np.ndarray, kernels: list[np.ndarray], biases: list[np.ndarray],
+                 output_activation: str) -> list[np.ndarray]:
+    """Every layer's activation of h (..., B, in) through (..., in, out) kernels,
+    the input first; bias and activation are applied in place."""
+    acts = [h]
+    last = len(kernels) - 1
+    for i, (k, b) in enumerate(zip(kernels, biases)):
+        h = np.matmul(h, k)
+        h += b
         if i < last:
-            h = np.maximum(z, 0.0)
-        elif params.output_activation == "tanh":
-            h = np.tanh(z)
-        else:
-            h = z
+            np.maximum(h, 0.0, out=h)
+        elif output_activation == "tanh":
+            np.tanh(h, out=h)
         acts.append(h)
     return acts
 
@@ -133,12 +186,13 @@ def mlp_backward(params: MlpParams, acts: list[np.ndarray], upstream: np.ndarray
     for i in range(len(params.weights) - 1, -1, -1):
         if params_grad:
             np.matmul(delta.T, acts[i], out=grad_w[i])
-            np.sum(delta, axis=0, out=grad_b[i])
+            np.add.reduce(delta, axis=0, out=grad_b[i])
         if i == 0 and not input_grad:
             break
-        delta = delta @ params.weights[i]
+        # np.dot, unlike matmul, hands the critic head's K = 1 product to BLAS
+        delta = np.dot(delta, params.weights[i])
         if i > 0:
-            delta = delta * (acts[i] > 0.0)
+            delta *= acts[i] > 0.0
     return grad, (delta if input_grad else None)
 
 

@@ -1,9 +1,10 @@
-"""Seeded rollouts and scenario snapshots whose outputs are frozen in tests/data/.
+"""Seeded rollouts, scenario snapshots and training runs frozen in tests/data/.
 
-The runs use only the environment's public surface (build_scenario,
-EdgeComputeEnv, the allocators, uav_positions/user_positions and
-Scenario.save), so the same file checks any implementation of the world
-state. Regenerate the data only for a declared behaviour change:
+The runs use only the public surface (build_scenario, EdgeComputeEnv, the
+allocators, uav_positions/user_positions, Scenario.save, learner.train and
+each network's logical (fan_out, fan_in) `weights` and `biases`), so the same
+file checks any implementation of the world state or of the learner's
+parameter layout. Regenerate the data only for a declared behaviour change:
 
     PYTHONPATH=src python tests/_frozen.py
 """
@@ -19,10 +20,12 @@ import numpy as np
 from uavmec.allocator import cd_search
 from uavmec.baselines import ao_allocate, rt_actions
 from uavmec.env import EdgeComputeEnv
+from uavmec.learner import ROLES, TrainConfig, train
 from uavmec.model import ScenarioConfig, build_scenario
 
 DATA = Path(__file__).parent / "data"
 ROLLOUTS = DATA / "rollouts.json"
+TRAINING = DATA / "training.json"
 SNAPSHOT_SLOTS = (0, 25)
 
 ALLOCATORS = {"cd_search": cd_search, "ao_allocate": ao_allocate}
@@ -88,6 +91,43 @@ def walked_scenario(walk_slots: int):
     return scenario
 
 
+# 5 x 60 slots on the default 10 x 4 scenario: the first 32 (128) slots fill
+# the buffer, every later one runs all four agents' updates.
+TRAINING_SPECS = {
+    f"10x4-batch{batch}": dict(
+        scenario=dict(horizon=60, rng_seed=5),
+        train=dict(episodes=5, min_fill=batch, batch_size=batch, buffer_capacity=2000,
+                   seed=3))
+    for batch in (32, 128)
+}
+
+
+def networks_sha256(trainer) -> str:
+    """Hash of every network's weights (fan_out, fan_in), then biases, layer by
+    layer, role by role, agent by agent: logical values in C order, whatever
+    the storage layout."""
+    digest = hashlib.sha256()
+    for agent in trainer.agents:
+        for role in ROLES:
+            net = getattr(agent, role)
+            for w, b in zip(net.weights, net.biases):
+                digest.update(w.tobytes())
+                digest.update(b.tobytes())
+    return digest.hexdigest()
+
+
+def training_run(spec: dict) -> dict:
+    """The seeded `train()` history as hex floats, plus the final networks' hash."""
+    scenario = build_scenario(ScenarioConfig(**spec["scenario"]))
+    trainer, history = train(scenario, TrainConfig(**spec["train"]))
+    return {
+        "episode_reward": [float(r).hex() for r in history.episode_reward],
+        "episode_mean_dor": [float(d).hex() for d in history.episode_mean_dor],
+        "episode_violations": [int(v) for v in history.episode_violations],
+        "networks_sha256": networks_sha256(trainer),
+    }
+
+
 def record():
     frozen = {name: dict(spec, slots=rollout(spec)) for name, spec in ROLLOUT_SPECS.items()}
     with open(ROLLOUTS, "w") as fh:
@@ -101,6 +141,9 @@ def record():
         fh.write("}\n")
     for walk_slots in SNAPSHOT_SLOTS:
         walked_scenario(walk_slots).save(snapshot_path(walk_slots))
+    training = {name: dict(spec, **training_run(spec))
+                for name, spec in TRAINING_SPECS.items()}
+    TRAINING.write_text(json.dumps(training, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

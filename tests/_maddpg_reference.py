@@ -1,28 +1,65 @@
-"""Reference MADDPG slot: the per-array learner update the flat path must reproduce.
+"""Reference MADDPG slot: the per-agent learner update the fast path must reproduce.
 
-Acting, the critic and actor updates and the soft update as they were before
-the learner kept one flat parameter vector per network: batches are
-normalised per use, the critic runs its forward pass again inside
-`nets.mlp_gradients`, and the gradient step and target blend walk the
-per-layer arrays. Only `nets.mlp_forward` and `nets.mlp_gradients` are shared
-with the fast path.
+Acting, replay draws, the critic and actor updates and the soft update as
+plain per-network, per-layer numpy over each network's `weights` and `biases`
+views: a forward pass is `h @ w.T + b` then relu or tanh, a backward pass the
+per-layer `delta @ w` loop. Every agent acts through its own forward pass,
+every TD target runs one forward pass per target actor, each agent draws its
+own replay batch and normalises it where it is used, and the gradient step
+and target blend walk the per-layer arrays. Nothing here calls `nets`, so
+the fast path's stacked passes, one-call replay draw and in-place kernels are
+all checked against it.
 """
 
 import numpy as np
 
-from uavmec import nets
 from uavmec.env import EdgeComputeEnv
 from uavmec.learner import MaddpgTrainer, TrainingHistory
+
+
+def activations(net, x):
+    acts = [x]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        if i < last:
+            z = np.maximum(z, 0.0)
+        elif net.output_activation == "tanh":
+            z = np.tanh(z)
+        acts.append(z)
+    return acts
+
+
+def forward(net, x):
+    return activations(net, x)[-1]
+
+
+def gradients(net, x, upstream):
+    """([(dW, db) per layer], d_input) of sum_b <upstream_b, output_b>."""
+    acts = activations(net, x)
+    delta = upstream * (1.0 - acts[-1] ** 2) if net.output_activation == "tanh" else upstream
+    grads = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads.insert(0, (delta.T @ acts[i], np.sum(delta, axis=0)))
+        delta = delta @ net.weights[i]
+        if i > 0:
+            delta = delta * (acts[i] > 0.0)
+    return grads, delta
 
 
 def joint_actions(tr: MaddpgTrainer, obs, noise_sigma):
     rows = []
     for n in range(tr.num_agents):
-        u = nets.mlp_forward(tr.agents[n].actor, np.asarray(obs[n]) / tr.obs_scale)
+        u = forward(tr.agents[n].actor, (np.asarray(obs[n]) / tr.obs_scale)[None, :])[0]
         if noise_sigma > 0:
             u = u + tr.rng.normal(scale=noise_sigma, size=3)
         rows.append(np.clip(u, -1.0, 1.0) * tr.max_step)
     return np.stack(rows)
+
+
+def sample(buffer, batch_size, rng):
+    idx = rng.integers(0, buffer.size, size=batch_size)
+    return buffer.obs[idx], buffer.act[idx], buffer.rew[idx], buffer.next_obs[idx]
 
 
 def split_obs(tr, joint_obs, agent):
@@ -36,10 +73,10 @@ def critic_input(tr, joint_obs, joint_act_norm):
 
 def td_target(tr, agent, batch):
     _, _, rew, next_obs = batch
-    cols = [nets.mlp_forward(tr.agents[n].target_actor, split_obs(tr, next_obs, n) / tr.obs_scale)
+    cols = [forward(tr.agents[n].target_actor, split_obs(tr, next_obs, n) / tr.obs_scale)
             for n in range(tr.num_agents)]
-    q_next = nets.mlp_forward(tr.agents[agent].target_critic,
-                              critic_input(tr, next_obs, np.hstack(cols)))
+    q_next = forward(tr.agents[agent].target_critic,
+                     critic_input(tr, next_obs, np.hstack(cols)))
     return rew + tr.config.gamma * q_next[:, 0]
 
 
@@ -54,10 +91,10 @@ def critic_update(tr, agent, batch):
     y = td_target(tr, agent, batch)
     x = critic_input(tr, obs, act / tr.max_step)
     critic = tr.agents[agent].critic
-    q = nets.mlp_forward(critic, x)[:, 0]
+    q = forward(critic, x)[:, 0]
     err = q - y
     upstream = (2.0 / err.size) * err[:, None]
-    grads, _ = nets.mlp_gradients(critic, x, upstream)
+    grads, _ = gradients(critic, x, upstream)
     apply_gradients(critic, grads, -tr.config.lr_critic)
     return float(np.mean(err ** 2))
 
@@ -67,13 +104,13 @@ def actor_update(tr, agent, batch):
     own_obs_norm = split_obs(tr, obs, agent) / tr.obs_scale
     actor = tr.agents[agent].actor
     joint_u = (act / tr.max_step).copy()
-    joint_u[:, agent * 3:(agent + 1) * 3] = nets.mlp_forward(actor, own_obs_norm)
+    joint_u[:, agent * 3:(agent + 1) * 3] = forward(actor, own_obs_norm)
     x = critic_input(tr, obs, joint_u)
     batch_size = obs.shape[0]
     upstream = np.full((batch_size, 1), 1.0 / batch_size)
-    _, dx = nets.mlp_gradients(tr.agents[agent].critic, x, upstream)
+    _, dx = gradients(tr.agents[agent].critic, x, upstream)
     act_cols = tr.num_agents * tr.obs_dim + agent * 3
-    grads, _ = nets.mlp_gradients(actor, own_obs_norm, dx[:, act_cols:act_cols + 3])
+    grads, _ = gradients(actor, own_obs_norm, dx[:, act_cols:act_cols + 3])
     apply_gradients(actor, grads, +tr.config.lr_actor)
 
 
@@ -107,7 +144,7 @@ def training_slots(scenario, config, history: TrainingHistory):
             trainer.buffer.push(obs.ravel(), actions.ravel(), reward, next_obs.ravel())
             if trainer.buffer.ready(config.min_fill):
                 for n in range(trainer.num_agents):
-                    batch = trainer.buffer.sample(config.batch_size, trainer.rng)
+                    batch = sample(trainer.buffer, config.batch_size, trainer.rng)
                     critic_update(trainer, n, batch)
                     actor_update(trainer, n, batch)
                     soft_update_agent(trainer, n)

@@ -48,3 +48,20 @@ class TestFrozenSnapshots:
                 assert got.dtype == array.dtype and got.shape == array.shape, (bundle, name)
                 assert got.tobytes() == array.tobytes(), (bundle, name)
         assert loaded.initial_uav_positions.tobytes() == live.initial_uav_positions.tobytes()
+
+
+TRAINED = json.loads(_frozen.TRAINING.read_text())
+
+
+class TestFrozenTraining:
+    # recorded from the learner that stored weights (fan_out, fan_in) and ran
+    # one forward pass per agent; a rewrite of the kernels, the layout or the
+    # replay draws must keep every history bit and every parameter
+    def test_specs_match_the_recording(self):
+        assert {name: {k: run[k] for k in ("scenario", "train")}
+                for name, run in TRAINED.items()} == _frozen.TRAINING_SPECS
+
+    @pytest.mark.parametrize("name", sorted(_frozen.TRAINING_SPECS))
+    def test_training_matches_recorded(self, name):
+        expected = {k: v for k, v in TRAINED[name].items() if k not in ("scenario", "train")}
+        assert _frozen.training_run(_frozen.TRAINING_SPECS[name]) == expected

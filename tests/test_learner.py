@@ -69,23 +69,30 @@ class TestCheckpointInput:
         with pytest.raises(ConfigError, match="obs_dim"):
             MaddpgTrainer(scenario(), SMALL).load_state_dict(state)
 
-    @pytest.mark.parametrize("meta, message", [
-        ({"rng_state": {"bit_generator": "MT19937"}}, "rng_state"),
-        ({"buffer_size": 25}, "replay field obs"),
-        ({"buffer_size": "0"}, "buffer_size must be an integer"),
-        ({"buffer_size": True}, "buffer_size must be an integer"),
-        ({"buffer_cursor": 1.5}, "buffer_cursor must be an integer"),
-        ({"obs_dim": 3.0}, "obs_dim must be an integer"),
-        ({"config": []}, "config must be a JSON object"),
-        ({"rng_state": "PCG64"}, "rng_state must be a JSON object"),
+    @pytest.mark.parametrize("edit, error, message", [
+        ({"rng_state": {"bit_generator": "MT19937"}}, ConfigError, "rng_state"),
+        ({"buffer_size": 25}, ConfigError, "replay field obs"),
+        ({"buffer_size": "0"}, ConfigError, "buffer_size must be an integer"),
+        ({"buffer_size": True}, ConfigError, "buffer_size must be an integer"),
+        ({"buffer_cursor": 1.5}, ConfigError, "buffer_cursor must be an integer"),
+        ({"obs_dim": 3.0}, ConfigError, "obs_dim must be an integer"),
+        ({"config": []}, ConfigError, "config must be a JSON object"),
+        ({"rng_state": "PCG64"}, ConfigError, "rng_state must be a JSON object"),
+        (("actor", 1, np.nan), NumericError, "agent 1 actor in the checkpoint"),
+        (("target_critic", 3, -np.inf), NumericError, "agent 3 target_critic in the checkpoint"),
     ], ids=["rng_state", "buffer_size", "buffer_size-str", "buffer_size-bool",
-            "buffer_cursor-float", "obs_dim-float", "config-list", "rng_state-str"])
-    def test_rejected_state_changes_nothing(self, meta, message):
+            "buffer_cursor-float", "obs_dim-float", "config-list", "rng_state-str",
+            "actor-nan", "target_critic-inf"])
+    def test_rejected_state_changes_nothing(self, edit, error, message):
         state = train(scenario(), SMALL)[0].state_dict()   # 24 replay rows
-        state["meta"] = edit_meta(state, **meta)
+        if isinstance(edit, dict):
+            state["meta"] = edit_meta(state, **edit)
+        else:
+            role, agent, value = edit
+            state[role][agent, -1] = value
         trainer = MaddpgTrainer(scenario(), SMALL)
         before = network_bytes(trainer), replay_bytes(trainer), trainer.rng.bit_generator.state
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(error, match=message):
             trainer.load_state_dict(state)
         assert (network_bytes(trainer), replay_bytes(trainer),
                 trainer.rng.bit_generator.state) == before
@@ -132,8 +139,8 @@ class TestCheckpointInput:
         assert (loaded.buffer.size, loaded.buffer.cursor) == (trainer.buffer.size,
                                                               trainer.buffer.cursor)
         assert replay_bytes(loaded) == replay_bytes(trainer)
-        draw = trainer.buffer.sample(8, trainer.rng)
-        again = loaded.buffer.sample(8, loaded.rng)
+        draw = trainer.buffer.sample(2, 8, trainer.rng)
+        again = loaded.buffer.sample(2, 8, loaded.rng)
         for a, b in zip(draw, again):
             assert a.tobytes() == b.tobytes()
 
@@ -220,6 +227,30 @@ class TestCheckpointInput:
         assert calls == ["fsync", "replace"]
 
 
+class TestReplayBuffer:
+    def test_one_draw_equals_one_draw_per_batch(self):
+        buffer = learner.ReplayBuffer(50, 2, 2)
+        for i in range(40):
+            buffer.push(np.full(2, i), np.full(2, -i), float(i), np.full(2, i + 0.5))
+        obs, act, rew, next_obs = buffer.sample(4, 16, np.random.default_rng(60))
+        assert obs.shape == (4, 16, 2) and rew.shape == (4, 16)
+        rng = np.random.default_rng(60)
+        for n in range(4):
+            idx = rng.integers(0, 40, size=16)
+            assert np.array_equal(rew[n], idx) and np.array_equal(obs[n, :, 0], idx)
+            assert np.array_equal(act[n, :, 1], -idx)
+            assert np.array_equal(next_obs[n, :, 0], idx + 0.5)
+
+    def test_batch_larger_than_fill_rejected(self):
+        buffer = learner.ReplayBuffer(50, 2, 2)
+        buffer.push(np.zeros(2), np.zeros(2), 0.0, np.zeros(2))
+        rng = np.random.default_rng(61)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="cannot sample 2"):
+            buffer.sample(4, 2, rng)
+        assert rng.bit_generator.state == state
+
+
 class TestParameterStacks:
     def test_agent_networks_are_rows_of_role_stacks(self):
         trainer = MaddpgTrainer(scenario(), SMALL)
@@ -231,6 +262,13 @@ class TestParameterStacks:
                 assert all(np.shares_memory(p, stack[n]) for p in net.weights + net.biases)
                 others = np.delete(np.arange(trainer.num_agents), n)
                 assert not any(np.shares_memory(net.theta, stack[m]) for m in others)
+
+    def test_actor_stacks_view_the_role_stacks(self):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        for stack, role in ((trainer.actors, "actor"), (trainer.target_actors, "target_actor")):
+            for kernel, bias in zip(stack.kernels, stack.biases):
+                assert np.shares_memory(kernel, trainer.stacks[role])
+                assert np.shares_memory(bias, trainer.stacks[role])
 
     def test_targets_start_as_copies_of_online_stacks(self):
         trainer = MaddpgTrainer(scenario(), SMALL)

@@ -66,9 +66,8 @@ class TestGradients:
         net = tiny_net(rng, in_dim=3, hidden=4, out_dim=2, activation=activation)
         x = rng.normal(size=(4, 3))
         upstream = rng.normal(size=(4, 2))
-        grads, _ = nets.mlp_gradients(net, x, upstream)
-        analytic = np.concatenate(
-            [np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
+        analytic, _ = nets.mlp_backward(net, nets.mlp_activations(net, x), upstream,
+                                        input_grad=False)   # laid out like theta
 
         def objective():
             return float(np.sum(upstream * nets.mlp_forward(net, x)))
@@ -225,3 +224,66 @@ class TestFlatParameters:
         assert net.biases[0].tolist() == [6.0, 7.0]
         assert net.weights[1].tolist() == [[8.0, 9.0]]
         assert net.biases[1].tolist() == [10.0]
+
+
+def role_stack(rng, num, in_dim, hidden, out_dim, activation):
+    """An online and a target (num, P) stack, rows initialised like the trainer's,
+    the target written by one soft update, and the target's per-row networks."""
+    shapes = nets.mlp_shapes(in_dim, hidden, out_dim)
+    online, target = (np.empty((num, nets.param_count(shapes))) for _ in range(2))
+    rows = [nets.MlpParams(row, shapes, activation) for row in online]
+    for net in rows:
+        nets.init_mlp(net, rng)
+    target[...] = online
+    online += rng.normal(scale=0.1, size=online.shape)
+    targets = [nets.MlpParams(row, shapes, activation) for row in target]
+    for t, o in zip(targets, rows):
+        nets.soft_update(t, o, 0.3)
+    return nets.MlpStack(target, shapes, activation), targets
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("batch", [1, 128])
+    @pytest.mark.parametrize("in_dim, out_dim, activation, strided", [
+        (3, 3, "tanh", True),      # actors, on column blocks of the joint observation
+        (24, 1, "linear", False),  # critics
+    ], ids=["actor", "critic"])
+    def test_bitwise_equal_to_per_network_forward(self, batch, in_dim, out_dim,
+                                                  activation, strided):
+        rng = np.random.default_rng(50)
+        stack, targets = role_stack(rng, 4, in_dim, 64, out_dim, activation)
+        if strided:
+            joint = rng.normal(size=(batch, 4 * in_dim))
+            x = joint.reshape(batch, 4, in_dim).transpose(1, 0, 2)
+        else:
+            x = rng.normal(size=(4, batch, in_dim))
+        out = nets.mlp_forward_stack(stack, x)
+        assert out.shape == (4, batch, out_dim)
+        for n, net in enumerate(targets):
+            assert out[n].tobytes() == nets.mlp_forward(net, x[n]).tobytes()
+
+    def test_views_follow_writes_to_the_stack(self):
+        rng = np.random.default_rng(51)
+        stack, targets = role_stack(rng, 3, 3, 8, 2, "tanh")
+        for kernel, bias, w, b in zip(stack.kernels, stack.biases,
+                                      targets[2].weights, targets[2].biases):
+            assert kernel.shape[0] == 3 and bias.shape == (3, 1, w.shape[0])
+            assert np.array_equal(kernel[2], w.T) and np.array_equal(bias[2, 0], b)
+            assert np.shares_memory(kernel, targets[0].theta.base)
+        x = rng.normal(size=(3, 5, 3))
+        before = nets.mlp_forward_stack(stack, x)
+        targets[1].theta += 0.5
+        after = nets.mlp_forward_stack(stack, x)
+        assert np.array_equal(before[[0, 2]], after[[0, 2]])
+        assert not np.array_equal(before[1], after[1])
+
+    def test_shapes_checked(self):
+        rng = np.random.default_rng(52)
+        stack, targets = role_stack(rng, 3, 3, 8, 2, "tanh")
+        for x in (np.zeros((2, 5, 3)), np.zeros((3, 5, 4)), np.zeros((5, 3))):
+            with pytest.raises(ConfigError, match="input shape"):
+                nets.mlp_forward_stack(stack, x)
+        shapes = targets[0].shapes
+        for bad in (np.zeros(nets.param_count(shapes)), np.zeros((3, 5))):
+            with pytest.raises(ConfigError, match="parameter stack shape"):
+                nets.MlpStack(bad, shapes, "tanh")
