@@ -1,9 +1,8 @@
 """Reference policies sharing the environment and allocator.
 
-random_trajectory: random UAV motion, slot allocation unchanged.
-all_offload: every covered user offloads to its best-rate covering UAV.
-all_local: nobody offloads; the objective is 0 by construction.
-learned: trajectories from a trained policy, allocation unchanged.
+rt_actions: random UAV motion (random trajectory), slot allocation unchanged.
+ao_allocate: every covered user offloads to its best-rate covering UAV.
+al_allocate: nobody offloads; the objective is 0 by construction.
 """
 
 from __future__ import annotations

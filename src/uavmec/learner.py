@@ -12,9 +12,10 @@ Each role (actor, critic, target_actor, target_critic) is stored as one
 (num_agents, P) array, `MaddpgTrainer.stacks[role]`, whose row n is the `theta`
 of agent n's network of that role: a write through either is seen by both.
 Each row keeps the `nets` layout, (fan_out, fan_in) weights then biases per
-layer. The actor and target-actor stacks are also viewed as `nets.MlpStack`s,
-built once, so acting runs all actors in one stacked forward pass, and each
-TD target runs all target actors in one.
+layer. The whole actor and target-actor stacks are also `nets.MlpParams`,
+`MaddpgTrainer.actors` and `target_actors`, built once, so acting runs all
+actors in one stacked forward pass, and each TD target runs all target actors
+in one.
 
 A warm slot draws every agent's replay batch at once, (num_agents,
 batch_size) indices in one call, and normalises them together. The critic,
@@ -77,6 +78,8 @@ class TrainConfig:
         require(self.buffer_capacity >= 1, "buffer_capacity must be >= 1")
         require(self.episodes >= 1, "episodes must be >= 1")
         require(self.batch_size >= 1, "batch_size must be >= 1")
+        require(self.hidden_actor >= 1, f"hidden_actor must be >= 1, got {self.hidden_actor}")
+        require(self.hidden_critic >= 1, f"hidden_critic must be >= 1, got {self.hidden_critic}")
         require(self.min_fill >= self.batch_size,
                 f"min_fill {self.min_fill} must be >= batch_size {self.batch_size}")
         require(self.noise_sigma_start >= self.noise_sigma_end >= 0,
@@ -199,8 +202,8 @@ class MaddpgTrainer:
             nets.init_mlp(a.critic, self.rng)
         self.stacks["target_actor"][...] = self.stacks["actor"]
         self.stacks["target_critic"][...] = self.stacks["critic"]
-        self.actors = nets.MlpStack(self.stacks["actor"], *actor)
-        self.target_actors = nets.MlpStack(self.stacks["target_actor"], *actor)
+        self.actors = nets.MlpParams(self.stacks["actor"], *actor)
+        self.target_actors = nets.MlpParams(self.stacks["target_actor"], *actor)
         self.buffer = ReplayBuffer(config.buffer_capacity,
                                    self.num_agents * self.obs_dim,
                                    self.num_agents * 3)
@@ -215,7 +218,7 @@ class MaddpgTrainer:
         applies on top.
         """
         obs_norm = np.asarray(obs) / self.obs_scale
-        u = nets.mlp_forward_stack(self.actors, obs_norm[:, None, :])[:, 0]
+        u = nets.mlp_activations(self.actors, obs_norm[:, None, :])[-1][:, 0]
         if noise_sigma > 0:
             u = u + self.rng.normal(scale=noise_sigma, size=u.shape)
         return np.clip(u, -1.0, 1.0) * self.max_step
@@ -238,7 +241,7 @@ class MaddpgTrainer:
         _, rew, next_obs = batch
         batch_size = next_obs.shape[0]
         own_obs = next_obs.reshape(batch_size, self.num_agents, self.obs_dim).transpose(1, 0, 2)
-        next_actions = nets.mlp_forward_stack(self.target_actors, own_obs)
+        next_actions = nets.mlp_activations(self.target_actors, own_obs)[-1]
         critic_in = np.concatenate(
             [next_obs, next_actions.transpose(1, 0, 2).reshape(batch_size, -1)], axis=1)
         q_next = nets.mlp_forward(self.agents[agent].target_critic, critic_in)

@@ -78,6 +78,28 @@ class ScenarioConfig:
         require(self.user_mobility in ("static", "random_waypoint"),
                 f"user_mobility must be 'static' or 'random_waypoint', got {self.user_mobility!r}")
         require(self.user_speed >= 0, f"user_speed must be >= 0, got {self.user_speed}")
+        if self.initial_uav_positions is not None:
+            self._check_initial_uav_positions()
+
+    def _check_initial_uav_positions(self):
+        """ConfigError unless there are num_uavs starts, each 3 finite
+        coordinates inside the flight box; a bad start names its UAV."""
+        positions = self.initial_uav_positions
+        require(len(positions) == self.num_uavs, f"initial_uav_positions has "
+                f"{len(positions)} entries, expected num_uavs={self.num_uavs}")
+        low, high = (0.0, 0.0, self.z_min), (self.area_x, self.area_y, self.z_max)
+        for n, position in enumerate(positions):
+            try:
+                row = np.array(position, dtype=float)
+            except (TypeError, ValueError):
+                row = None
+            require(row is not None and row.shape == (3,),
+                    f"initial position of UAV {n} must be 3 numbers, got {position!r}")
+            require(np.isfinite(row).all(),
+                    f"initial position of UAV {n} must be finite, got {position}")
+            require(((row >= low) & (row <= high)).all(),
+                    f"initial position of UAV {n} {position} lies outside the flight box "
+                    f"[0, {self.area_x}] x [0, {self.area_y}] x [{self.z_min}, {self.z_max}]")
 
     @property
     def max_step(self) -> float:
@@ -321,14 +343,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     users = UserArrays(position=np.column_stack([xy, np.zeros(config.num_users)]),
                        cpu_freq=freqs, tx_power=powers)
 
-    if config.initial_uav_positions is not None:
-        if len(config.initial_uav_positions) != config.num_uavs:
-            raise ConfigError(
-                f"initial_uav_positions has {len(config.initial_uav_positions)} entries, "
-                f"expected num_uavs={config.num_uavs}")
+    if config.initial_uav_positions is not None:   # checked by ScenarioConfig
         initial = np.array(config.initial_uav_positions, dtype=float)
-        if (initial[:, 2] < config.z_min).any() or (initial[:, 2] > config.z_max).any():
-            raise ConfigError("initial UAV altitude outside [z_min, z_max]")
     else:
         initial = _default_uav_positions(config, rng)
 
@@ -388,8 +404,8 @@ def pairwise_distances(positions) -> np.ndarray:
 def generate_tasks(scenario: Scenario, slot: int) -> TaskArrays:
     """One task per user for the given slot, keyed by (rng_seed, slot) only."""
     cfg = scenario.config
-    if slot >= cfg.horizon:
-        raise ConfigError(f"slot {slot} outside horizon {cfg.horizon}")
+    if not 0 <= slot < cfg.horizon:
+        raise ConfigError(f"slot {slot} outside horizon [0, {cfg.horizon})")
     rng = np.random.default_rng([cfg.rng_seed, slot])
     bits = rng.uniform(*cfg.task_bits_range, size=cfg.num_users)
     cycles = rng.uniform(*cfg.task_cycles_per_bit_range, size=cfg.num_users)

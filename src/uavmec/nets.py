@@ -14,10 +14,12 @@ keeps every layer's activation, and `mlp_backward` runs the reverse pass over
 that cache and computes only the products asked for: the parameter gradient,
 the input gradient, or both.
 
-`MlpStack` views an (N, P) array of such rows as N networks of one shape, and
-`mlp_forward_stack` runs all N on their own batches in one stacked pass. Each
-stacked product is the per-network product, computed by the same BLAS call on
-the same memory, so a stacked pass is bitwise equal to N `mlp_forward` calls.
+The same type views an (N, P) `theta` as N networks of one shape, weights
+(N, fan_out, fan_in) and biases (N, fan_out), and `mlp_activations` then runs
+all N on their own batches in one stacked pass. Each stacked product is the
+per-network product, computed by the same BLAS call on the same memory, so a
+stacked pass is bitwise equal to N single-network passes. The backward pass
+takes one network at a time.
 
 The weights stay (fan_out, fan_in). Storing them (fan_in, fan_out) makes the
 B = 128 forward product cheaper, but OpenBLAS then sums in another order for
@@ -33,11 +35,13 @@ from .errors import ConfigError
 
 
 class MlpParams:
-    """Layer weights (fan_out, fan_in) and biases (fan_out,) as views into `theta`.
+    """Layer weights (..., fan_out, fan_in) and biases (..., fan_out) as views into `theta`.
 
-    `theta` holds each layer's weights, row-major, then its biases, layer by
-    layer. It is used as given, not copied: writing to a weight or bias
-    writes to `theta` and to the array it is a row of.
+    `theta` is one network's parameter vector (P,), or an (N, P) array whose
+    rows are N networks of the same shape. Each vector holds each layer's
+    weights, row-major, then its biases, layer by layer. It is used as given,
+    not copied: writing to a weight or bias writes to `theta` and to the array
+    it is a row of.
     """
 
     def __init__(self, theta: np.ndarray, shapes: list[tuple[int, int]],
@@ -45,51 +49,29 @@ class MlpParams:
         if output_activation not in ("tanh", "linear"):
             raise ConfigError(f"unknown output activation {output_activation!r}")
         size = param_count(shapes)
-        if theta.shape != (size,):
-            raise ConfigError(f"parameter vector shape {theta.shape} != "
-                              f"({size},) for layers {shapes}")
+        if theta.ndim not in (1, 2) or theta.shape[-1] != size:
+            raise ConfigError(f"parameter vector shape {theta.shape} != ({size},) "
+                              f"or (N, {size}) for layers {shapes}")
         self.theta = theta
         self.shapes = shapes                  # (fan_out, fan_in) per layer
         self.output_activation = output_activation   # "tanh" | "linear"
         self.weights, self.biases = self.views(theta)
 
     def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer (weights, biases) views into a vector laid out like `theta`."""
+        """Per-layer (weights, biases) views into an array laid out like `theta`,
+        sliced along its last axis."""
+        lead = flat.shape[:-1]
         weights, biases, i = [], [], 0
         for fan_out, fan_in in self.shapes:
-            weights.append(flat[i:i + fan_out * fan_in].reshape(fan_out, fan_in))
+            weights.append(flat[..., i:i + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
             i += fan_out * fan_in
-            biases.append(flat[i:i + fan_out])
+            biases.append(flat[..., i:i + fan_out])
             i += fan_out
         return weights, biases
 
     @property
     def in_dim(self) -> int:
         return self.shapes[0][1]
-
-
-class MlpStack:
-    """N networks of one shape whose `theta` vectors are the rows of `stack` (N, P).
-
-    Per layer, `kernels` are (N, fan_in, fan_out) views of the stored weights,
-    each the transpose of that row's (fan_out, fan_in) matrix, and `biases` are
-    (N, 1, fan_out) views; a write to `stack` is seen through both.
-    """
-
-    def __init__(self, stack: np.ndarray, shapes: list[tuple[int, int]],
-                 output_activation: str):
-        if stack.ndim != 2 or stack.shape[1] != param_count(shapes):
-            raise ConfigError(f"parameter stack shape {stack.shape} != "
-                              f"(N, {param_count(shapes)}) for layers {shapes}")
-        num = len(stack)
-        self.kernels, self.biases, i = [], [], 0
-        for fan_out, fan_in in shapes:   # each row laid out as in MlpParams.views
-            j = i + fan_out * fan_in
-            self.kernels.append(stack[:, i:j].reshape(num, fan_out, fan_in).transpose(0, 2, 1))
-            self.biases.append(stack[:, j:j + fan_out][:, None, :])
-            i = j + fan_out
-        self.in_dim = shapes[0][1]
-        self.output_activation = output_activation
 
 
 def mlp_shapes(in_dim: int, hidden: int, out_dim: int) -> list[tuple[int, int]]:
@@ -107,7 +89,7 @@ def init_mlp(params: MlpParams, rng: np.random.Generator):
     weights before biases; a small final layer keeps early outputs near zero."""
     last = len(params.shapes) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        bound = 3e-3 if i == last else 1.0 / np.sqrt(w.shape[1])
+        bound = 3e-3 if i == last else 1.0 / np.sqrt(w.shape[-1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
         b[...] = rng.uniform(-bound, bound, size=b.shape)
 
@@ -127,39 +109,26 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_activations(params: MlpParams, batch: np.ndarray) -> list[np.ndarray]:
-    """Forward pass of a batch (B, in): every layer's activation, the input first.
+    """Forward pass of a batch (B, in), or of an (N, P) `params` on N batches
+    (N, B, in), network n on batch n: every layer's activation, the input first.
 
-    The list is the cache `mlp_backward` reads.
+    Each layer is one `np.matmul` through the transposed weights, so a stacked
+    pass is bitwise equal to N single-network passes. The list is the cache
+    `mlp_backward` reads.
     """
-    if batch.ndim != 2 or batch.shape[1] != params.in_dim:
-        raise ConfigError(f"input shape {batch.shape} != (batch, {params.in_dim})")
-    return _activations(batch, [w.T for w in params.weights], params.biases,
-                        params.output_activation)
-
-
-def mlp_forward_stack(stack: MlpStack, x: np.ndarray) -> np.ndarray:
-    """Outputs (N, B, out) of the N stacked networks, network n on batch x[n].
-
-    Bitwise equal to `mlp_forward(net_n, x[n])` for every n.
-    """
-    if x.ndim != 3 or x.shape[0] != len(stack.kernels[0]) or x.shape[2] != stack.in_dim:
-        raise ConfigError(f"input shape {x.shape} != "
-                          f"({len(stack.kernels[0])}, batch, {stack.in_dim})")
-    return _activations(x, stack.kernels, stack.biases, stack.output_activation)[-1]
-
-
-def _activations(h: np.ndarray, kernels: list[np.ndarray], biases: list[np.ndarray],
-                 output_activation: str) -> list[np.ndarray]:
-    """Every layer's activation of h (..., B, in) through (..., in, out) kernels,
-    the input first; bias and activation are applied in place."""
-    acts = [h]
-    last = len(kernels) - 1
-    for i, (k, b) in enumerate(zip(kernels, biases)):
-        h = np.matmul(h, k)
-        h += b
+    lead = params.theta.shape[:-1]
+    if (batch.ndim != len(lead) + 2 or batch.shape[:-2] != lead
+            or batch.shape[-1] != params.in_dim):
+        need = ", ".join([*map(str, lead), "batch", str(params.in_dim)])
+        raise ConfigError(f"input shape {batch.shape} != ({need})")
+    acts = [batch]
+    last = len(params.shapes) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = np.matmul(acts[-1], w.swapaxes(-1, -2))
+        h += b[..., None, :]    # bias and activation in place
         if i < last:
             np.maximum(h, 0.0, out=h)
-        elif output_activation == "tanh":
+        elif params.output_activation == "tanh":
             np.tanh(h, out=h)
         acts.append(h)
     return acts
@@ -172,8 +141,11 @@ def mlp_backward(params: MlpParams, acts: list[np.ndarray], upstream: np.ndarray
 
     Returns (grad, d_input): grad is laid out like `params.theta`, d_input has
     shape (B, in). A product not asked for is not computed and comes back as
-    None. Exact reverse mode, no approximations.
+    None. Exact reverse mode, no approximations. `params` must be one network.
     """
+    if params.theta.ndim != 1:
+        raise ConfigError(f"mlp_backward takes one network, not a stack of "
+                          f"{len(params.theta)}")
     if upstream.shape != acts[-1].shape:
         raise ConfigError(f"upstream shape {upstream.shape} != {acts[-1].shape}")
     if params.output_activation == "tanh":

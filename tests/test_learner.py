@@ -42,6 +42,14 @@ def rewrite(path, drop=(), **entries):
         np.savez(fh, **{**state, **entries})
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["hidden_actor", "hidden_critic"])
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_hidden_width_must_be_positive(self, name, width):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {width}"):
+            dataclasses.replace(SMALL, **{name: width})
+
+
 class TestCheckpointInput:
     def test_fewer_agents_rejected(self):
         state = MaddpgTrainer(scenario(), SMALL).state_dict()
@@ -266,8 +274,9 @@ class TestParameterStacks:
     def test_actor_stacks_view_the_role_stacks(self):
         trainer = MaddpgTrainer(scenario(), SMALL)
         for stack, role in ((trainer.actors, "actor"), (trainer.target_actors, "target_actor")):
-            for kernel, bias in zip(stack.kernels, stack.biases):
-                assert np.shares_memory(kernel, trainer.stacks[role])
+            assert stack.theta is trainer.stacks[role]
+            for weight, bias in zip(stack.weights, stack.biases):
+                assert np.shares_memory(weight, trainer.stacks[role])
                 assert np.shares_memory(bias, trainer.stacks[role])
 
     def test_targets_start_as_copies_of_online_stacks(self):

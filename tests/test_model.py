@@ -50,6 +50,32 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigError, match="user_speed"):
             ScenarioConfig(user_speed=-1.0)
 
+    @pytest.mark.parametrize("position, message", [
+        ((-10.0, 5.0, 12.0), "outside the flight box"),
+        ((100.0, 5.0, 12.0), "outside the flight box"),
+        ((5.0, 50.5, 12.0), "outside the flight box"),
+        ((5.0, 5.0, 9.0), "outside the flight box"),
+        ((5.0, 5.0, 21.0), "outside the flight box"),
+        ((5.0, 5.0), "must be 3 numbers"),
+        ((5.0, 5.0, 12.0, 1.0), "must be 3 numbers"),
+        ((5.0, "high", 12.0), "must be 3 numbers"),
+        ((np.nan, 5.0, 12.0), "must be finite"),
+        ((5.0, np.inf, 12.0), "must be finite"),
+    ], ids=["x-low", "x-high", "y-high", "z-low", "z-high", "two-coords", "four-coords",
+            "str", "nan", "inf"])
+    def test_bad_initial_uav_position_names_the_uav(self, position, message):
+        positions = [(10.0, 10.0, 12.0), (0.0, 50.0, 10.0), (50.0, 0.0, 20.0)]
+        small_config(num_uavs=3, initial_uav_positions=tuple(positions))   # valid
+        positions[2] = position
+        with pytest.raises(ConfigError, match=f"initial position of UAV 2 .*{message}"):
+            small_config(num_uavs=3, initial_uav_positions=tuple(positions))
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_initial_uav_position_count_checked(self, count):
+        positions = tuple((10.0, 10.0, 12.0) for _ in range(count))
+        with pytest.raises(ConfigError, match=f"has {count} entries, expected num_uavs=3"):
+            small_config(num_uavs=3, initial_uav_positions=positions)
+
     def test_snapshot_round_trip(self, tmp_path):
         sc = build_scenario(small_config())
         path = tmp_path / "scenario.json"
@@ -230,8 +256,9 @@ class TestTasks:
 
     def test_slot_outside_horizon(self):
         sc = build_scenario(small_config(horizon=5))
-        with pytest.raises(ConfigError):
-            generate_tasks(sc, 5)
+        for slot in (5, -1):
+            with pytest.raises(ConfigError, match=f"slot {slot} outside horizon"):
+                generate_tasks(sc, slot)
 
 
 class TestUserMobility:

@@ -182,6 +182,13 @@ class TestPartialBackward:
         assert only_params.tobytes() == full.tobytes()
         assert only_input.tobytes() == dx.tobytes()
 
+    def test_stacked_network_rejected(self):
+        shapes = nets.mlp_shapes(3, 4, 2)
+        stack = nets.MlpParams(np.zeros((2, nets.param_count(shapes))), shapes, "tanh")
+        acts = nets.mlp_activations(stack, np.zeros((2, 5, 3)))
+        with pytest.raises(ConfigError, match="one network"):
+            nets.mlp_backward(stack, acts, np.zeros((2, 5, 2)))
+
     def test_upstream_shape_rejected(self):
         rng = np.random.default_rng(31)
         net = tiny_net(rng)
@@ -212,9 +219,12 @@ class TestFlatParameters:
     def test_constructor_checks_theta_shape_and_activation(self):
         shapes = nets.mlp_shapes(3, 4, 2)
         size = nets.param_count(shapes)
-        for theta in (np.zeros(size - 1), np.zeros((1, size)), np.zeros(size + 1)):
+        for theta in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((3, size + 1)),
+                      np.zeros((1, 1, size)), np.zeros(())):
             with pytest.raises(ConfigError, match="parameter vector shape"):
                 nets.MlpParams(theta, shapes, "tanh")
+        for theta in (np.zeros((1, size)), np.zeros((3, size))):
+            assert nets.MlpParams(theta, shapes, "tanh").theta is theta
         with pytest.raises(ConfigError, match="unknown output activation"):
             nets.MlpParams(np.zeros(size), shapes, "relu")
 
@@ -239,7 +249,7 @@ def role_stack(rng, num, in_dim, hidden, out_dim, activation):
     targets = [nets.MlpParams(row, shapes, activation) for row in target]
     for t, o in zip(targets, rows):
         nets.soft_update(t, o, 0.3)
-    return nets.MlpStack(target, shapes, activation), targets
+    return nets.MlpParams(target, shapes, activation), targets
 
 
 class TestStackedForward:
@@ -257,7 +267,7 @@ class TestStackedForward:
             x = joint.reshape(batch, 4, in_dim).transpose(1, 0, 2)
         else:
             x = rng.normal(size=(4, batch, in_dim))
-        out = nets.mlp_forward_stack(stack, x)
+        out = nets.mlp_activations(stack, x)[-1]
         assert out.shape == (4, batch, out_dim)
         for n, net in enumerate(targets):
             assert out[n].tobytes() == nets.mlp_forward(net, x[n]).tobytes()
@@ -265,25 +275,28 @@ class TestStackedForward:
     def test_views_follow_writes_to_the_stack(self):
         rng = np.random.default_rng(51)
         stack, targets = role_stack(rng, 3, 3, 8, 2, "tanh")
-        for kernel, bias, w, b in zip(stack.kernels, stack.biases,
+        for weight, bias, w, b in zip(stack.weights, stack.biases,
                                       targets[2].weights, targets[2].biases):
-            assert kernel.shape[0] == 3 and bias.shape == (3, 1, w.shape[0])
-            assert np.array_equal(kernel[2], w.T) and np.array_equal(bias[2, 0], b)
-            assert np.shares_memory(kernel, targets[0].theta.base)
+            assert weight.shape == (3,) + w.shape and bias.shape == (3,) + b.shape
+            assert np.array_equal(weight[2], w) and np.array_equal(bias[2], b)
+            assert np.shares_memory(weight, targets[0].theta.base)
         x = rng.normal(size=(3, 5, 3))
-        before = nets.mlp_forward_stack(stack, x)
+        before = nets.mlp_activations(stack, x)[-1]
         targets[1].theta += 0.5
-        after = nets.mlp_forward_stack(stack, x)
+        after = nets.mlp_activations(stack, x)[-1]
         assert np.array_equal(before[[0, 2]], after[[0, 2]])
         assert not np.array_equal(before[1], after[1])
 
     def test_shapes_checked(self):
         rng = np.random.default_rng(52)
         stack, targets = role_stack(rng, 3, 3, 8, 2, "tanh")
-        for x in (np.zeros((2, 5, 3)), np.zeros((3, 5, 4)), np.zeros((5, 3))):
+        for x in (np.zeros((2, 5, 3)), np.zeros((3, 5, 4)), np.zeros((5, 3)),
+                  np.zeros((1, 3, 5, 3))):
             with pytest.raises(ConfigError, match="input shape"):
-                nets.mlp_forward_stack(stack, x)
+                nets.mlp_activations(stack, x)
+        with pytest.raises(ConfigError, match="input shape"):
+            nets.mlp_activations(targets[0], np.zeros((3, 5, 3)))
         shapes = targets[0].shapes
-        for bad in (np.zeros(nets.param_count(shapes)), np.zeros((3, 5))):
-            with pytest.raises(ConfigError, match="parameter stack shape"):
-                nets.MlpStack(bad, shapes, "tanh")
+        for bad in (np.zeros((3, 5)), np.zeros((3, nets.param_count(shapes) + 1))):
+            with pytest.raises(ConfigError, match="parameter vector shape"):
+                nets.MlpParams(bad, shapes, "tanh")
