@@ -7,6 +7,7 @@ gradient solver for the fixed-assignment convex subproblem).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,38 +45,59 @@ def _share_weights(ctx: SlotContext, users: np.ndarray,
     w_bw = sqrt(f / (c r0)) on the ingress link, w_cpu = sqrt(f).
     """
     r0 = ctx.r0[users, ingress]
-    if np.any(r0 <= 0):
+    if (r0 <= 0).any():
         raise InfeasibleError("zero spectral efficiency on a chosen ingress link")
     f = ctx.user_freq[users]
     return np.sqrt(f / (ctx.task_cycles[users] * r0)), np.sqrt(f)
+
+
+def _checked_assignment(assignment, ctx: SlotContext) -> np.ndarray:
+    """A fresh int copy of `assignment`; ConfigError unless it has one entry per
+    user, each LOCAL or a UAV index (an integral float counts as that integer)."""
+    raw = np.asarray(assignment)
+    if raw.shape != (ctx.num_users,):
+        raise ConfigError(f"assignment must have shape ({ctx.num_users},), got {raw.shape}")
+    if raw.dtype.kind == "i":
+        a = raw.astype(int)
+        integral = True
+    elif raw.dtype.kind in "uf":
+        with np.errstate(invalid="ignore"):   # NaN and inf cast to some integer
+            a = raw.astype(int)
+        integral = (a == raw).all()
+    else:
+        raise ConfigError(f"assignment entries must be integers, got dtype {raw.dtype}")
+    if not (integral and a.min() >= LOCAL and a.max() < ctx.num_uavs):
+        user = ((a != raw) | (a < LOCAL) | (a >= ctx.num_uavs)).nonzero()[0][0]
+        raise ConfigError(f"assignment of user {user} must be LOCAL ({LOCAL}) or a UAV "
+                          f"index in [0, {ctx.num_uavs}), got {raw[user]}")
+    return a
 
 
 def evaluate_assignment(assignment, ctx: SlotContext,
                         validate: bool = False) -> tuple[SlotDecision, SlotMetrics]:
     """Resource shares (closed forms per UAV group) and objective for one assignment.
 
-    assignment[m] is LOCAL or the executing UAV index. Offloaded users enter
-    through their fixed best-rate covering UAV; executors may be any UAV.
+    assignment[m] is LOCAL or the executing UAV index; any other entry is a
+    ConfigError naming the user. Offloaded users enter through their fixed
+    best-rate covering UAV; executors may be any UAV.
     """
-    a = np.asarray(assignment, dtype=int)
-    if a.shape != (ctx.num_users,):
-        raise ConfigError(f"assignment must have shape ({ctx.num_users},), got {a.shape}")
-    off = a != LOCAL
-    if np.any(off & (ctx.default_ingress == LOCAL)):
-        bad = int(np.flatnonzero(off & (ctx.default_ingress == LOCAL))[0])
+    a = _checked_assignment(assignment, ctx)
+    off_idx = (a != LOCAL).nonzero()[0]
+    ing = ctx.default_ingress[off_idx]
+    if (ing == LOCAL).any():
+        bad = off_idx[(ing == LOCAL).nonzero()[0][0]]
         raise InfeasibleError(f"user {bad} is offloaded but no UAV covers it")
 
-    ingress = np.where(off, ctx.default_ingress, LOCAL)
+    ingress = np.full(ctx.num_users, LOCAL)
+    ingress[off_idx] = ing
     bw = np.zeros(ctx.num_users)
     cpu = np.zeros(ctx.num_users)
-    off_idx = np.flatnonzero(off)
     if off_idx.size:
-        ing = ingress[off_idx]
         w_bw, w_cpu = _share_weights(ctx, off_idx, ing)
         bw[off_idx] = _sqrt_law_shares(ctx.uav_bw, ing, w_bw)
         cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx], w_cpu)
 
-    decision = SlotDecision(assignment=a.copy(), ingress=ingress,
+    decision = SlotDecision(assignment=a, ingress=ingress,
                             bandwidth_hz=bw, cpu_hz=cpu)
     metrics = slot_dor(decision, ctx, validate=validate)
     return decision, metrics
@@ -159,7 +181,7 @@ def brute_force_oracle(ctx: SlotContext, cap: int = BRUTE_FORCE_CAP) -> Allocati
         total *= len(choices)
         if total > cap:
             raise CapExceededError(
-                f"exhaustive search needs {np.prod([len(c) for c in per_user])} "
+                f"exhaustive search needs {math.prod(len(c) for c in per_user)} "
                 f"evaluations, above the cap of {cap}")
 
     best_assignment = None

@@ -23,7 +23,7 @@ def rt_actions(rng: np.random.Generator, num_uavs: int, max_step: float) -> np.n
 
 def ao_allocate(ctx: SlotContext) -> AllocationResult:
     """Offload every covered user to its best-rate covering UAV; uncovered stay local."""
-    decision, metrics = evaluate_assignment(ctx.default_ingress.copy(), ctx, validate=True)
+    decision, metrics = evaluate_assignment(ctx.default_ingress, ctx, validate=True)
     return AllocationResult(decision=decision, dor=metrics.dor,
                             iterations=1, converged=True)
 

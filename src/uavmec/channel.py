@@ -41,8 +41,8 @@ def elevation_deg_from_geometry(altitude_m, reference_dist_m):
     """
     alt = np.asarray(altitude_m, dtype=float)
     ref = np.asarray(reference_dist_m, dtype=float)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(ref > 0, alt / np.maximum(ref, 1e-300), np.inf)
+    # max(ref, 1e-300) > 0 keeps the division finite; coincident points get +inf
+    ratio = np.where(ref > 0, alt / np.maximum(ref, 1e-300), np.inf)
     return np.degrees(np.arctan(ratio))
 
 
@@ -54,7 +54,7 @@ def los_probability_from_angle(theta_deg, params: ChannelParams):
 def free_space_loss_db(dist_m, carrier_mhz):
     """Free-space term, distance in meters, carrier in MHz."""
     d = np.asarray(dist_m, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ConfigError("free-space path loss undefined at zero distance")
     return 20.0 * np.log10(d) + 20.0 * np.log10(carrier_mhz) - 27.56
 

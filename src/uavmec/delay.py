@@ -7,13 +7,15 @@ values when offloading is slower, and those are deliberately kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
 from .errors import ValidationError, ConfigError
-from .model import TaskArrays, UavArrays, UserArrays, coverage_radius
+from .model import (TaskArrays, UavArrays, UserArrays, coverage_radius,
+                    first_not_positive, pair_geometry)
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
 
@@ -28,9 +30,20 @@ class SlotContext:
     the uplink entry point for user m regardless of which UAV executes the task,
     since the relay hop between UAVs is treated as delay-free.
 
+    horiz[m, n] and dist3d[m, n] are the horizontal and 3D user-UAV distances
+    from `model.pair_geometry`: with per-axis differences dx, dy, dz,
+    horiz = sqrt(dx*dx + dy*dy) and dist3d = sqrt((dx*dx + dy*dy) + dz*dz).
+    That summation order is fixed because it is the one `np.linalg.norm` uses
+    on the (M, N, 3) difference: both arrays, and the elevation, path loss,
+    r0, coverage and ingress computed from them, keep the exact bits of the
+    norms that seeded rollouts were recorded with. Another grouping changes
+    last bits, and through coverage ties and argmax, choices.
+
     users, uavs and tasks are the model's array bundles, or record lists that
     are stacked into bundles first. task_bits, user_freq, uav_cpu, ... are the
-    bundles' own arrays, not copies; positions are not kept.
+    bundles' own arrays, not copies; positions are not kept. A user or UAV
+    with a non-finite position or cpu_freq, a cpu_freq <= 0, or (users) a
+    non-finite or negative tx_power is a ConfigError naming it.
     """
 
     def __init__(self, users: UserArrays | list, uavs: UavArrays | list,
@@ -40,8 +53,18 @@ class SlotContext:
                                                    (TaskArrays, tasks)))
         self.num_users = len(users.cpu_freq)
         self.num_uavs = len(uavs.cpu_freq)
+        if not (self.num_users and self.num_uavs):
+            raise ConfigError(f"a slot needs users and UAVs, got {self.num_users} users "
+                              f"and {self.num_uavs} UAVs")
         if len(tasks.bits) != self.num_users:
             raise ConfigError(f"{len(tasks.bits)} tasks for {self.num_users} users")
+        upos = users.position                                 # (M, 3)
+        vpos = uavs.position                                  # (N, 3)
+        _require_positive("user", "cpu_freq", users.cpu_freq)
+        _require_positive("user", "tx_power", users.tx_power, zero_ok=True)
+        _require_positive("UAV", "cpu_freq", uavs.cpu_freq)
+        _require_finite_rows("user", upos)
+        _require_finite_rows("UAV", vpos)
 
         self.task_bits = tasks.bits
         self.task_cycles = tasks.cycles_per_bit
@@ -49,29 +72,44 @@ class SlotContext:
         self.user_power = users.tx_power
         self.uav_cpu = uavs.cpu_freq
         self.uav_bw = np.full(self.num_uavs, params.bw_g2a_hz)
-        if np.any(self.user_freq <= 0):
-            raise ConfigError(f"user cpu_freq must be > 0, got {self.user_freq.min()}")
         self.t_loc = self.task_bits * self.task_cycles / self.user_freq
 
-        upos = users.position                                 # (M, 3)
-        vpos = uavs.position                                  # (N, 3)
-        diff = upos[:, None, :] - vpos[None, :, :]
-        self.dist3d = np.linalg.norm(diff, axis=-1)           # (M, N)
-        self.horiz = np.linalg.norm(diff[:, :, :2], axis=-1)  # (M, N)
-        alt = vpos[:, 2][None, :]
-
-        theta = channel.elevation_deg_from_geometry(alt, self.horiz)
-        pl = channel.mean_path_loss_db(np.maximum(self.dist3d, 1e-9), theta, params)
-        self.path_loss_db = pl
-        self.r0 = channel.spectral_efficiency(self.user_power[:, None], pl,
+        self.horiz, self.dist3d = pair_geometry(upos, vpos)   # (M, N) each
+        theta = channel.elevation_deg_from_geometry(vpos[:, 2], self.horiz)
+        self.path_loss_db = channel.mean_path_loss_db(np.maximum(self.dist3d, 1e-9),
+                                                      theta, params)
+        self.r0 = channel.spectral_efficiency(self.user_power[:, None], self.path_loss_db,
                                               params.noise_g2a_watts)
 
         radius = coverage_radius(vpos[:, 2], uavs.half_angle_deg)
-        self.coverage = self.horiz <= radius[None, :]         # (M, N)
+        self.coverage = self.horiz <= radius                  # (M, N)
 
-        masked = np.where(self.coverage, self.r0, -np.inf)
-        self.default_ingress = np.where(self.coverage.any(axis=1),
-                                        masked.argmax(axis=1), LOCAL)
+        # r0 >= 0, so a row's best covering UAV beats every -inf; a row that
+        # nobody covers is all -inf and its argmax, column 0, is not covered
+        best = np.where(self.coverage, self.r0, -np.inf).argmax(axis=1)
+        rows = np.arange(self.num_users)
+        self.default_ingress = np.where(self.coverage[rows, best], best, LOCAL)
+
+
+def _require_positive(kind: str, name: str, values: np.ndarray, zero_ok: bool = False):
+    """ConfigError naming the first `kind` whose `name` is not finite and > 0
+    (>= 0 with `zero_ok`)."""
+    bad = first_not_positive(values, zero_ok)
+    if bad is not None:
+        raise ConfigError(f"{kind} {bad} {name} must be finite and {'>=' if zero_ok else '>'} 0, "
+                          f"got {values[bad]}")
+
+
+def _require_finite_rows(kind: str, position: np.ndarray):
+    """ConfigError naming the first `kind` whose position has a non-finite coordinate.
+
+    A sum of finite coordinates is finite unless it overflows; only then, or
+    when a coordinate is not finite, are the rows searched."""
+    if math.isfinite(position.sum()):
+        return
+    bad = np.flatnonzero(~np.isfinite(position).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{kind} {bad[0]} position must be finite, got {position[bad[0]]}")
 
 
 @dataclass
@@ -97,7 +135,11 @@ class SlotMetrics:
 
 
 def validate_decision(decision: SlotDecision, ctx: SlotContext):
-    """Raise ValidationError naming the first violated decision constraint."""
+    """Raise ValidationError naming the first violated decision constraint.
+
+    A valid decision passes each constraint in one or two whole-array tests;
+    the index a message names is looked up only after a test has failed.
+    """
     a = np.asarray(decision.assignment)
     ing = np.asarray(decision.ingress)
     bw = np.asarray(decision.bandwidth_hz)
@@ -105,33 +147,38 @@ def validate_decision(decision: SlotDecision, ctx: SlotContext):
     m, n = ctx.num_users, ctx.num_uavs
     if a.shape != (m,):
         raise ValidationError(f"assignment must have shape ({m},), got {a.shape}")
-    if np.any((a < LOCAL) | (a >= n)):
+    if not ing.shape == bw.shape == cpu.shape == (m,):
+        raise ValidationError(f"ingress, bandwidth_hz and cpu_hz must have shape ({m},), "
+                              f"got {ing.shape}, {bw.shape}, {cpu.shape}")
+    if a.min() < LOCAL or a.max() >= n:
         raise ValidationError("one-hot choice: assignment entries must be LOCAL or a UAV index")
 
     local = a == LOCAL
-    if np.any(ing[local] != LOCAL):
-        raise ValidationError("local users must carry no ingress UAV")
-    if np.any((ing[~local] < 0) | (ing[~local] >= n)):
+    # ingress is LOCAL for exactly the local users and a UAV index for the others
+    if ing.min() < LOCAL or ing.max() >= n or ((ing == LOCAL) != local).any():
+        if (ing[local] != LOCAL).any():
+            raise ValidationError("local users must carry no ingress UAV")
         raise ValidationError("offloaded users need a valid ingress UAV index")
-    if np.any(bw < 0):
+    if not bw.min() >= 0:       # a NaN fails too
         raise ValidationError("bandwidth shares must be >= 0")
-    if np.any(cpu < 0):
+    if not cpu.min() >= 0:
         raise ValidationError("cpu shares must be >= 0")
-    if np.any(bw[local] != 0) or np.any(cpu[local] != 0):
+    if local.any() and (bw[local].any() or cpu[local].any()):
         raise ValidationError("local users must hold zero bandwidth and cpu shares")
 
-    offloaded = np.flatnonzero(~local)
-    if offloaded.size and not ctx.coverage[offloaded, ing[offloaded]].all():
-        bad = offloaded[~ctx.coverage[offloaded, ing[offloaded]]][0]
-        raise ValidationError(
-            f"ingress UAV {ing[bad]} does not cover user {bad}")
+    # A local user's LOCAL (-1) ingress reads the last column, which `| local` discards.
+    covered = ctx.coverage[np.arange(m), ing] | local
+    if not covered.all():
+        bad = (~covered).nonzero()[0][0]
+        raise ValidationError(f"ingress UAV {ing[bad]} does not cover user {bad}")
 
+    # Local users hold zero shares, so counting them on UAV 0 adds exactly 0.
     for kind, group, share, capacity in (("bandwidth", ing, bw, ctx.uav_bw),
                                          ("cpu", a, cpu, ctx.uav_cpu)):
-        total = np.bincount(group[offloaded], share[offloaded], minlength=n)
-        over = np.flatnonzero(total > capacity * (1 + _CAP_RTOL))
-        if over.size:
-            uav = over[0]
+        total = np.bincount(np.maximum(group, 0), share, minlength=n)
+        over = total > capacity * (1 + _CAP_RTOL)
+        if over.any():
+            uav = over.nonzero()[0][0]
             raise ValidationError(f"{kind} oversubscribed on UAV {uav}: "
                                   f"{total[uav]:.6g} > {capacity[uav]:.6g} Hz")
 
@@ -140,24 +187,22 @@ def slot_dor(decision: SlotDecision, ctx: SlotContext, validate: bool = True) ->
     """Per-slot objective value and its per-user breakdown."""
     if validate:
         validate_decision(decision, ctx)
-    a = np.asarray(decision.assignment)
+    off = (np.asarray(decision.assignment) != LOCAL).nonzero()[0]
     ing = np.asarray(decision.ingress)
-    local = a == LOCAL
 
     delay = ctx.t_loc.copy()
     contribution = np.zeros(ctx.num_users)
-    off = np.flatnonzero(~local)
     if off.size:
+        bits = ctx.task_bits[off]
+        # max(x, 1e-300) > 0: the divisions are finite; a zero share takes forever
         rate = decision.bandwidth_hz[off] * ctx.r0[off, ing[off]]
-        with np.errstate(divide="ignore"):
-            t_off = np.where(rate > 0, ctx.task_bits[off] / np.maximum(rate, 1e-300), np.inf)
-            cpu = decision.cpu_hz[off]
-            t_exe = np.where(cpu > 0,
-                             ctx.task_bits[off] * ctx.task_cycles[off] / np.maximum(cpu, 1e-300),
-                             np.inf)
-        t_edge = t_off + t_exe
+        t_edge = np.where(rate > 0, bits / np.maximum(rate, 1e-300), np.inf)
+        cpu = decision.cpu_hz[off]
+        t_edge += np.where(cpu > 0, bits * ctx.task_cycles[off] / np.maximum(cpu, 1e-300),
+                           np.inf)
         delay[off] = t_edge
-        contribution[off] = 1.0 - t_edge / ctx.t_loc[off]
+        t_edge /= ctx.t_loc[off]
+        contribution[off] = 1.0 - t_edge
     return SlotMetrics(dor=float(contribution.sum()),
                        per_user_delay=delay,
                        per_user_contribution=contribution)

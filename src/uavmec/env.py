@@ -82,9 +82,9 @@ class EdgeComputeEnv:
 
         info = SlotInfo(slot=self.slot, dor=allocation.dor, reward=reward,
                         allocation=allocation,
-                        violating_uavs=np.flatnonzero(violators).tolist(),
-                        box_violations=np.flatnonzero(box).tolist(),
-                        speed_violations=np.flatnonzero(speed).tolist(),
-                        collision_uavs=np.flatnonzero(collisions).tolist())
+                        violating_uavs=violators.nonzero()[0].tolist(),
+                        box_violations=box.nonzero()[0].tolist(),
+                        speed_violations=speed.nonzero()[0].tolist(),
+                        collision_uavs=collisions.nonzero()[0].tolist())
         self.slot += 1
         return self.observe(), reward, info

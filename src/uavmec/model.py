@@ -10,9 +10,13 @@ The world is a struct of arrays, row i belonging to user or UAV i, all float64:
     TaskArrays  bits (M,), cycles_per_bit (M,); one slot's tasks, checked when built
 
 Each part of a slot's world step (`Scenario.advance_users`, `apply_motion`,
-`generate_tasks`) is one array operation over all users or all UAVs. The
-records `UserState`, `UavState` and `Task` describe one entity each; their
-only use is `from_records`, which stacks a list of them into a bundle.
+`generate_tasks`) is one array operation over all users or all UAVs.
+`pair_geometry` gives every pairwise horizontal and 3D distance from per-axis
+differences, summed as (dx*dx + dy*dy) + dz*dz: the order `np.linalg.norm`
+uses, so the distances, and everything computed from them, are bitwise
+those of the norms. The records `UserState`, `UavState` and `Task` describe
+one entity each; their only use is `from_records`, which stacks a list of
+them into a bundle.
 """
 
 from __future__ import annotations
@@ -185,10 +189,23 @@ class TaskArrays(_Columns):
     def __post_init__(self):
         for name in ("bits", "cycles_per_bit"):
             values = getattr(self, name)
-            bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
-            if bad.size:
-                raise ConfigError(f"task {name} of user {bad[0]} must be finite and > 0, "
-                                  f"got {values[bad[0]]}")
+            bad = first_not_positive(values)
+            if bad is not None:
+                raise ConfigError(f"task {name} of user {bad} must be finite and > 0, "
+                                  f"got {values[bad]}")
+
+
+def first_not_positive(values: np.ndarray, zero_ok: bool = False) -> int | None:
+    """Index of the first entry that is not finite and > 0 (>= 0 with `zero_ok`),
+    or None. A good array is cleared by its minimum and maximum (the minimum of
+    an array with a NaN is NaN); only a bad one is searched."""
+    if values.size:
+        low = values.min()
+        if (low >= 0 if zero_ok else low > 0) and values.max() < np.inf:
+            return None
+    ok = (values >= 0) if zero_ok else (values > 0)
+    bad = (~(ok & (values < np.inf))).nonzero()[0]
+    return int(bad[0]) if bad.size else None
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -272,15 +289,17 @@ class Scenario:
         if self._waypoints is None:
             self._waypoints = rng.uniform([0, 0], area, size=(cfg.num_users, 2))
         step = cfg.user_speed * cfg.slot_seconds
-        delta = self._waypoints - pos[:, :2]
+        waypoints = self._waypoints
+        delta = waypoints - pos[:, :2]
         dist = _row_norms(delta)
         reached = dist <= step
-        walking = ~reached
-        pos[walking, :2] += delta[walking] * (step / dist[walking])[:, None]
+        # step / dist only where the user walks: dist may be 0 at a waypoint
+        scale = np.divide(step, dist, out=np.zeros_like(dist), where=~reached)
+        delta *= scale[:, None]
+        delta += pos[:, :2]
+        pos[:, :2] = np.where(reached[:, None], waypoints, delta)
         if reached.any():
-            pos[reached, :2] = self._waypoints[reached]
-            self._waypoints[reached] = rng.uniform([0, 0], area,
-                                                   size=(np.count_nonzero(reached), 2))
+            waypoints[reached] = rng.uniform([0, 0], area, size=(np.count_nonzero(reached), 2))
 
     # ---- JSON snapshot (schema v1) ----
 
@@ -366,19 +385,20 @@ def apply_motion(positions: np.ndarray, deltas,
     the (N,) box and speed violation masks; neither input is written.
     """
     deltas = np.asarray(deltas, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))
-    if bad.size:
-        raise ConfigError(f"motion delta of UAV {bad[0]} must be finite, got {deltas[bad[0]]}")
+    if not np.isfinite(deltas).all():
+        bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))[0]
+        raise ConfigError(f"motion delta of UAV {bad} must be finite, got {deltas[bad]}")
 
     norm = _row_norms(deltas)
     max_step = config.max_step
     speed = norm > max_step
-    if speed.any():
-        deltas = deltas.copy()
-        deltas[speed] *= (max_step / norm[speed])[:, None]
-
-    raw = positions + deltas
-    clamped = np.clip(raw, [0.0, 0.0, config.z_min], [config.area_x, config.area_y, config.z_max])
+    # max_step / norm on the speeding rows; the others move by delta * 1.0 = delta
+    scale = np.divide(max_step, norm, out=np.ones_like(norm), where=speed)
+    raw = deltas * scale[:, None]
+    raw += positions
+    # np.clip's bitwise result at half its cost for a (N, 3) array
+    clamped = np.maximum(raw, np.array([0.0, 0.0, config.z_min]))
+    np.minimum(clamped, np.array([config.area_x, config.area_y, config.z_max]), out=clamped)
     return clamped, (clamped != raw).any(axis=1), speed
 
 
@@ -389,6 +409,32 @@ def coverage_radius(altitude_m, half_angle_deg):
     return np.where(angle < 90.0, alt * np.tan(np.radians(angle)), np.inf)
 
 
+def pair_geometry(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Horizontal and 3D distance from every row of `a` (M, 3) to every row of
+    `b` (N, 3), as two (M, N) arrays.
+
+    With the per-axis differences dx, dy, dz (each (M, N)),
+
+        horiz  = sqrt(dx*dx + dy*dy)
+        dist3d = sqrt((dx*dx + dy*dy) + dz*dz)
+
+    The summation order is part of the result: it is the order in which
+    `np.linalg.norm` reduces an (M, N, 3) difference over its last axis, so
+    both arrays equal those norms bit for bit, and a point directly below
+    another has horiz exactly 0. Any other grouping, such as
+    dx*dx + (dy*dy + dz*dz), rounds differently in the last bit.
+    """
+    dx = a[:, 0, None] - b[:, 0]
+    dy = a[:, 1, None] - b[:, 1]
+    dz = a[:, 2, None] - b[:, 2]
+    dx *= dx
+    dy *= dy
+    dx += dy                    # dx*dx + dy*dy
+    dz *= dz
+    dz += dx                    # (dx*dx + dy*dy) + dz*dz; the addition commutes exactly
+    return np.sqrt(dx, out=dx), np.sqrt(dz, out=dz)
+
+
 def pairwise_distances(positions) -> np.ndarray:
     """3D distance between every pair of positions (N, 3) as an (N, N) array.
 
@@ -396,7 +442,7 @@ def pairwise_distances(positions) -> np.ndarray:
     minimum over the array is +inf for fewer than two UAVs.
     """
     pos = np.asarray(positions, dtype=float)
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    dist = pair_geometry(pos, pos)[1]
     np.fill_diagonal(dist, np.inf)
     return dist
 

@@ -11,7 +11,7 @@ from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment
                               minimize_inverse_on_simplex, numeric_convex_oracle)
 from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext
-from uavmec.errors import CapExceededError, InfeasibleError
+from uavmec.errors import CapExceededError, ConfigError, InfeasibleError
 from uavmec.model import (ScenarioConfig, Task, UavState, UserState, build_scenario,
                           generate_tasks)
 
@@ -242,6 +242,15 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             brute_force_oracle(ctx, cap=100)
 
+    def test_cap_message_gives_the_exact_count(self):
+        # 100 covered users with 11 choices each: 11**100 overflows int64
+        ctx = scenario_range_context(np.random.default_rng(13), 100, 10, narrow_coverage=False)
+        assert (ctx.default_ingress != LOCAL).all()
+        with pytest.raises(CapExceededError) as info:
+            brute_force_oracle(ctx)
+        assert f"needs {11 ** 100} evaluations" in str(info.value)
+        assert "-" not in str(info.value)
+
     def test_decision_validates(self):
         rng = np.random.default_rng(14)
         ctx = random_slot_context(rng, num_users=4, num_uavs=2)
@@ -251,6 +260,38 @@ class TestBruteForce:
 
 
 class TestEvaluateAssignment:
+    @pytest.mark.parametrize("entry", [-2, 3, 7, 0.7, -1.5, np.nan, np.inf, 2 ** 40],
+                             ids=["-2", "num_uavs", "7", "0.7", "-1.5", "nan", "inf", "2**40"])
+    def test_bad_entry_names_the_user(self, entry):
+        ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
+        assignment = [0, LOCAL, 2, 1]
+        evaluate_assignment(assignment, ctx)        # valid
+        assignment[1] = entry
+        with pytest.raises(ConfigError, match=r"assignment of user 1 must be LOCAL \(-1\) "
+                                              r"or a UAV index in \[0, 3\)"):
+            evaluate_assignment(assignment, ctx)
+
+    def test_bad_entry_checked_before_any_work(self, monkeypatch):
+        ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
+        monkeypatch.setattr(allocator, "_share_weights", None)   # any use would raise TypeError
+        with pytest.raises(ConfigError, match="user 3"):
+            evaluate_assignment(np.array([0, 1, 2, -2]), ctx)
+
+    @pytest.mark.parametrize("assignment", [["0", "1", "2", "-1"], [True, False, True, True]],
+                             ids=["str", "bool"])
+    def test_non_numeric_assignment_rejected(self, assignment):
+        ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
+        with pytest.raises(ConfigError, match="must be integers"):
+            evaluate_assignment(assignment, ctx)
+
+    def test_integral_floats_are_indices(self):
+        ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
+        by_int = evaluate_assignment(np.array([0, LOCAL, 2, 1]), ctx)
+        by_float = evaluate_assignment(np.array([0.0, -1.0, 2.0, 1.0]), ctx)
+        assert by_float[0].assignment.dtype == by_int[0].assignment.dtype
+        assert np.array_equal(by_float[0].assignment, by_int[0].assignment)
+        assert by_float[1].dor == by_int[1].dor
+
     def test_all_local_dor_zero(self):
         rng = np.random.default_rng(15)
         ctx = random_slot_context(rng, num_users=4, num_uavs=2)

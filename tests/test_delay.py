@@ -6,7 +6,7 @@ import pytest
 from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext, SlotDecision, slot_dor, validate_decision
 from uavmec.errors import ConfigError, ValidationError
-from uavmec.model import Task, UavState, UserState
+from uavmec.model import Task, UavArrays, UavState, UserArrays, UserState
 
 
 def make_user(x=0.0, y=0.0, freq=1e9, power=1.0):
@@ -39,6 +39,52 @@ class TestScalarDelays:
         with pytest.raises(ConfigError):
             SlotContext([make_user(freq=0.0)], [make_uav()],
                         [Task(bits=1e5, cycles_per_bit=1000.0)], ChannelParams())
+
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("user", "cpu_freq", 0.0, "user 1 cpu_freq must be finite and > 0"),
+        ("user", "cpu_freq", np.nan, "user 1 cpu_freq must be finite and > 0"),
+        ("user", "cpu_freq", np.inf, "user 1 cpu_freq must be finite and > 0"),
+        ("user", "tx_power", -1.0, "user 1 tx_power must be finite and >= 0"),
+        ("user", "tx_power", np.nan, "user 1 tx_power must be finite and >= 0"),
+        ("user", "tx_power", np.inf, "user 1 tx_power must be finite and >= 0"),
+        ("uav", "cpu_freq", 0.0, "UAV 1 cpu_freq must be finite and > 0"),
+        ("uav", "cpu_freq", -1e9, "UAV 1 cpu_freq must be finite and > 0"),
+        ("uav", "cpu_freq", np.nan, "UAV 1 cpu_freq must be finite and > 0"),
+        ("uav", "cpu_freq", np.inf, "UAV 1 cpu_freq must be finite and > 0"),
+        ("user", "position", np.array([1.0, np.nan, 0.0]), "user 1 position must be finite"),
+        ("user", "position", np.array([np.inf, 1.0, 0.0]), "user 1 position must be finite"),
+        ("uav", "position", np.array([1.0, 2.0, np.nan]), "UAV 1 position must be finite"),
+        ("uav", "position", np.array([-np.inf, 2.0, 10.0]), "UAV 1 position must be finite"),
+    ], ids=["user-cpu-0", "user-cpu-nan", "user-cpu-inf", "power-neg", "power-nan", "power-inf",
+            "uav-cpu-0", "uav-cpu-neg", "uav-cpu-nan", "uav-cpu-inf", "user-pos-nan",
+            "user-pos-inf", "uav-pos-nan", "uav-pos-inf"])
+    def test_bad_entity_names_it(self, kind, field, value, message):
+        users = [make_user(0, 0), make_user(5, 5), make_user(9, 9)]
+        uavs = [make_uav(0, 0), make_uav(30, 30), make_uav(40, 0)]
+        tasks = [Task(bits=1e5, cycles_per_bit=1000.0)] * 3
+        SlotContext(users, uavs, tasks, ChannelParams())          # valid
+        setattr((users if kind == "user" else uavs)[1], field, value)
+        with pytest.raises(ConfigError, match=message):
+            SlotContext(users, uavs, tasks, ChannelParams())
+
+    def test_zero_tx_power_allowed(self):
+        ctx = SlotContext([make_user(power=0.0)], [make_uav()],
+                          [Task(bits=1e5, cycles_per_bit=1000.0)], ChannelParams())
+        assert ctx.r0[0, 0] == 0.0
+
+    def test_needs_users_and_uavs(self):
+        user = UserArrays(position=np.zeros((1, 3)), cpu_freq=np.ones(1), tx_power=np.ones(1))
+        uav = UavArrays(position=np.array([[0.0, 0.0, 10.0]]), cpu_freq=np.ones(1),
+                        tx_power=np.ones(1), half_angle_deg=np.full(1, 90.0))
+        nobody = UserArrays(position=np.zeros((0, 3)), cpu_freq=np.zeros(0),
+                            tx_power=np.zeros(0))
+        no_uav = UavArrays(position=np.zeros((0, 3)), cpu_freq=np.zeros(0),
+                           tx_power=np.zeros(0), half_angle_deg=np.zeros(0))
+        task = [Task(bits=1e5, cycles_per_bit=1000.0)]
+        with pytest.raises(ConfigError, match="got 0 users and 1 UAVs"):
+            SlotContext(nobody, uav, [], ChannelParams())
+        with pytest.raises(ConfigError, match="got 1 users and 0 UAVs"):
+            SlotContext(user, no_uav, task, ChannelParams())
 
     def test_offload_delay(self):
         task = Task(bits=1e5, cycles_per_bit=500.0)
@@ -168,6 +214,29 @@ class TestValidation:
 
     def test_valid_decision_passes(self):
         validate_decision(self._decision(), single_user_context())
+
+    @pytest.mark.parametrize("field", ["ingress", "bandwidth_hz", "cpu_hz"])
+    def test_misshapen_arrays_rejected(self, field):
+        decision = self._decision(**{field: np.zeros(2)})
+        with pytest.raises(ValidationError, match=r"must have shape \(1,\)"):
+            validate_decision(decision, single_user_context())
+
+    @pytest.mark.parametrize("field, kind", [("bandwidth_hz", "bandwidth"), ("cpu_hz", "cpu")])
+    def test_nan_share_rejected(self, field, kind):
+        with pytest.raises(ValidationError, match=f"{kind} shares must be >= 0"):
+            validate_decision(self._decision(**{field: np.array([np.nan])}),
+                              single_user_context())
+
+    def test_bad_ingress(self):
+        ctx = single_user_context()
+        with pytest.raises(ValidationError, match="offloaded users need a valid ingress"):
+            validate_decision(self._decision(ingress=np.array([LOCAL])), ctx)
+        with pytest.raises(ValidationError, match="offloaded users need a valid ingress"):
+            validate_decision(self._decision(ingress=np.array([1])), ctx)
+        local = self._decision(assignment=np.array([LOCAL]), ingress=np.array([0]),
+                               bandwidth_hz=np.zeros(1), cpu_hz=np.zeros(1))
+        with pytest.raises(ValidationError, match="local users must carry no ingress"):
+            validate_decision(local, ctx)
 
     def test_bad_assignment_index(self):
         with pytest.raises(ValidationError, match="one-hot"):
