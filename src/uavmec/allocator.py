@@ -1,7 +1,9 @@
 """Per-slot optimizer: square-root closed-form resource shares and a
 coordinate-descent search over one-hot offloading choices, plus two
 independent correctness oracles (exhaustive enumeration and a projected
-gradient solver for the fixed-assignment convex subproblem).
+gradient solver for the fixed-assignment convex subproblem). Offloaded users
+enter through `SlotContext.default_ingress` with its weights `w_bw` and `w_cpu`;
+users without an ingress (no cover, or zero rate) always compute locally.
 """
 
 from __future__ import annotations
@@ -31,24 +33,10 @@ def _sqrt_law_shares(capacity: np.ndarray, group: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
     """Closed-form split of each group's capacity: capacity[g] * w_i / sum of w over g.
 
-    Minimizes sum_i w_i^2 / x_i per group; for bandwidth w_i = sqrt(f_i / (c_i r0_i)),
-    for processors w_i = sqrt(f_i).
+    Minimizes sum_i w_i^2 / x_i per group (`SlotContext.w_bw` or `w_cpu` as w).
     """
     total = np.bincount(group, weights, minlength=capacity.size)
     return capacity[group] * weights / total[group]
-
-
-def _share_weights(ctx: SlotContext, users: np.ndarray,
-                   ingress: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square-root-law weights (bandwidth, cpu) of `users` entering via `ingress`.
-
-    w_bw = sqrt(f / (c r0)) on the ingress link, w_cpu = sqrt(f).
-    """
-    r0 = ctx.r0[users, ingress]
-    if (r0 <= 0).any():
-        raise InfeasibleError("zero spectral efficiency on a chosen ingress link")
-    f = ctx.user_freq[users]
-    return np.sqrt(f / (ctx.task_cycles[users] * r0)), np.sqrt(f)
 
 
 def _checked_assignment(assignment, ctx: SlotContext) -> np.ndarray:
@@ -78,27 +66,24 @@ def evaluate_assignment(assignment, ctx: SlotContext,
     """Resource shares (closed forms per UAV group) and objective for one assignment.
 
     assignment[m] is LOCAL or the executing UAV index; any other entry is a
-    ConfigError naming the user. Offloaded users enter through their fixed
-    best-rate covering UAV; executors may be any UAV.
+    ConfigError naming the user, and offloading a user without an ingress an
+    InfeasibleError naming it. Offloaded users enter through their
+    `ctx.default_ingress`; executors may be any UAV.
     """
     a = _checked_assignment(assignment, ctx)
     off_idx = (a != LOCAL).nonzero()[0]
     ing = ctx.default_ingress[off_idx]
     if (ing == LOCAL).any():
         bad = off_idx[(ing == LOCAL).nonzero()[0][0]]
-        raise InfeasibleError(f"user {bad} is offloaded but no UAV covers it")
+        raise InfeasibleError(f"user {bad} is offloaded but has no ingress UAV")
 
-    ingress = np.full(ctx.num_users, LOCAL)
-    ingress[off_idx] = ing
     bw = np.zeros(ctx.num_users)
     cpu = np.zeros(ctx.num_users)
     if off_idx.size:
-        w_bw, w_cpu = _share_weights(ctx, off_idx, ing)
-        bw[off_idx] = _sqrt_law_shares(ctx.uav_bw, ing, w_bw)
-        cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx], w_cpu)
+        bw[off_idx] = _sqrt_law_shares(ctx.uav_bw, ing, ctx.w_bw[off_idx])
+        cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx], ctx.w_cpu[off_idx])
 
-    decision = SlotDecision(assignment=a, ingress=ingress,
-                            bandwidth_hz=bw, cpu_hz=cpu)
+    decision = SlotDecision(assignment=a, bandwidth_hz=bw, cpu_hz=cpu)
     metrics = slot_dor(decision, ctx, validate=validate)
     return decision, metrics
 
@@ -111,21 +96,21 @@ def cd_search(ctx: SlotContext) -> AllocationResult:
 
         DOR = |offloaded| - sum_k S_bw,k^2 / B_k - sum_k S_cpu,k^2 / F_k,
 
-    where S_bw,k sums w_bw = sqrt(f / (c r0)) over the users entering UAV k and
-    S_cpu,k sums w_cpu = sqrt(f) over the users executing on UAV k. Each sweep
-    visits users in ascending index order and scores all of a user's choices
-    (LOCAL, then UAVs 0..N-1) at once from the group sums with that user taken
-    out; the best strictly improving choice is kept, so ties go to the
-    incumbent and then to the earlier choice. Stops when a full sweep changes
-    nothing, or unconverged after MAX_SWEEPS sweeps. The returned decision and
-    DOR come from a single `evaluate_assignment` of the final assignment.
+    where S_bw,k sums the context's w_bw = sqrt(f / (c r0)) over the users
+    entering UAV k and S_cpu,k sums its w_cpu = sqrt(f) over the users
+    executing on UAV k. Users without an ingress stay LOCAL and are never
+    visited. Each sweep visits the others in ascending index order and scores
+    all of a user's choices (LOCAL, then UAVs 0..N-1) at once from the group
+    sums with that user taken out; the best strictly improving choice is
+    kept, so ties go to the incumbent and then to the earlier choice. Stops
+    when a full sweep changes nothing, or unconverged after MAX_SWEEPS
+    sweeps. The returned decision and DOR come from a single
+    `evaluate_assignment` of the final assignment.
     """
     n = ctx.num_uavs
     ingress = ctx.default_ingress
-    covered = np.flatnonzero(ingress != LOCAL)
-    w_bw = np.zeros(ctx.num_users)
-    w_cpu = np.zeros(ctx.num_users)
-    w_bw[covered], w_cpu[covered] = _share_weights(ctx, covered, ingress[covered])
+    served = np.flatnonzero(ingress != LOCAL)
+    w_bw, w_cpu = ctx.w_bw, ctx.w_cpu
 
     assignment = np.full(ctx.num_users, LOCAL, dtype=int)
     s_bw = np.zeros(n)
@@ -137,7 +122,7 @@ def cd_search(ctx: SlotContext) -> AllocationResult:
     while sweeps < MAX_SWEEPS:
         sweeps += 1
         changed = False
-        for user in covered:
+        for user in served:
             incumbent = assignment[user]
             k = ingress[user]
             wb, wc = w_bw[user], w_cpu[user]
@@ -267,13 +252,12 @@ def numeric_convex_oracle(assignment, ctx: SlotContext, tol: float = 1e-8,
     a = np.asarray(assignment, dtype=int)
     off = a != LOCAL
     if np.any(off & (ctx.default_ingress == LOCAL)):
-        raise InfeasibleError("offloaded user without a covering UAV")
-    ingress = np.where(off, ctx.default_ingress, LOCAL)
+        raise InfeasibleError("offloaded user without an ingress UAV")
 
     bw = np.zeros(ctx.num_users)
     cpu = np.zeros(ctx.num_users)
     for uav in range(ctx.num_uavs):
-        members = np.flatnonzero(off & (ingress == uav))
+        members = np.flatnonzero(off & (ctx.default_ingress == uav))
         if members.size:
             w = ctx.user_freq[members] / (ctx.task_cycles[members] * ctx.r0[members, uav])
             bw[members] = minimize_inverse_on_simplex(w, float(ctx.uav_bw[uav]),

@@ -3,6 +3,9 @@
 A slot's objective sums, over users, 1 - (achieved delay) / (local delay).
 Local users contribute exactly 0; offloaded users may contribute negative
 values when offloading is slower, and those are deliberately kept.
+
+`SlotContext` holds all that is fixed in a slot, each user's uplink UAV (its
+ingress) included; a `SlotDecision` holds only who offloads where, and the shares.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ class SlotContext:
     """Everything one slot's allocation needs, precomputed in array form.
 
     r0[m, n] is the per-Hz uplink rate from user m to UAV n. default_ingress[m]
-    is the covering UAV with the best r0 (-1 when nobody covers the user); it is
-    the uplink entry point for user m regardless of which UAV executes the task,
-    since the relay hop between UAVs is treated as delay-free.
+    is the covering UAV with the best r0 if that rate is > 0, else LOCAL (no
+    cover, or zero tx_power): user m's uplink entry point whatever UAV executes
+    its task, since the relay hop between UAVs is treated as delay-free.
+    w_bw = sqrt(f / (c r0)) at the ingress (exactly 0 without one) and w_cpu =
+    sqrt(f) are the square-root-law weights of each user's bandwidth and cpu.
 
     horiz[m, n] and dist3d[m, n] are the horizontal and 3D user-UAV distances
     from `model.pair_geometry`: with per-axis differences dx, dy, dz,
@@ -41,16 +46,19 @@ class SlotContext:
 
     users, uavs and tasks are the model's array bundles, or record lists that
     are stacked into bundles first. task_bits, user_freq, uav_cpu, ... are the
-    bundles' own arrays, not copies; positions are not kept. A user or UAV
-    with a non-finite position or cpu_freq, a cpu_freq <= 0, or (users) a
-    non-finite or negative tx_power is a ConfigError naming it.
+    bundles' own arrays, not copies; positions are not kept. A malformed
+    record, or a user or UAV with a non-finite position or cpu_freq, a
+    cpu_freq <= 0, (users) a non-finite or negative tx_power or (UAVs) a
+    half_angle_deg outside [0, 90], is a ConfigError naming it.
     """
 
     def __init__(self, users: UserArrays | list, uavs: UavArrays | list,
                  tasks: TaskArrays | list, params: channel.ChannelParams):
-        users, uavs, tasks = (bundle if isinstance(bundle, kind) else kind.from_records(bundle)
-                              for kind, bundle in ((UserArrays, users), (UavArrays, uavs),
-                                                   (TaskArrays, tasks)))
+        users, uavs, tasks = (
+            bundle if isinstance(bundle, kind)
+            else kind.from_rows([vars(record) for record in bundle], f"{name} records")
+            for kind, name, bundle in ((UserArrays, "user", users), (UavArrays, "UAV", uavs),
+                                       (TaskArrays, "task", tasks)))
         self.num_users = len(users.cpu_freq)
         self.num_uavs = len(uavs.cpu_freq)
         if not (self.num_users and self.num_uavs):
@@ -65,6 +73,10 @@ class SlotContext:
         _require_positive("UAV", "cpu_freq", uavs.cpu_freq)
         _require_finite_rows("user", upos)
         _require_finite_rows("UAV", vpos)
+        half = uavs.half_angle_deg
+        if not (half.min() >= 0 and half.max() <= 90):     # a NaN fails too
+            bad = (~((half >= 0) & (half <= 90))).nonzero()[0][0]
+            raise ConfigError(f"UAV {bad} half_angle_deg must lie in [0, 90], got {half[bad]}")
 
         self.task_bits = tasks.bits
         self.task_cycles = tasks.cycles_per_bit
@@ -81,14 +93,22 @@ class SlotContext:
         self.r0 = channel.spectral_efficiency(self.user_power[:, None], self.path_loss_db,
                                               params.noise_g2a_watts)
 
-        radius = coverage_radius(vpos[:, 2], uavs.half_angle_deg)
+        radius = coverage_radius(vpos[:, 2], half)
         self.coverage = self.horiz <= radius                  # (M, N)
 
-        # r0 >= 0, so a row's best covering UAV beats every -inf; a row that
-        # nobody covers is all -inf and its argmax, column 0, is not covered
-        best = np.where(self.coverage, self.r0, -np.inf).argmax(axis=1)
-        rows = np.arange(self.num_users)
-        self.default_ingress = np.where(self.coverage[rows, best], best, LOCAL)
+        # r0 >= 0, so a row's best covering UAV beats every -inf. A row that
+        # nobody covers is all -inf, and a best rate of 0 carries no data:
+        # neither gets an ingress, and `where` keeps both out of the division.
+        masked = np.where(self.coverage, self.r0, -np.inf)
+        best = masked.argmax(axis=1)
+        best_r0 = masked[np.arange(self.num_users), best]
+        served = best_r0 > 0
+        self.default_ingress = np.where(served, best, LOCAL)
+
+        self.w_cpu = np.sqrt(self.user_freq)
+        self.w_bw = np.zeros(self.num_users)
+        np.divide(self.user_freq, self.task_cycles * best_r0, out=self.w_bw, where=served)
+        np.sqrt(self.w_bw, out=self.w_bw)
 
 
 def _require_positive(kind: str, name: str, values: np.ndarray, zero_ok: bool = False):
@@ -116,13 +136,12 @@ def _require_finite_rows(kind: str, position: np.ndarray):
 class SlotDecision:
     """One slot's offloading choice plus the resource shares that realize it.
 
-    assignment[m]: LOCAL or the executing UAV's index. ingress[m]: the uplink
-    UAV for offloaded users, LOCAL otherwise. bandwidth_hz[m] / cpu_hz[m]: the
-    shares granted to user m at its ingress / executor (0 for local users).
+    assignment[m]: LOCAL or the executing UAV's index (an integer array).
+    bandwidth_hz[m] / cpu_hz[m]: the shares granted to user m at its ingress
+    `SlotContext.default_ingress[m]` / its executor (0 for local users).
     """
 
     assignment: np.ndarray
-    ingress: np.ndarray
     bandwidth_hz: np.ndarray
     cpu_hz: np.ndarray
 
@@ -141,24 +160,22 @@ def validate_decision(decision: SlotDecision, ctx: SlotContext):
     the index a message names is looked up only after a test has failed.
     """
     a = np.asarray(decision.assignment)
-    ing = np.asarray(decision.ingress)
     bw = np.asarray(decision.bandwidth_hz)
     cpu = np.asarray(decision.cpu_hz)
+    ing = ctx.default_ingress
     m, n = ctx.num_users, ctx.num_uavs
-    if a.shape != (m,):
-        raise ValidationError(f"assignment must have shape ({m},), got {a.shape}")
-    if not ing.shape == bw.shape == cpu.shape == (m,):
-        raise ValidationError(f"ingress, bandwidth_hz and cpu_hz must have shape ({m},), "
-                              f"got {ing.shape}, {bw.shape}, {cpu.shape}")
+    if not a.shape == bw.shape == cpu.shape == (m,):
+        raise ValidationError(f"assignment, bandwidth_hz and cpu_hz must have shape ({m},), "
+                              f"got {a.shape}, {bw.shape}, {cpu.shape}")
+    if a.dtype.kind != "i":
+        raise ValidationError(f"assignment entries must be integers, got dtype {a.dtype}")
     if a.min() < LOCAL or a.max() >= n:
         raise ValidationError("one-hot choice: assignment entries must be LOCAL or a UAV index")
 
     local = a == LOCAL
-    # ingress is LOCAL for exactly the local users and a UAV index for the others
-    if ing.min() < LOCAL or ing.max() >= n or ((ing == LOCAL) != local).any():
-        if (ing[local] != LOCAL).any():
-            raise ValidationError("local users must carry no ingress UAV")
-        raise ValidationError("offloaded users need a valid ingress UAV index")
+    stranded = ~local & (ing == LOCAL)
+    if stranded.any():
+        raise ValidationError(f"user {stranded.argmax()} is offloaded but has no ingress UAV")
     if not bw.min() >= 0:       # a NaN fails too
         raise ValidationError("bandwidth shares must be >= 0")
     if not cpu.min() >= 0:
@@ -166,13 +183,7 @@ def validate_decision(decision: SlotDecision, ctx: SlotContext):
     if local.any() and (bw[local].any() or cpu[local].any()):
         raise ValidationError("local users must hold zero bandwidth and cpu shares")
 
-    # A local user's LOCAL (-1) ingress reads the last column, which `| local` discards.
-    covered = ctx.coverage[np.arange(m), ing] | local
-    if not covered.all():
-        bad = (~covered).nonzero()[0][0]
-        raise ValidationError(f"ingress UAV {ing[bad]} does not cover user {bad}")
-
-    # Local users hold zero shares, so counting them on UAV 0 adds exactly 0.
+    # Local users hold zero shares: counting them anywhere adds exactly 0.
     for kind, group, share, capacity in (("bandwidth", ing, bw, ctx.uav_bw),
                                          ("cpu", a, cpu, ctx.uav_cpu)):
         total = np.bincount(np.maximum(group, 0), share, minlength=n)
@@ -188,14 +199,13 @@ def slot_dor(decision: SlotDecision, ctx: SlotContext, validate: bool = True) ->
     if validate:
         validate_decision(decision, ctx)
     off = (np.asarray(decision.assignment) != LOCAL).nonzero()[0]
-    ing = np.asarray(decision.ingress)
 
     delay = ctx.t_loc.copy()
     contribution = np.zeros(ctx.num_users)
     if off.size:
         bits = ctx.task_bits[off]
         # max(x, 1e-300) > 0: the divisions are finite; a zero share takes forever
-        rate = decision.bandwidth_hz[off] * ctx.r0[off, ing[off]]
+        rate = decision.bandwidth_hz[off] * ctx.r0[off, ctx.default_ingress[off]]
         t_edge = np.where(rate > 0, bits / np.maximum(rate, 1e-300), np.inf)
         cpu = decision.cpu_hz[off]
         t_edge += np.where(cpu > 0, bits * ctx.task_cycles[off] / np.maximum(cpu, 1e-300),

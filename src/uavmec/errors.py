@@ -12,7 +12,7 @@ class ValidationError(ValueError):
 
 
 class InfeasibleError(ValueError):
-    """An assignment or user cannot be served (no coverage / zero rate)."""
+    """An assignment offloads a user with no ingress UAV (none covers it at a rate > 0)."""
 
 
 class CapExceededError(RuntimeError):

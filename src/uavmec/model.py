@@ -15,8 +15,9 @@ Each part of a slot's world step (`Scenario.advance_users`, `apply_motion`,
 differences, summed as (dx*dx + dy*dy) + dz*dz: the order `np.linalg.norm`
 uses, so the distances, and everything computed from them, are bitwise
 those of the norms. The records `UserState`, `UavState` and `Task` describe
-one entity each; their only use is `from_records`, which stacks a list of
-them into a bundle.
+one entity each; `SlotContext` stacks a list of them into a bundle through
+`from_rows`, which checks every field. Only the benchmark's workloads and
+the tests build them.
 """
 
 from __future__ import annotations
@@ -136,27 +137,24 @@ class _Columns:
     """A bundle of float64 arrays, one per dataclass field, one row per entity."""
 
     @classmethod
-    def from_rows(cls, rows, key: str):
-        """Stack mappings that carry every field name (snapshot rows under `key`)
-        into arrays; ConfigError naming `key` and the field unless every value
-        is a number (a vector for `position`)."""
+    def from_rows(cls, rows, where: str):
+        """Stack a list of mappings that carry every field name (snapshot rows,
+        or the `vars` of records) into arrays. ConfigError, prefixed with
+        `where`, naming the field unless every value is a number (3 numbers
+        for `position`)."""
         columns = []
         for f in fields(cls):
             try:
                 column = np.array([row[f.name] for row in rows], dtype=float)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"scenario snapshot {key} field {f.name!r} is not a "
-                                  f"numeric column: {exc}") from exc
-            require(column.ndim == (2 if f.name == "position" else 1),
-                    f"scenario snapshot {key} field {f.name!r} has shape {column.shape}")
+                raise ConfigError(f"{where} field {f.name!r} is not a numeric column: "
+                                  f"{exc}") from exc
+            shape = (len(rows), 3) if f.name == "position" else (len(rows),)
+            if column.shape != shape:
+                raise ConfigError(f"{where} field {f.name!r} has shape {column.shape}, "
+                                  f"expected {shape}")
             columns.append(column)
         return cls(*columns)
-
-    @classmethod
-    def from_records(cls, records):
-        """Stack per-entity records (`UserState`, `UavState` or `Task`) into arrays."""
-        return cls(*(np.array([getattr(record, f.name) for record in records], dtype=float)
-                     for f in fields(cls)))
 
     def to_rows(self) -> list[dict]:
         names = [f.name for f in fields(self)]
@@ -329,8 +327,8 @@ class Scenario:
                 cfg_dict["initial_uav_positions"] = tuple(
                     tuple(p) for p in cfg_dict["initial_uav_positions"])
             config = ScenarioConfig(**cfg_dict)
-            users = UserArrays.from_rows(data["users"], "users")
-            uavs = UavArrays.from_rows(data["uavs"], "uavs")
+            users = UserArrays.from_rows(data["users"], "scenario snapshot users")
+            uavs = UavArrays.from_rows(data["uavs"], "scenario snapshot uavs")
             initial = np.array(data["initial_uav_positions"], dtype=float)
         except KeyError as exc:
             raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc

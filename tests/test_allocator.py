@@ -9,6 +9,7 @@ from tests._instances import random_slot_context, scenario_range_context
 from uavmec import allocator
 from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment,
                               minimize_inverse_on_simplex, numeric_convex_oracle)
+from uavmec.baselines import ao_allocate
 from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext
 from uavmec.errors import CapExceededError, ConfigError, InfeasibleError
@@ -69,7 +70,7 @@ class TestClosedForms:
     def test_zero_spectral_efficiency_rejected(self):
         ctx = one_uav_context([1e9, 1e9], [700, 700], powers=[1.0, 0.0])
         assert ctx.r0[1, 0] == 0.0
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="user 1 is offloaded but has no ingress UAV"):
             all_offloaded(ctx)
 
     def test_shares_sum_to_capacity(self):
@@ -80,7 +81,7 @@ class TestClosedForms:
             assignment = rng.integers(0, ctx.num_uavs, size=ctx.num_users)
             decision, _ = evaluate_assignment(assignment, ctx)
             for uav in range(ctx.num_uavs):
-                bw = decision.bandwidth_hz[decision.ingress == uav]
+                bw = decision.bandwidth_hz[ctx.default_ingress == uav]
                 cpu = decision.cpu_hz[decision.assignment == uav]
                 if bw.size:
                     assert abs(bw.sum() - ctx.uav_bw[uav]) <= ctx.uav_bw[uav] * 1e-12
@@ -186,10 +187,14 @@ class TestCdSearch:
             gap = deviation_gap(ctx, result.decision.assignment, result.dor)
             assert gap <= 1e-12
 
-    def test_zero_rate_ingress_rejected(self):
+    def test_zero_power_user_stays_local(self):
+        # covered at zero rate: no ingress, so every allocator leaves it local
         ctx = one_uav_context([1e9, 1e9], [700, 700], powers=[1.0, 0.0])
-        with pytest.raises(InfeasibleError, match="zero spectral efficiency"):
-            cd_search(ctx)
+        assert ctx.coverage[1, 0] and ctx.default_ingress.tolist() == [0, LOCAL]
+        for allocate in (cd_search, ao_allocate, brute_force_oracle):
+            result = allocate(ctx)
+            assert result.decision.assignment.tolist() == [0, LOCAL]
+            assert result.dor > 0
 
     def test_one_full_evaluation_per_solve(self, monkeypatch):
         # candidates are scored from group sums; only the final decision is
@@ -273,7 +278,8 @@ class TestEvaluateAssignment:
 
     def test_bad_entry_checked_before_any_work(self, monkeypatch):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
-        monkeypatch.setattr(allocator, "_share_weights", None)   # any use would raise TypeError
+        for name in ("_sqrt_law_shares", "slot_dor"):     # any use would raise TypeError
+            monkeypatch.setattr(allocator, name, None)
         with pytest.raises(ConfigError, match="user 3"):
             evaluate_assignment(np.array([0, 1, 2, -2]), ctx)
 
@@ -335,7 +341,7 @@ class TestEvaluateAssignment:
         ctx = SlotContext(users, uavs, tasks, ChannelParams())
         assert not ctx.coverage[0, 1]
         decision, metrics = evaluate_assignment(np.array([1]), ctx)
-        assert decision.ingress[0] == 0
+        assert ctx.default_ingress[0] == 0
         assert decision.cpu_hz[0] == pytest.approx(12e9)
         assert metrics.dor > 0
 
@@ -371,9 +377,8 @@ def group_objective(assignment, ctx):
     """DOR from per-UAV group sums: |off| - sum S_bw^2 / B - sum S_cpu^2 / F."""
     off = np.flatnonzero(assignment != LOCAL)
     ingress = ctx.default_ingress[off]
-    w_bw, w_cpu = allocator._share_weights(ctx, off, ingress)
-    s_bw = np.bincount(ingress, w_bw, minlength=ctx.num_uavs)
-    s_cpu = np.bincount(assignment[off], w_cpu, minlength=ctx.num_uavs)
+    s_bw = np.bincount(ingress, ctx.w_bw[off], minlength=ctx.num_uavs)
+    s_cpu = np.bincount(assignment[off], ctx.w_cpu[off], minlength=ctx.num_uavs)
     return off.size - np.sum(s_bw ** 2 / ctx.uav_bw) - np.sum(s_cpu ** 2 / ctx.uav_cpu)
 
 

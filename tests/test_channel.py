@@ -105,7 +105,7 @@ class TestG2aPathLoss:
 def uplink_seconds(ctx, bandwidth_hz):
     """Uplink time of the context's one user through UAV 0, read off the slot objective."""
     cpu = 10e9
-    decision = SlotDecision(assignment=np.array([0]), ingress=np.array([0]),
+    decision = SlotDecision(assignment=np.array([0]),
                             bandwidth_hz=np.array([bandwidth_hz]), cpu_hz=np.array([cpu]))
     return slot_dor(decision, ctx).per_user_delay[0] - 1e5 * 1000.0 / cpu
 

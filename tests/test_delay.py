@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext, SlotDecision, slot_dor, validate_decision
 from uavmec.errors import ConfigError, ValidationError
 from uavmec.model import Task, UavArrays, UavState, UserArrays, UserState
+from tests._instances import random_slot_context
 
 
 def make_user(x=0.0, y=0.0, freq=1e9, power=1.0):
@@ -22,7 +24,7 @@ def edge_delay(task, rate_bps, cpu_share_hz):
     """Edge delay of one offloaded task at a given uplink rate and processor share,
     read off the slot objective of a one-user, one-UAV context."""
     ctx = SlotContext([make_user()], [make_uav()], [task], ChannelParams())
-    decision = SlotDecision(assignment=np.array([0]), ingress=np.array([0]),
+    decision = SlotDecision(assignment=np.array([0]),
                             bandwidth_hz=np.array([rate_bps / ctx.r0[0, 0]]),
                             cpu_hz=np.array([cpu_share_hz]))
     return slot_dor(decision, ctx, validate=False).per_user_delay[0]
@@ -55,9 +57,13 @@ class TestScalarDelays:
         ("user", "position", np.array([np.inf, 1.0, 0.0]), "user 1 position must be finite"),
         ("uav", "position", np.array([1.0, 2.0, np.nan]), "UAV 1 position must be finite"),
         ("uav", "position", np.array([-np.inf, 2.0, 10.0]), "UAV 1 position must be finite"),
+        ("uav", "half_angle_deg", np.nan, r"UAV 1 half_angle_deg must lie in \[0, 90\]"),
+        ("uav", "half_angle_deg", 120.0, r"UAV 1 half_angle_deg must lie in \[0, 90\]"),
+        ("uav", "half_angle_deg", -10.0, r"UAV 1 half_angle_deg must lie in \[0, 90\]"),
     ], ids=["user-cpu-0", "user-cpu-nan", "user-cpu-inf", "power-neg", "power-nan", "power-inf",
             "uav-cpu-0", "uav-cpu-neg", "uav-cpu-nan", "uav-cpu-inf", "user-pos-nan",
-            "user-pos-inf", "uav-pos-nan", "uav-pos-inf"])
+            "user-pos-inf", "uav-pos-nan", "uav-pos-inf", "uav-angle-nan", "uav-angle-120",
+            "uav-angle-neg"])
     def test_bad_entity_names_it(self, kind, field, value, message):
         users = [make_user(0, 0), make_user(5, 5), make_user(9, 9)]
         uavs = [make_uav(0, 0), make_uav(30, 30), make_uav(40, 0)]
@@ -66,6 +72,36 @@ class TestScalarDelays:
         setattr((users if kind == "user" else uavs)[1], field, value)
         with pytest.raises(ConfigError, match=message):
             SlotContext(users, uavs, tasks, ChannelParams())
+
+    @pytest.mark.parametrize("half_angle", [0.0, 90.0])
+    def test_half_angle_bounds_accepted(self, half_angle):
+        uav = make_uav(5, 5)
+        uav.half_angle_deg = half_angle
+        ctx = SlotContext([make_user(5, 5), make_user(30, 30)], [uav],
+                          [Task(bits=1e5, cycles_per_bit=1000.0)] * 2, ChannelParams())
+        # a zero cone still covers the user directly below
+        assert ctx.coverage[:, 0].tolist() == [True, half_angle == 90.0]
+
+    @pytest.mark.parametrize("kind, field, value, rows, message", [
+        ("user", "position", [1.0, 2.0], "all",
+         r"user records field 'position' has shape \(2, 2\), expected \(2, 3\)"),
+        ("user", "position", [1.0, 2.0], "last",
+         "user records field 'position' is not a numeric column"),
+        ("user", "cpu_freq", "fast", "last",
+         "user records field 'cpu_freq' is not a numeric column"),
+        ("UAV", "tx_power", [5.0, 5.0], "all", r"UAV records field 'tx_power' has shape \(2, 2\)"),
+        ("task", "bits", "many", "last", "task records field 'bits' is not a numeric column"),
+    ], ids=["user-position-2d", "user-position-ragged", "user-cpu_freq-str",
+            "uav-tx_power-vector", "task-bits-str"])
+    def test_malformed_record_names_the_field(self, kind, field, value, rows, message):
+        records = {"user": [make_user(0, 0), make_user(5, 5)],
+                   "UAV": [make_uav(0, 0), make_uav(30, 30)],
+                   "task": [Task(bits=1e5, cycles_per_bit=1000.0)] * 2}
+        first = 0 if rows == "all" else 1
+        records[kind][first:] = [dataclasses.replace(record, **{field: value})
+                                 for record in records[kind][first:]]
+        with pytest.raises(ConfigError, match=message):
+            SlotContext(records["user"], records["UAV"], records["task"], ChannelParams())
 
     def test_zero_tx_power_allowed(self):
         ctx = SlotContext([make_user(power=0.0)], [make_uav()],
@@ -126,6 +162,20 @@ class TestScalarDelays:
                                           + task.bits * task.cycles_per_bit / share)
 
 
+def no_ingress_context():
+    """Three users and one UAV with a 10 m cone: user 0 is far outside it, user
+    1 is below it at zero tx_power and user 2 below it at 1 W, so only user 2
+    has an ingress."""
+    users = [make_user(0, 0), make_user(40, 40, power=0.0), make_user(41, 41)]
+    uavs = [UavState(position=np.array([40.0, 40.0, 10.0]), cpu_freq=10e9,
+                     tx_power=5.0, half_angle_deg=45.0)]
+    tasks = [Task(bits=1e5, cycles_per_bit=1000.0)] * 3
+    ctx = SlotContext(users, uavs, tasks, ChannelParams())
+    assert ctx.coverage[:, 0].tolist() == [False, True, True]
+    assert ctx.default_ingress.tolist() == [LOCAL, LOCAL, 0]
+    return ctx
+
+
 def single_user_context():
     users = [make_user(freq=1e9)]
     uavs = [make_uav()]
@@ -136,7 +186,7 @@ def single_user_context():
 class TestSlotDor:
     def test_all_local_zero(self):
         ctx = single_user_context()
-        decision = SlotDecision(assignment=np.array([LOCAL]), ingress=np.array([LOCAL]),
+        decision = SlotDecision(assignment=np.array([LOCAL]),
                                 bandwidth_hz=np.zeros(1), cpu_hz=np.zeros(1))
         metrics = slot_dor(decision, ctx)
         assert metrics.dor == 0.0
@@ -148,7 +198,7 @@ class TestSlotDor:
         r0 = ctx.r0[0, 0]
         bw = (1e5 / 0.02) / r0            # uplink leg: 0.02 s
         cpu = 1e5 * 1000.0 / 0.02         # execute leg: 0.02 s
-        decision = SlotDecision(assignment=np.array([0]), ingress=np.array([0]),
+        decision = SlotDecision(assignment=np.array([0]),
                                 bandwidth_hz=np.array([bw]), cpu_hz=np.array([cpu]))
         metrics = slot_dor(decision, ctx)
         assert metrics.dor == pytest.approx(0.6, rel=1e-9)
@@ -158,13 +208,13 @@ class TestSlotDor:
         r0 = ctx.r0[0, 0]
         bw = (1e5 / 0.05) / r0
         cpu = 1e5 * 1000.0 / 0.05
-        decision = SlotDecision(assignment=np.array([0]), ingress=np.array([0]),
+        decision = SlotDecision(assignment=np.array([0]),
                                 bandwidth_hz=np.array([bw]), cpu_hz=np.array([cpu]))
         assert slot_dor(decision, ctx).dor == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_contribution_kept(self):
         ctx = single_user_context()
-        decision = SlotDecision(assignment=np.array([0]), ingress=np.array([0]),
+        decision = SlotDecision(assignment=np.array([0]),
                                 bandwidth_hz=np.array([10.0]),  # starved uplink
                                 cpu_hz=np.array([1e9]))
         assert slot_dor(decision, ctx).dor < 0
@@ -177,14 +227,12 @@ class TestSlotDor:
         bw = np.array([4e6, 5e6, 0.0])
         cpu = np.array([3e9, 4e9, 0.0])
         full = SlotDecision(assignment=np.array([0, 0, LOCAL]),
-                            ingress=np.array([0, 0, LOCAL]),
                             bandwidth_hz=bw, cpu_hz=cpu)
         m_full = slot_dor(full, ctx)
         assert m_full.dor == pytest.approx(m_full.per_user_contribution.sum())
         assert m_full.per_user_contribution[2] == 0.0
         # dropping user 1 removes exactly its contribution
         drop = SlotDecision(assignment=np.array([0, LOCAL, LOCAL]),
-                            ingress=np.array([0, LOCAL, LOCAL]),
                             bandwidth_hz=np.array([4e6, 0.0, 0.0]),
                             cpu_hz=np.array([3e9, 0.0, 0.0]))
         m_drop = slot_dor(drop, ctx)
@@ -192,7 +240,6 @@ class TestSlotDor:
 
     def test_contribution_bounded_by_one(self):
         rng = np.random.default_rng(5)
-        from tests._instances import random_slot_context
         for _ in range(20):
             ctx = random_slot_context(rng)
             covered = np.flatnonzero(ctx.default_ingress != LOCAL)
@@ -207,7 +254,7 @@ class TestSlotDor:
 
 class TestValidation:
     def _decision(self, **overrides):
-        base = dict(assignment=np.array([0]), ingress=np.array([0]),
+        base = dict(assignment=np.array([0]),
                     bandwidth_hz=np.array([1e6]), cpu_hz=np.array([1e9]))
         base.update(overrides)
         return SlotDecision(**base)
@@ -215,7 +262,7 @@ class TestValidation:
     def test_valid_decision_passes(self):
         validate_decision(self._decision(), single_user_context())
 
-    @pytest.mark.parametrize("field", ["ingress", "bandwidth_hz", "cpu_hz"])
+    @pytest.mark.parametrize("field", ["assignment", "bandwidth_hz", "cpu_hz"])
     def test_misshapen_arrays_rejected(self, field):
         decision = self._decision(**{field: np.zeros(2)})
         with pytest.raises(ValidationError, match=r"must have shape \(1,\)"):
@@ -227,16 +274,12 @@ class TestValidation:
             validate_decision(self._decision(**{field: np.array([np.nan])}),
                               single_user_context())
 
-    def test_bad_ingress(self):
-        ctx = single_user_context()
-        with pytest.raises(ValidationError, match="offloaded users need a valid ingress"):
-            validate_decision(self._decision(ingress=np.array([LOCAL])), ctx)
-        with pytest.raises(ValidationError, match="offloaded users need a valid ingress"):
-            validate_decision(self._decision(ingress=np.array([1])), ctx)
-        local = self._decision(assignment=np.array([LOCAL]), ingress=np.array([0]),
-                               bandwidth_hz=np.zeros(1), cpu_hz=np.zeros(1))
-        with pytest.raises(ValidationError, match="local users must carry no ingress"):
-            validate_decision(local, ctx)
+    @pytest.mark.parametrize("assignment", [[0.5], [0.0], ["0"], [True]],
+                             ids=["fraction", "integral-float", "str", "bool"])
+    def test_non_integer_assignment_rejected(self, assignment):
+        with pytest.raises(ValidationError, match="assignment entries must be integers"):
+            validate_decision(self._decision(assignment=np.array(assignment)),
+                              single_user_context())
 
     def test_bad_assignment_index(self):
         with pytest.raises(ValidationError, match="one-hot"):
@@ -260,15 +303,35 @@ class TestValidation:
 
     def test_local_user_with_shares(self):
         ctx = single_user_context()
-        bad = self._decision(assignment=np.array([LOCAL]), ingress=np.array([LOCAL]))
+        bad = self._decision(assignment=np.array([LOCAL]))
         with pytest.raises(ValidationError, match="local users"):
             validate_decision(bad, ctx)
 
-    def test_uncovering_ingress(self):
-        users = [make_user(0, 0)]
-        uavs = [UavState(position=np.array([40.0, 40.0, 10.0]), cpu_freq=10e9,
-                         tx_power=5.0, half_angle_deg=45.0)]  # radius 10 m, user far away
-        tasks = [Task(bits=1e5, cycles_per_bit=1000.0)]
-        ctx = SlotContext(users, uavs, tasks, ChannelParams())
-        with pytest.raises(ValidationError, match="does not cover"):
-            validate_decision(self._decision(), ctx)
+    @pytest.mark.parametrize("user", [0, 1], ids=["uncovered", "zero-rate"])
+    def test_offloaded_user_without_ingress_rejected(self, user):
+        ctx = no_ingress_context()
+        assignment = np.full(3, LOCAL)
+        assignment[user] = 0
+        shares = np.where(assignment == 0, 1.0, 0.0)
+        decision = SlotDecision(assignment=assignment, bandwidth_hz=1e6 * shares,
+                                cpu_hz=1e9 * shares)
+        with pytest.raises(ValidationError,
+                           match=f"user {user} is offloaded but has no ingress UAV"):
+            validate_decision(decision, ctx)
+
+
+class TestShareWeights:
+    def test_weights_are_the_sqrt_law_at_the_ingress(self):
+        rng = np.random.default_rng(9)
+        contexts = [random_slot_context(rng) for _ in range(30)] + [no_ingress_context()]
+        without = 0
+        for ctx in contexts:
+            served = np.flatnonzero(ctx.default_ingress != LOCAL)
+            f = ctx.user_freq[served]
+            r0 = ctx.r0[served, ctx.default_ingress[served]]
+            assert np.array_equal(ctx.w_bw[served], np.sqrt(f / (ctx.task_cycles[served] * r0)))
+            assert np.array_equal(ctx.w_cpu, np.sqrt(ctx.user_freq))
+            none = ctx.default_ingress == LOCAL
+            assert (ctx.w_bw[none] == 0.0).all()
+            without += np.count_nonzero(none)
+        assert without > 0

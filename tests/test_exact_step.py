@@ -37,7 +37,7 @@ def reference_context_arrays(users: UserArrays, uavs: UavArrays, params: Channel
     radius = np.where(half < 90.0, vpos[:, 2] * np.tan(np.radians(half)), np.inf)
     coverage = horiz <= radius[None, :]
     masked = np.where(coverage, r0, -np.inf)
-    ingress = np.where(coverage.any(axis=1), masked.argmax(axis=1), LOCAL)
+    ingress = np.where(masked.max(axis=1) > 0, masked.argmax(axis=1), LOCAL)
     return {"horiz": horiz, "dist3d": dist3d, "path_loss_db": path_loss, "r0": r0,
             "coverage": coverage, "default_ingress": ingress}
 

@@ -242,9 +242,9 @@ class TestTasks:
 
     def test_task_invariants(self):
         with pytest.raises(ConfigError):
-            TaskArrays.from_records([Task(bits=0.0, cycles_per_bit=500.0)])
+            TaskArrays.from_rows([vars(Task(bits=0.0, cycles_per_bit=500.0))], "task records")
         with pytest.raises(ConfigError):
-            TaskArrays.from_records([Task(bits=1e5, cycles_per_bit=0.0)])
+            TaskArrays.from_rows([vars(Task(bits=1e5, cycles_per_bit=0.0))], "task records")
 
     @pytest.mark.parametrize("field", ["bits", "cycles_per_bit"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
