@@ -39,9 +39,11 @@ def _sqrt_law_shares(capacity: np.ndarray, group: np.ndarray,
     return capacity[group] * weights / total[group]
 
 
-def _checked_assignment(assignment, ctx: SlotContext) -> np.ndarray:
-    """A fresh int copy of `assignment`; ConfigError unless it has one entry per
-    user, each LOCAL or a UAV index (an integral float counts as that integer)."""
+def _checked_assignment(assignment, ctx: SlotContext):
+    """A fresh int copy of `assignment`, its offloaded users' indices and their
+    ingress UAVs. ConfigError unless it has one entry per user, each LOCAL or
+    a UAV index (an integral float counts as that integer); InfeasibleError
+    naming the first offloaded user without an ingress."""
     raw = np.asarray(assignment)
     if raw.shape != (ctx.num_users,):
         raise ConfigError(f"assignment must have shape ({ctx.num_users},), got {raw.shape}")
@@ -58,7 +60,12 @@ def _checked_assignment(assignment, ctx: SlotContext) -> np.ndarray:
         user = ((a != raw) | (a < LOCAL) | (a >= ctx.num_uavs)).nonzero()[0][0]
         raise ConfigError(f"assignment of user {user} must be LOCAL ({LOCAL}) or a UAV "
                           f"index in [0, {ctx.num_uavs}), got {raw[user]}")
-    return a
+    off_idx = (a != LOCAL).nonzero()[0]
+    ing = ctx.default_ingress[off_idx]
+    if (ing == LOCAL).any():
+        bad = off_idx[(ing == LOCAL).nonzero()[0][0]]
+        raise InfeasibleError(f"user {bad} is offloaded but has no ingress UAV")
+    return a, off_idx, ing
 
 
 def evaluate_assignment(assignment, ctx: SlotContext,
@@ -70,13 +77,7 @@ def evaluate_assignment(assignment, ctx: SlotContext,
     InfeasibleError naming it. Offloaded users enter through their
     `ctx.default_ingress`; executors may be any UAV.
     """
-    a = _checked_assignment(assignment, ctx)
-    off_idx = (a != LOCAL).nonzero()[0]
-    ing = ctx.default_ingress[off_idx]
-    if (ing == LOCAL).any():
-        bad = off_idx[(ing == LOCAL).nonzero()[0][0]]
-        raise InfeasibleError(f"user {bad} is offloaded but has no ingress UAV")
-
+    a, off_idx, ing = _checked_assignment(assignment, ctx)
     bw = np.zeros(ctx.num_users)
     cpu = np.zeros(ctx.num_users)
     if off_idx.size:
@@ -248,21 +249,18 @@ def numeric_convex_oracle(assignment, ctx: SlotContext, tol: float = 1e-8,
 
     Solves each UAV's bandwidth group and processor group by projected
     gradient; used to cross-check the closed forms, never to replace them.
+    The assignment is checked as by `evaluate_assignment`.
     """
-    a = np.asarray(assignment, dtype=int)
-    off = a != LOCAL
-    if np.any(off & (ctx.default_ingress == LOCAL)):
-        raise InfeasibleError("offloaded user without an ingress UAV")
-
+    a, off_idx, ing = _checked_assignment(assignment, ctx)
     bw = np.zeros(ctx.num_users)
     cpu = np.zeros(ctx.num_users)
     for uav in range(ctx.num_uavs):
-        members = np.flatnonzero(off & (ctx.default_ingress == uav))
+        members = off_idx[ing == uav]
         if members.size:
             w = ctx.user_freq[members] / (ctx.task_cycles[members] * ctx.r0[members, uav])
             bw[members] = minimize_inverse_on_simplex(w, float(ctx.uav_bw[uav]),
                                                       tol=tol, max_iter=max_iter)
-        executors = np.flatnonzero(off & (a == uav))
+        executors = off_idx[a[off_idx] == uav]
         if executors.size:
             cpu[executors] = minimize_inverse_on_simplex(ctx.user_freq[executors],
                                                          float(ctx.uav_cpu[uav]),

@@ -10,15 +10,13 @@ ingress) included; a `SlotDecision` holds only who offloads where, and the share
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
 from .errors import ValidationError, ConfigError
-from .model import (TaskArrays, UavArrays, UserArrays, coverage_radius,
-                    first_not_positive, pair_geometry)
+from .model import TaskArrays, UavArrays, UserArrays, coverage_radius, pair_geometry
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
 
@@ -45,11 +43,10 @@ class SlotContext:
     last bits, and through coverage ties and argmax, choices.
 
     users, uavs and tasks are the model's array bundles, or record lists that
-    are stacked into bundles first. task_bits, user_freq, uav_cpu, ... are the
-    bundles' own arrays, not copies; positions are not kept. A malformed
-    record, or a user or UAV with a non-finite position or cpu_freq, a
-    cpu_freq <= 0, (users) a non-finite or negative tx_power or (UAVs) a
-    half_angle_deg outside [0, 90], is a ConfigError naming it.
+    are stacked into bundles first. `_Columns.check` holds each bundle to every
+    user, UAV or task rule; then the slot needs users, UAVs and one task per
+    user. task_bits, user_freq, uav_cpu, ... are the bundles' own arrays, not
+    copies; positions are not kept.
     """
 
     def __init__(self, users: UserArrays | list, uavs: UavArrays | list,
@@ -59,6 +56,8 @@ class SlotContext:
             else kind.from_rows([vars(record) for record in bundle], f"{name} records")
             for kind, name, bundle in ((UserArrays, "user", users), (UavArrays, "UAV", uavs),
                                        (TaskArrays, "task", tasks)))
+        for bundle in (users, uavs, tasks):
+            bundle.check()
         self.num_users = len(users.cpu_freq)
         self.num_uavs = len(uavs.cpu_freq)
         if not (self.num_users and self.num_uavs):
@@ -66,18 +65,6 @@ class SlotContext:
                               f"and {self.num_uavs} UAVs")
         if len(tasks.bits) != self.num_users:
             raise ConfigError(f"{len(tasks.bits)} tasks for {self.num_users} users")
-        upos = users.position                                 # (M, 3)
-        vpos = uavs.position                                  # (N, 3)
-        _require_positive("user", "cpu_freq", users.cpu_freq)
-        _require_positive("user", "tx_power", users.tx_power, zero_ok=True)
-        _require_positive("UAV", "cpu_freq", uavs.cpu_freq)
-        _require_finite_rows("user", upos)
-        _require_finite_rows("UAV", vpos)
-        half = uavs.half_angle_deg
-        if not (half.min() >= 0 and half.max() <= 90):     # a NaN fails too
-            bad = (~((half >= 0) & (half <= 90))).nonzero()[0][0]
-            raise ConfigError(f"UAV {bad} half_angle_deg must lie in [0, 90], got {half[bad]}")
-
         self.task_bits = tasks.bits
         self.task_cycles = tasks.cycles_per_bit
         self.user_freq = users.cpu_freq
@@ -86,14 +73,15 @@ class SlotContext:
         self.uav_bw = np.full(self.num_uavs, params.bw_g2a_hz)
         self.t_loc = self.task_bits * self.task_cycles / self.user_freq
 
-        self.horiz, self.dist3d = pair_geometry(upos, vpos)   # (M, N) each
-        theta = channel.elevation_deg_from_geometry(vpos[:, 2], self.horiz)
+        altitude = uavs.position[:, 2]
+        self.horiz, self.dist3d = pair_geometry(users.position, uavs.position)  # (M, N) each
+        theta = channel.elevation_deg_from_geometry(altitude, self.horiz)
         self.path_loss_db = channel.mean_path_loss_db(np.maximum(self.dist3d, 1e-9),
                                                       theta, params)
         self.r0 = channel.spectral_efficiency(self.user_power[:, None], self.path_loss_db,
                                               params.noise_g2a_watts)
 
-        radius = coverage_radius(vpos[:, 2], half)
+        radius = coverage_radius(altitude, uavs.half_angle_deg)
         self.coverage = self.horiz <= radius                  # (M, N)
 
         # r0 >= 0, so a row's best covering UAV beats every -inf. A row that
@@ -109,27 +97,6 @@ class SlotContext:
         self.w_bw = np.zeros(self.num_users)
         np.divide(self.user_freq, self.task_cycles * best_r0, out=self.w_bw, where=served)
         np.sqrt(self.w_bw, out=self.w_bw)
-
-
-def _require_positive(kind: str, name: str, values: np.ndarray, zero_ok: bool = False):
-    """ConfigError naming the first `kind` whose `name` is not finite and > 0
-    (>= 0 with `zero_ok`)."""
-    bad = first_not_positive(values, zero_ok)
-    if bad is not None:
-        raise ConfigError(f"{kind} {bad} {name} must be finite and {'>=' if zero_ok else '>'} 0, "
-                          f"got {values[bad]}")
-
-
-def _require_finite_rows(kind: str, position: np.ndarray):
-    """ConfigError naming the first `kind` whose position has a non-finite coordinate.
-
-    A sum of finite coordinates is finite unless it overflows; only then, or
-    when a coordinate is not finite, are the rows searched."""
-    if math.isfinite(position.sum()):
-        return
-    bad = np.flatnonzero(~np.isfinite(position).all(axis=1))
-    if bad.size:
-        raise ConfigError(f"{kind} {bad[0]} position must be finite, got {position[bad[0]]}")
 
 
 @dataclass

@@ -47,7 +47,6 @@ class EdgeComputeEnv:
         self.penalty = penalty
         self.allocate = allocate if allocate is not None else cd_search
         self.slot = 0
-        self.num_uavs = scenario.config.num_uavs
 
     def observe(self) -> np.ndarray:
         return self.scenario.uav_positions
@@ -59,11 +58,8 @@ class EdgeComputeEnv:
         return self.observe()
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, float, SlotInfo]:
-        """Advance one slot. actions: (num_uavs, 3) displacements in meters."""
-        actions = np.asarray(actions, dtype=float)
-        if actions.shape != (self.num_uavs, 3):
-            raise ConfigError(
-                f"actions must have shape ({self.num_uavs}, 3), got {actions.shape}")
+        """Advance one slot. actions: (num_uavs, 3) displacements in meters,
+        checked by `apply_motion`."""
         if self.slot >= self.config.horizon:
             raise ConfigError("episode exhausted; call reset()")
 

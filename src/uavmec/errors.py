@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import numbers
 from dataclasses import fields
 
 
@@ -31,6 +32,12 @@ def require(cond, msg: str):
     """Raise ConfigError(msg) unless `cond` holds."""
     if not cond:
         raise ConfigError(msg)
+
+
+def require_seed(value, name: str):
+    """Raise ConfigError unless `value`, a seed, is a non-negative integer."""
+    require(isinstance(value, numbers.Integral) and value >= 0,
+            f"{name} must be a non-negative integer, got {value!r}")
 
 
 def check_fields(cls, data: dict, where: str):

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
-from .errors import ConfigError, NumericError, check_fields, require
+from .errors import ConfigError, NumericError, check_fields, require, require_seed
 from .model import Scenario
 
 CHECKPOINT_SCHEMA_VERSION = 3
@@ -75,13 +75,15 @@ class TrainConfig:
         require(self.lr_actor >= 0 and self.lr_critic >= 0, "learning rates must be >= 0")
         require(0.0 < self.tau <= 1.0, f"tau must lie in (0, 1], got {self.tau}")
         require(0.0 <= self.gamma < 1.0, f"gamma must lie in [0, 1), got {self.gamma}")
-        require(self.buffer_capacity >= 1, "buffer_capacity must be >= 1")
         require(self.episodes >= 1, "episodes must be >= 1")
         require(self.batch_size >= 1, "batch_size must be >= 1")
         require(self.hidden_actor >= 1, f"hidden_actor must be >= 1, got {self.hidden_actor}")
         require(self.hidden_critic >= 1, f"hidden_critic must be >= 1, got {self.hidden_critic}")
         require(self.min_fill >= self.batch_size,
                 f"min_fill {self.min_fill} must be >= batch_size {self.batch_size}")
+        require(self.buffer_capacity >= self.min_fill,
+                f"buffer_capacity {self.buffer_capacity} must be >= min_fill {self.min_fill}")
+        require_seed(self.seed, "seed")
         require(self.noise_sigma_start >= self.noise_sigma_end >= 0,
                 "noise schedule must decay toward a nonnegative floor")
         require(0.0 < self.noise_decay_fraction <= 1.0,

@@ -7,7 +7,7 @@ The world is a struct of arrays, row i belonging to user or UAV i, all float64:
 
     UserArrays  position (M, 3), cpu_freq (M,), tx_power (M,)
     UavArrays   position (N, 3), cpu_freq (N,), tx_power (N,), half_angle_deg (N,)
-    TaskArrays  bits (M,), cycles_per_bit (M,); one slot's tasks, checked when built
+    TaskArrays  bits (M,), cycles_per_bit (M,); one slot's tasks
 
 Each part of a slot's world step (`Scenario.advance_users`, `apply_motion`,
 `generate_tasks`) is one array operation over all users or all UAVs.
@@ -16,8 +16,10 @@ differences, summed as (dx*dx + dy*dy) + dz*dz: the order `np.linalg.norm`
 uses, so the distances, and everything computed from them, are bitwise
 those of the norms. The records `UserState`, `UavState` and `Task` describe
 one entity each; `SlotContext` stacks a list of them into a bundle through
-`from_rows`, which checks every field. Only the benchmark's workloads and
-the tests build them.
+`from_rows`. Only the benchmark's workloads and the tests build them.
+
+Building a bundle checks nothing. `_Columns.check` applies every rule in
+`FIELD_RULES`: `SlotContext` calls it once per slot, `Scenario.from_dict` at load.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import ConfigError, check_fields, require
+from .errors import ConfigError, check_fields, require, require_seed
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +85,7 @@ class ScenarioConfig:
         require(self.user_mobility in ("static", "random_waypoint"),
                 f"user_mobility must be 'static' or 'random_waypoint', got {self.user_mobility!r}")
         require(self.user_speed >= 0, f"user_speed must be >= 0, got {self.user_speed}")
+        require_seed(self.rng_seed, "rng_seed")
         if self.initial_uav_positions is not None:
             self._check_initial_uav_positions()
 
@@ -133,15 +136,57 @@ class Task:
     cycles_per_bit: float
 
 
+_FLOAT64 = np.dtype(float)
+_TINY = float(np.finfo(float).smallest_subnormal)   # least float > 0: x >= _TINY is x > 0
+_HUGE = float(np.finfo(float).max)                  # x <= _HUGE is x finite (and not NaN)
+
+# Every field of every bundle, by name: the shape of one row, the closed range
+# [low, high] each value must lie in (a NaN lies in none), and the wording.
+FIELD_RULES = {
+    "position": ((3,), -_HUGE, _HUGE, "be finite"),
+    "cpu_freq": ((), _TINY, _HUGE, "be finite and > 0"),
+    "tx_power": ((), 0.0, _HUGE, "be finite and >= 0"),
+    "half_angle_deg": ((), 0.0, 90.0, "lie in [0, 90]"),
+    "bits": ((), _TINY, _HUGE, "be finite and > 0"),
+    "cycles_per_bit": ((), _TINY, _HUGE, "be finite and > 0"),
+}
+
+
 class _Columns:
-    """A bundle of float64 arrays, one per dataclass field, one row per entity."""
+    """A bundle of float64 arrays, one per dataclass field, one row per entity.
+    Building one checks nothing; `check` holds every rule."""
+
+    entity = ""   # names the entity in messages: "user 1 cpu_freq must ..."
+
+    def check(self):
+        """ConfigError unless every field is a float64 ndarray of K rows, shaped
+        as its `FIELD_RULES` row, whose values all lie in its range; it names the
+        field, or for a bad value the entity and its index. A good column is
+        cleared by its values at `argmin` and `argmax` (a NaN is both, if there
+        is one), a third of the cost of `min` and `max`; only a bad one is searched."""
+        rows = None
+        for name in self.__dataclass_fields__:
+            values = getattr(self, name)
+            tail, low, high, wording = FIELD_RULES[name]
+            if not isinstance(values, np.ndarray) or values.dtype != _FLOAT64:
+                raise ConfigError(f"{self.entity} field {name!r} must be a float64 array, "
+                                  f"got {getattr(values, 'dtype', type(values).__name__)}")
+            if rows is None and values.ndim == 1 + len(tail):
+                rows = len(values)
+            if values.shape != (rows, *tail):
+                raise ConfigError(f"{self.entity} field {name!r} has shape {values.shape}, "
+                                  f"expected {('K' if rows is None else rows, *tail)}")
+            if rows and not (low <= values.item(values.argmin())
+                             and values.item(values.argmax()) <= high):
+                bad = ((values >= low) & (values <= high)).reshape(rows, -1).all(axis=1).argmin()
+                raise ConfigError(f"{self.entity} {bad} {name} must {wording}, "
+                                  f"got {values[bad]}")
 
     @classmethod
     def from_rows(cls, rows, where: str):
         """Stack a list of mappings that carry every field name (snapshot rows,
         or the `vars` of records) into arrays. ConfigError, prefixed with
-        `where`, naming the field unless every value is a number (3 numbers
-        for `position`)."""
+        `where`, naming the field unless each column converts to float."""
         columns = []
         for f in fields(cls):
             try:
@@ -149,10 +194,6 @@ class _Columns:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{where} field {f.name!r} is not a numeric column: "
                                   f"{exc}") from exc
-            shape = (len(rows), 3) if f.name == "position" else (len(rows),)
-            if column.shape != shape:
-                raise ConfigError(f"{where} field {f.name!r} has shape {column.shape}, "
-                                  f"expected {shape}")
             columns.append(column)
         return cls(*columns)
 
@@ -164,6 +205,7 @@ class _Columns:
 
 @dataclass
 class UserArrays(_Columns):
+    entity = "user"
     position: np.ndarray        # (M, 3), z fixed at 0
     cpu_freq: np.ndarray        # (M,) Hz
     tx_power: np.ndarray        # (M,) watts
@@ -171,6 +213,7 @@ class UserArrays(_Columns):
 
 @dataclass
 class UavArrays(_Columns):
+    entity = "UAV"
     position: np.ndarray        # (N, 3)
     cpu_freq: np.ndarray        # (N,) Hz
     tx_power: np.ndarray        # (N,) watts
@@ -179,31 +222,11 @@ class UavArrays(_Columns):
 
 @dataclass(frozen=True)
 class TaskArrays(_Columns):
-    """One slot's tasks, row m for user m; every entry finite and > 0."""
+    """One slot's tasks, row m for user m."""
 
+    entity = "task"
     bits: np.ndarray            # (M,)
     cycles_per_bit: np.ndarray  # (M,)
-
-    def __post_init__(self):
-        for name in ("bits", "cycles_per_bit"):
-            values = getattr(self, name)
-            bad = first_not_positive(values)
-            if bad is not None:
-                raise ConfigError(f"task {name} of user {bad} must be finite and > 0, "
-                                  f"got {values[bad]}")
-
-
-def first_not_positive(values: np.ndarray, zero_ok: bool = False) -> int | None:
-    """Index of the first entry that is not finite and > 0 (>= 0 with `zero_ok`),
-    or None. A good array is cleared by its minimum and maximum (the minimum of
-    an array with a NaN is NaN); only a bad one is searched."""
-    if values.size:
-        low = values.min()
-        if (low >= 0 if zero_ok else low > 0) and values.max() < np.inf:
-            return None
-    ok = (values >= 0) if zero_ok else (values > 0)
-    bad = (~(ok & (values < np.inf))).nonzero()[0]
-    return int(bad[0]) if bad.size else None
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -337,6 +360,8 @@ class Scenario:
                                 ("initial_uav_positions", initial, config.num_uavs)):
             require(np.shape(rows) == (need, 3), f"scenario snapshot {key} has shape "
                     f"{np.shape(rows)}, its config needs ({need}, 3)")
+        users.check()
+        uavs.check()
         return cls(config, users, uavs, initial)
 
     def save(self, path: str | os.PathLike):
@@ -380,9 +405,13 @@ def apply_motion(positions: np.ndarray, deltas,
     positions and deltas are (N, 3). Oversized displacements are rescaled to
     v_max * slot_seconds; the resulting positions are clamped componentwise.
     Enforcement never rejects, it flags. Returns the new (N, 3) positions and
-    the (N,) box and speed violation masks; neither input is written.
+    the (N,) box and speed violation masks; neither input is written. Deltas
+    not shaped as the positions, or not finite, are a ConfigError.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.shape != positions.shape:
+        raise ConfigError(f"motion deltas must have the shape of the UAV positions "
+                          f"{positions.shape}, got {deltas.shape}")
     if not np.isfinite(deltas).all():
         bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))[0]
         raise ConfigError(f"motion delta of UAV {bad} must be finite, got {deltas[bad]}")

@@ -124,6 +124,22 @@ class TestProjectedGradientOracle:
             assert np.max(np.abs(cpu[off] - decision.cpu_hz[off])
                           / decision.cpu_hz[off]) < 1e-6
 
+    @pytest.mark.parametrize("assignment, message", [
+        ([0.7, LOCAL, 2, 1], r"assignment of user 0 must be LOCAL \(-1\)"),
+        ([0, LOCAL, 2, 7], r"assignment of user 3 must be LOCAL \(-1\)"),
+        (["0", "-1", "2", "1"], "must be integers"),
+    ], ids=["fraction", "no-such-uav", "str"])
+    def test_bad_assignment_rejected(self, assignment, message):
+        ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
+        numeric_convex_oracle([0, LOCAL, 2, 1], ctx)    # valid
+        with pytest.raises(ConfigError, match=message):
+            numeric_convex_oracle(assignment, ctx)
+
+    def test_offloaded_user_without_ingress_named(self):
+        ctx = one_uav_context([1e9, 1e9], [500.0, 500.0], powers=[1.0, 0.0])
+        with pytest.raises(InfeasibleError, match="user 1 is offloaded but has no ingress"):
+            numeric_convex_oracle([0, 0], ctx)
+
 
 def deviation_gap(ctx, assignment, base_dor):
     """Largest improvement any single-user change could still achieve."""

@@ -60,10 +60,13 @@ class TestScalarDelays:
         ("uav", "half_angle_deg", np.nan, r"UAV 1 half_angle_deg must lie in \[0, 90\]"),
         ("uav", "half_angle_deg", 120.0, r"UAV 1 half_angle_deg must lie in \[0, 90\]"),
         ("uav", "half_angle_deg", -10.0, r"UAV 1 half_angle_deg must lie in \[0, 90\]"),
+        ("uav", "tx_power", -5.0, "UAV 1 tx_power must be finite and >= 0"),
+        ("uav", "tx_power", np.inf, "UAV 1 tx_power must be finite and >= 0"),
+        ("uav", "tx_power", np.nan, "UAV 1 tx_power must be finite and >= 0"),
     ], ids=["user-cpu-0", "user-cpu-nan", "user-cpu-inf", "power-neg", "power-nan", "power-inf",
             "uav-cpu-0", "uav-cpu-neg", "uav-cpu-nan", "uav-cpu-inf", "user-pos-nan",
             "user-pos-inf", "uav-pos-nan", "uav-pos-inf", "uav-angle-nan", "uav-angle-120",
-            "uav-angle-neg"])
+            "uav-angle-neg", "uav-power-neg", "uav-power-inf", "uav-power-nan"])
     def test_bad_entity_names_it(self, kind, field, value, message):
         users = [make_user(0, 0), make_user(5, 5), make_user(9, 9)]
         uavs = [make_uav(0, 0), make_uav(30, 30), make_uav(40, 0)]
@@ -84,12 +87,12 @@ class TestScalarDelays:
 
     @pytest.mark.parametrize("kind, field, value, rows, message", [
         ("user", "position", [1.0, 2.0], "all",
-         r"user records field 'position' has shape \(2, 2\), expected \(2, 3\)"),
+         r"user field 'position' has shape \(2, 2\), expected \(2, 3\)"),
         ("user", "position", [1.0, 2.0], "last",
          "user records field 'position' is not a numeric column"),
         ("user", "cpu_freq", "fast", "last",
          "user records field 'cpu_freq' is not a numeric column"),
-        ("UAV", "tx_power", [5.0, 5.0], "all", r"UAV records field 'tx_power' has shape \(2, 2\)"),
+        ("UAV", "tx_power", [5.0, 5.0], "all", r"UAV field 'tx_power' has shape \(2, 2\)"),
         ("task", "bits", "many", "last", "task records field 'bits' is not a numeric column"),
     ], ids=["user-position-2d", "user-position-ragged", "user-cpu_freq-str",
             "uav-tx_power-vector", "task-bits-str"])

@@ -49,6 +49,16 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {width}"):
             dataclasses.replace(SMALL, **{name: width})
 
+    def test_buffer_smaller_than_min_fill_rejected(self):
+        # such a buffer never holds min_fill transitions, so no update would ever run
+        with pytest.raises(ConfigError, match="buffer_capacity 10 must be >= min_fill 50"):
+            dataclasses.replace(SMALL, buffer_capacity=10, min_fill=50)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "4"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            dataclasses.replace(SMALL, seed=seed)
+
 
 class TestCheckpointInput:
     def test_fewer_agents_rejected(self):

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ import pytest
 from uavmec.channel import ChannelParams
 from uavmec.delay import SlotContext
 from uavmec.errors import ConfigError
-from uavmec.model import (Scenario, ScenarioConfig, Task, TaskArrays, UavState,
-                          UserState, apply_motion, build_scenario, coverage_radius,
-                          generate_tasks, pairwise_distances)
+from uavmec.model import (FIELD_RULES, Scenario, ScenarioConfig, Task, TaskArrays,
+                          UavArrays, UavState, UserArrays, UserState, _Columns, apply_motion,
+                          build_scenario, coverage_radius, generate_tasks, pairwise_distances)
 
 
 def small_config(**overrides):
@@ -49,6 +51,11 @@ class TestScenarioConstruction:
             ScenarioConfig(v_max=-1.0)
         with pytest.raises(ConfigError, match="user_speed"):
             ScenarioConfig(user_speed=-1.0)
+
+    @pytest.mark.parametrize("seed", [-3, 2.0, None])
+    def test_rng_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="rng_seed must be a non-negative integer"):
+            ScenarioConfig(rng_seed=seed)
 
     @pytest.mark.parametrize("position, message", [
         ((-10.0, 5.0, 12.0), "outside the flight box"),
@@ -125,7 +132,13 @@ class TestScenarioConstruction:
             Scenario.from_dict(data)
         for row in data[key]:          # the same value in every row
             row[field] = value
-        with pytest.raises(ConfigError, match=f"{key} field '{field}'|{key} has shape"):
+        with pytest.raises(ConfigError, match=f"{key} has shape|field '{field}'"):
+            Scenario.from_dict(data)
+
+    def test_snapshot_with_bad_value_rejected_at_load(self):
+        data = build_scenario(small_config()).to_dict()
+        data["uavs"][1]["cpu_freq"] = -5.0
+        with pytest.raises(ConfigError, match="UAV 1 cpu_freq must be finite and > 0"):
             Scenario.from_dict(data)
 
     def test_snapshot_missing_key_names_it(self):
@@ -172,6 +185,12 @@ class TestMotion:
             assert 0 <= x <= cfg.area_x and 0 <= y <= cfg.area_y
             assert cfg.z_min <= z <= cfg.z_max
             position = new
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6,)], ids=["2x2", "3x3", "flat"])
+    def test_misshapen_deltas_name_both_shapes(self, shape):
+        position = np.array([[25.0, 25.0, 15.0], [10.0, 10.0, 12.0]])
+        with pytest.raises(ConfigError, match=rf"positions \(2, 3\), got {re.escape(str(shape))}"):
+            apply_motion(position, np.zeros(shape), small_config())
 
     def test_non_finite_delta_rejected(self):
         cfg = small_config()
@@ -242,23 +261,97 @@ class TestTasks:
 
     def test_task_invariants(self):
         with pytest.raises(ConfigError):
-            TaskArrays.from_rows([vars(Task(bits=0.0, cycles_per_bit=500.0))], "task records")
+            TaskArrays.from_rows([vars(Task(bits=0.0, cycles_per_bit=500.0))],
+                                 "task records").check()
         with pytest.raises(ConfigError):
-            TaskArrays.from_rows([vars(Task(bits=1e5, cycles_per_bit=0.0))], "task records")
+            TaskArrays.from_rows([vars(Task(bits=1e5, cycles_per_bit=0.0))],
+                                 "task records").check()
 
     @pytest.mark.parametrize("field", ["bits", "cycles_per_bit"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_bad_task_entry_names_the_user(self, field, value):
         columns = {"bits": np.full(4, 1e5), "cycles_per_bit": np.full(4, 500.0)}
         columns[field][2] = value
-        with pytest.raises(ConfigError, match=f"task {field} of user 2"):
-            TaskArrays(**columns)
+        tasks = TaskArrays(**columns)          # building checks nothing
+        with pytest.raises(ConfigError, match=f"task 2 {field} must be finite and > 0"):
+            tasks.check()
 
     def test_slot_outside_horizon(self):
         sc = build_scenario(small_config(horizon=5))
         for slot in (5, -1):
             with pytest.raises(ConfigError, match=f"slot {slot} outside horizon"):
                 generate_tasks(sc, slot)
+
+
+def two_uavs(**columns) -> UavArrays:
+    """Two valid UAVs, with the given columns replaced."""
+    return UavArrays(**{"position": np.array([[10.0, 10.0, 12.0], [40.0, 40.0, 12.0]]),
+                        "cpu_freq": np.full(2, 10e9), "tx_power": np.full(2, 5.0),
+                        "half_angle_deg": np.full(2, 90.0), **columns})
+
+
+class TestEntityCheck:
+    """`_Columns.check`, reached through `SlotContext` as each slot reaches it."""
+
+    @staticmethod
+    def slot(users=None, uavs=None):
+        sc = build_scenario(small_config(num_users=2, num_uavs=2))
+        return SlotContext(users if users is not None else sc.users,
+                           uavs if uavs is not None else sc.uavs,
+                           generate_tasks(sc, 0), ChannelParams())
+
+    def test_valid_bundles_pass(self):
+        sc = build_scenario(small_config())
+        for bundle in (sc.users, sc.uavs, generate_tasks(sc, 0), two_uavs()):
+            bundle.check()
+        self.slot(uavs=two_uavs())
+
+    @pytest.mark.parametrize("field, value", [("cpu_freq", 10e9), ("half_angle_deg", 45.0)],
+                             ids=["cpu_freq", "half_angle_deg"])
+    def test_one_value_for_two_uavs_rejected(self, field, value):
+        uavs = two_uavs(**{field: np.array([value])})     # would broadcast
+        with pytest.raises(ConfigError,
+                           match=rf"UAV field '{field}' has shape \(1,\), expected \(2,\)"):
+            self.slot(uavs=uavs)
+
+    def test_two_coordinate_position_rejected(self):
+        users = UserArrays(position=np.zeros((2, 2)), cpu_freq=np.full(2, 1e9),
+                           tx_power=np.ones(2))
+        with pytest.raises(ConfigError,
+                           match=r"user field 'position' has shape \(2, 2\), expected \(2, 3\)"):
+            self.slot(users=users)
+
+    @pytest.mark.parametrize("value, kind", [([1e9, 1e9], "list"),
+                                             (np.array([1, 2], dtype=np.int64), "int64"),
+                                             (np.array([1e9, 1e9], dtype=np.float32), "float32")],
+                             ids=["list", "int64", "float32"])
+    def test_non_float64_field_rejected(self, value, kind):
+        users = UserArrays(position=np.zeros((2, 3)), cpu_freq=value, tx_power=np.ones(2))
+        with pytest.raises(ConfigError,
+                           match=f"user field 'cpu_freq' must be a float64 array, got {kind}"):
+            self.slot(users=users)
+
+    def test_first_field_of_wrong_rank_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"UAV field 'position' has shape \(3,\), expected \('K', 3\)"):
+            two_uavs(position=np.array([10.0, 10.0, 12.0])).check()
+
+    def test_first_bad_entity_is_named(self):
+        uavs = two_uavs(position=np.array([[np.nan, 10.0, 12.0], [40.0, -np.inf, 12.0]]))
+        with pytest.raises(ConfigError, match="UAV 0 position must be finite"):
+            uavs.check()
+
+    def test_no_rows_pass(self):
+        TaskArrays(bits=np.zeros(0), cycles_per_bit=np.zeros(0)).check()
+
+    def test_every_bundle_field_has_a_rule(self):
+        # a field without an entry in FIELD_RULES would go unchecked
+        bundles = _Columns.__subclasses__()
+        assert {"UserArrays", "UavArrays", "TaskArrays"} <= {kind.__name__ for kind in bundles}
+        for kind in bundles:
+            assert kind.entity
+            for f in fields(kind):
+                assert f.name in FIELD_RULES, f"{kind.__name__}.{f.name} has no rule"
 
 
 class TestUserMobility:
