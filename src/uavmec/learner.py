@@ -8,28 +8,28 @@ store the transition, and once the buffer is warm run one critic and one
 actor gradient step per agent per slot. Plain gradient steps, no adaptive
 moments.
 
-Each role (actor, critic, target_actor, target_critic) is stored as one
-(num_agents, P) array, `MaddpgTrainer.stacks[role]`, whose row n is the `theta`
-of agent n's network of that role: a write through either is seen by both.
-Each row keeps the `nets` layout, (fan_out, fan_in) weights then biases per
-layer. The whole actor and target-actor stacks are also `nets.MlpParams`,
-`MaddpgTrainer.actors` and `target_actors`, built once, so acting runs all
+Each role in `ROLES` is one stacked `nets.MlpParams`, `MaddpgTrainer.nets[role]`,
+over a (num_agents, P) `theta` whose row n is agent n's network of that role;
+`agents[n][role]` is that row's own `MlpParams`. Both views share the stack's
+memory, so a write through either is seen by the other. Acting runs all
 actors in one stacked forward pass, and each TD target runs all target actors
 in one.
 
-A warm slot draws every agent's replay batch at once, (num_agents,
-batch_size) indices in one call, and normalises them together. The critic,
-actor and soft updates then run agent by agent, as in sequential MADDPG
-(Lowe et al. 2017, arXiv:1706.02275): agent n + 1's TD target reads agent
-n's target actor as just blended, so the agents cannot be updated as one
+The replay buffer holds each transition in network units, normalised once
+when `remember` stores it: the critic input x = [obs, act] / input_scale, the
+reward, and next_obs divided by the box extents. A warm slot draws every
+agent's batch at once, (num_agents, batch_size) indices in one call. The
+critic, actor and soft updates then run agent by agent, as in sequential
+MADDPG (Lowe et al. 2017, arXiv:1706.02275): agent n + 1's TD target reads
+agent n's target actor as just blended, so the agents cannot be updated as one
 stacked step without changing the result.
 
-A checkpoint is one `.npz` archive of plain arrays (schema version 3): `meta`,
-a JSON string holding schema_version, config (the TrainConfig), obs_dim,
-buffer_size, buffer_cursor and rng_state; the four role stacks, written as
-they are; and the buffer_size filled replay rows as obs, act, rew and
-next_obs. `save_checkpoint` moves the archive into place with one rename, so a
-reader finds the previous checkpoint or the new one, never a mix.
+A checkpoint is one `.npz` archive of plain arrays (schema version 4): `meta`,
+a JSON string holding schema_version, config (the TrainConfig), buffer_size,
+buffer_cursor and rng_state; the four role stacks, written as they are; and
+the buffer_size filled replay rows as x, rew and next_obs. `save_checkpoint`
+moves the archive into place with one rename, so a reader finds the previous
+checkpoint or the new one, never a mix.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import contextlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -47,10 +47,10 @@ from .env import EdgeComputeEnv, SlotInfo
 from .errors import ConfigError, NumericError, check_fields, require, require_seed
 from .model import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 3
-META_KEYS = ("schema_version", "config", "obs_dim", "buffer_size", "buffer_cursor",
-             "rng_state")
-REPLAY_FIELDS = ("obs", "act", "rew", "next_obs")
+CHECKPOINT_SCHEMA_VERSION = 4
+META_KEYS = ("schema_version", "config", "buffer_size", "buffer_cursor", "rng_state")
+ROLES = ("actor", "critic", "target_actor", "target_critic")
+REPLAY_FIELDS = ("x", "rew", "next_obs")
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ class TrainConfig:
                 "noise schedule must decay toward a nonnegative floor")
         require(0.0 < self.noise_decay_fraction <= 1.0,
                 "noise_decay_fraction must lie in (0, 1]")
+        require(0.0 <= self.penalty < np.inf,
+                f"penalty must be finite and >= 0, got {self.penalty}")
 
     def noise_sigma(self, episode: int) -> float:
         """Linear decay over the first noise_decay_fraction of episodes."""
@@ -96,52 +98,37 @@ class TrainConfig:
         return self.noise_sigma_start + frac * (self.noise_sigma_end - self.noise_sigma_start)
 
 
-@dataclass
-class AgentNets:
-    actor: nets.MlpParams
-    critic: nets.MlpParams
-    target_actor: nets.MlpParams
-    target_critic: nets.MlpParams
-
-
-ROLES = tuple(f.name for f in fields(AgentNets))
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring of (joint obs, joint action, reward, next joint obs)."""
+    """Fixed-capacity ring of (critic input x, reward, next joint obs) rows,
+    stored as given."""
 
-    def __init__(self, capacity: int, obs_dim: int, act_dim: int):
+    def __init__(self, capacity: int, x_dim: int, obs_dim: int):
         if capacity < 1:
             raise ConfigError("buffer capacity must be >= 1")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.act = np.zeros((capacity, act_dim))
+        self.x = np.zeros((capacity, x_dim))
         self.rew = np.zeros(capacity)
         self.next_obs = np.zeros((capacity, obs_dim))
         self.size = 0
         self.cursor = 0
 
-    def push(self, obs, act, rew, next_obs):
+    def push(self, x, rew, next_obs):
         i = self.cursor
-        self.obs[i] = obs
-        self.act[i] = act
+        self.x[i] = x
         self.rew[i] = rew
         self.next_obs[i] = next_obs
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def ready(self, min_fill: int) -> bool:
-        return self.size >= min_fill
-
     def sample(self, batches: int, batch_size: int, rng: np.random.Generator):
-        """(obs, act, rew, next_obs) of `batches` batches, each field shaped
+        """(x, rew, next_obs) of `batches` batches, each field shaped
         (batches, batch_size, ...), at uniform indices drawn in one call: the
         same indices as `batches` draws of batch_size, in order."""
         if batch_size > self.size:
             raise ConfigError(
                 f"cannot sample {batch_size} from a buffer holding {self.size}")
         idx = rng.integers(0, self.size, size=(batches, batch_size))
-        return (self.obs[idx], self.act[idx], self.rew[idx], self.next_obs[idx])
+        return self.x[idx], self.rew[idx], self.next_obs[idx]
 
     def restore(self, contents: dict, size: int, cursor: int):
         """Refill the first `size` rows from `contents[field]` arrays; raise
@@ -192,23 +179,20 @@ class MaddpgTrainer:
         joint_dim = self.num_agents * (self.obs_dim + 3)
         actor = (nets.mlp_shapes(self.obs_dim, config.hidden_actor, 3), "tanh")
         critic = (nets.mlp_shapes(joint_dim, config.hidden_critic, 1), "linear")
-        layout = {"actor": actor, "critic": critic,
-                  "target_actor": actor, "target_critic": critic}
-        self.stacks = {role: np.empty((self.num_agents, nets.param_count(layout[role][0])))
-                       for role in ROLES}
-        self.agents = [AgentNets(**{role: nets.MlpParams(self.stacks[role][n], *layout[role])
-                                    for role in ROLES})
+        layout = dict(zip(ROLES, (actor, critic, actor, critic)))
+        self.nets = {role: nets.MlpParams(np.empty((self.num_agents, nets.param_count(shapes))),
+                                          shapes, out)
+                     for role, (shapes, out) in layout.items()}
+        self.agents = [{role: nets.MlpParams(self.nets[role].theta[n], *layout[role])
+                        for role in ROLES}
                        for n in range(self.num_agents)]
         for a in self.agents:   # one rng stream: actor n, then critic n
-            nets.init_mlp(a.actor, self.rng)
-            nets.init_mlp(a.critic, self.rng)
-        self.stacks["target_actor"][...] = self.stacks["actor"]
-        self.stacks["target_critic"][...] = self.stacks["critic"]
-        self.actors = nets.MlpParams(self.stacks["actor"], *actor)
-        self.target_actors = nets.MlpParams(self.stacks["target_actor"], *actor)
-        self.buffer = ReplayBuffer(config.buffer_capacity,
-                                   self.num_agents * self.obs_dim,
-                                   self.num_agents * 3)
+            nets.init_mlp(a["actor"], self.rng)
+            nets.init_mlp(a["critic"], self.rng)
+        self.nets["target_actor"].theta[...] = self.nets["actor"].theta
+        self.nets["target_critic"].theta[...] = self.nets["critic"].theta
+        self.buffer = ReplayBuffer(config.buffer_capacity, joint_dim,
+                                   self.num_agents * self.obs_dim)
 
     # ---- acting ----
 
@@ -220,40 +204,36 @@ class MaddpgTrainer:
         applies on top.
         """
         obs_norm = np.asarray(obs) / self.obs_scale
-        u = nets.mlp_activations(self.actors, obs_norm[:, None, :])[-1][:, 0]
+        u = nets.mlp_activations(self.nets["actor"], obs_norm[:, None, :])[-1][:, 0]
         if noise_sigma > 0:
             u = u + self.rng.normal(scale=noise_sigma, size=u.shape)
         return np.clip(u, -1.0, 1.0) * self.max_step
 
     # ---- updates ----
 
-    def normalise_batch(self, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Network inputs for `ReplayBuffer.sample` batches: (x, rew, next_obs),
-        with the leading axes of the sample.
-
-        x = [obs, act] / input_scale is the critic input with the stored
-        actions; next_obs is divided by the box extents.
-        """
-        obs, act, rew, next_obs = batch
-        x = np.concatenate([obs, act], axis=-1) / self.input_scale
-        return x, rew, next_obs / self.joint_obs_scale
+    def remember(self, obs, actions, reward: float, next_obs):
+        """Store one transition in network units: the critic input
+        [obs, actions] / input_scale, the reward, and next_obs divided by the
+        box extents. obs, actions and next_obs are (num_agents, 3)."""
+        x = np.concatenate([np.ravel(obs), np.ravel(actions)]) / self.input_scale
+        self.buffer.push(x, reward, np.ravel(next_obs) / self.joint_obs_scale)
 
     def td_target(self, agent: int, batch) -> np.ndarray:
         """y = r + gamma * Q'(S', A') with A' from one stacked pass of the target actors."""
         _, rew, next_obs = batch
         batch_size = next_obs.shape[0]
         own_obs = next_obs.reshape(batch_size, self.num_agents, self.obs_dim).transpose(1, 0, 2)
-        next_actions = nets.mlp_activations(self.target_actors, own_obs)[-1]
+        next_actions = nets.mlp_activations(self.nets["target_actor"], own_obs)[-1]
         critic_in = np.concatenate(
             [next_obs, next_actions.transpose(1, 0, 2).reshape(batch_size, -1)], axis=1)
-        q_next = nets.mlp_forward(self.agents[agent].target_critic, critic_in)
+        q_next = nets.mlp_forward(self.agents[agent]["target_critic"], critic_in)
         return rew + self.config.gamma * q_next[:, 0]
 
     def critic_update(self, agent: int, batch) -> float:
-        """One mean-squared TD-error descent step on a `normalise_batch` batch;
-        returns the pre-step loss."""
+        """One mean-squared TD-error descent step on a `ReplayBuffer.sample`
+        batch; returns the pre-step loss."""
         y = self.td_target(agent, batch)
-        critic = self.agents[agent].critic
+        critic = self.agents[agent]["critic"]
         acts = nets.mlp_activations(critic, batch[0])
         err = acts[-1][:, 0] - y
         loss = float(np.mean(err ** 2))
@@ -264,18 +244,18 @@ class MaddpgTrainer:
 
     def actor_update(self, agent: int, batch) -> float:
         """One ascent step on mean Q with the agent's own action re-derived
-        from its policy, on a `normalise_batch` batch; returns the actor
+        from its policy, on a `ReplayBuffer.sample` batch; returns the actor
         gradient norm."""
         x = batch[0]
         d = self.obs_dim
-        actor = self.agents[agent].actor
+        actor = self.agents[agent]["actor"]
         actor_acts = nets.mlp_activations(actor, x[:, agent * d:(agent + 1) * d])
 
         start = self.num_agents * d + agent * 3
         own = slice(start, start + 3)
         joint = x.copy()
         joint[:, own] = actor_acts[-1]
-        critic = self.agents[agent].critic
+        critic = self.agents[agent]["critic"]
         batch_size = x.shape[0]
         upstream = np.full((batch_size, 1), 1.0 / batch_size)
         _, dx = nets.mlp_backward(critic, nets.mlp_activations(critic, joint), upstream,
@@ -287,23 +267,24 @@ class MaddpgTrainer:
 
     def soft_update_agent(self, agent: int):
         a = self.agents[agent]
-        nets.soft_update(a.target_actor, a.actor, self.config.tau)
-        nets.soft_update(a.target_critic, a.critic, self.config.tau)
+        nets.soft_update(a["target_actor"], a["actor"], self.config.tau)
+        nets.soft_update(a["target_critic"], a["critic"], self.config.tau)
 
     def check_finite(self, where: str):
         """NumericError naming the first agent, then role, with a non-finite parameter."""
-        check_finite_stacks(self.stacks, f"at {where}")
+        check_finite_stacks({role: net.theta for role, net in self.nets.items()},
+                            f"at {where}")
 
     # ---- checkpoints ----
 
     def state_dict(self) -> dict[str, np.ndarray | str]:
         """The checkpoint archive's entries (module docstring), as copies."""
         meta = {"schema_version": CHECKPOINT_SCHEMA_VERSION, "config": asdict(self.config),
-                "obs_dim": self.obs_dim, "buffer_size": self.buffer.size,
-                "buffer_cursor": self.buffer.cursor, "rng_state": self.rng.bit_generator.state}
+                "buffer_size": self.buffer.size, "buffer_cursor": self.buffer.cursor,
+                "rng_state": self.rng.bit_generator.state}
         state = {"meta": json.dumps(meta, sort_keys=True)}
         for role in ROLES:
-            state[role] = self.stacks[role].copy()
+            state[role] = self.nets[role].theta.copy()
         for name in REPLAY_FIELDS:
             state[name] = getattr(self.buffer, name)[:self.buffer.size].copy()
         return state
@@ -313,10 +294,8 @@ class MaddpgTrainer:
         raise ConfigError naming the entry, or NumericError naming the first
         agent and role with a non-finite parameter, before anything is changed."""
         meta = checkpoint_meta(state)
-        require(meta["obs_dim"] == self.obs_dim, f"checkpoint has obs_dim={meta['obs_dim']}, "
-                                                 f"this trainer needs {self.obs_dim}")
         for role in ROLES:
-            need = self.stacks[role].shape
+            need = self.nets[role].theta.shape
             require(np.shape(state[role]) == need,
                     f"checkpoint {role} stack has shape {np.shape(state[role])}, "
                     f"this trainer needs (num_agents, parameters) = {need}")
@@ -327,7 +306,7 @@ class MaddpgTrainer:
             raise ConfigError(f"checkpoint rng_state does not fit: {exc!r}") from exc
         self.buffer.restore(state, meta["buffer_size"], meta["buffer_cursor"])
         for role in ROLES:
-            self.stacks[role][...] = state[role]
+            self.nets[role].theta[...] = state[role]
         self.rng.bit_generator.state = meta["rng_state"]
 
     def save_checkpoint(self, path: str | os.PathLike):
@@ -375,10 +354,9 @@ def check_finite_stacks(stacks: dict, where: str):
 
 def checkpoint_meta(state: dict) -> dict:
     """A checkpoint state's parsed `meta`; ConfigError, naming what is wrong,
-    unless every entry is present and meta is schema-3 JSON with all META_KEYS,
-    the counts as ints and config and rng_state as objects."""
-    missing = [name for name in ("meta",) + ROLES + REPLAY_FIELDS if name not in state]
-    require(not missing, f"checkpoint is missing array(s) {', '.join(missing)}")
+    unless meta is schema-4 JSON, every other entry is present, and meta has
+    all META_KEYS, the counts as ints and config and rng_state as objects."""
+    require("meta" in state, "checkpoint is missing array(s) meta")
     try:
         meta = json.loads(str(state["meta"]))
     except json.JSONDecodeError as exc:
@@ -386,9 +364,11 @@ def checkpoint_meta(state: dict) -> dict:
     version = meta.get("schema_version") if isinstance(meta, dict) else None
     require(version == CHECKPOINT_SCHEMA_VERSION,
             f"unsupported checkpoint schema_version: {version!r}")
+    missing = [name for name in ROLES + REPLAY_FIELDS if name not in state]
+    require(not missing, f"checkpoint is missing array(s) {', '.join(missing)}")
     missing = [key for key in META_KEYS if key not in meta]
     require(not missing, f"checkpoint meta is missing key(s) {', '.join(missing)}")
-    for key in ("obs_dim", "buffer_size", "buffer_cursor"):
+    for key in ("buffer_size", "buffer_cursor"):
         require(type(meta[key]) is int, f"checkpoint meta {key} must be an integer, "
                                          f"got {meta[key]!r}")
     for key in ("config", "rng_state"):
@@ -415,11 +395,10 @@ def train(scenario: Scenario, config: TrainConfig,
         for _ in range(scenario.config.horizon):
             actions = trainer.joint_actions(obs, sigma)
             next_obs, reward, info = env.step(actions)
-            trainer.buffer.push(obs.ravel(), actions.ravel(), reward,
-                                next_obs.ravel())
-            if trainer.buffer.ready(config.min_fill):
-                batches = trainer.normalise_batch(trainer.buffer.sample(
-                    trainer.num_agents, config.batch_size, trainer.rng))
+            trainer.remember(obs, actions, reward, next_obs)
+            if trainer.buffer.size >= config.min_fill:
+                batches = trainer.buffer.sample(trainer.num_agents, config.batch_size,
+                                                trainer.rng)
                 for n in range(trainer.num_agents):
                     batch = tuple(part[n] for part in batches)
                     trainer.critic_update(n, batch)

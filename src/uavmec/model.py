@@ -87,12 +87,13 @@ class ScenarioConfig:
         require(self.user_speed >= 0, f"user_speed must be >= 0, got {self.user_speed}")
         require_seed(self.rng_seed, "rng_seed")
         if self.initial_uav_positions is not None:
-            self._check_initial_uav_positions()
+            self._check_initial_uav_positions(self.initial_uav_positions)
 
-    def _check_initial_uav_positions(self):
-        """ConfigError unless there are num_uavs starts, each 3 finite
-        coordinates inside the flight box; a bad start names its UAV."""
-        positions = self.initial_uav_positions
+    def _check_initial_uav_positions(self, positions):
+        """ConfigError unless `positions` holds num_uavs starts, each 3 finite
+        coordinates inside this config's flight box; a bad start names its UAV."""
+        require(hasattr(positions, "__len__"),
+                f"initial_uav_positions must be a list of positions, got {positions!r}")
         require(len(positions) == self.num_uavs, f"initial_uav_positions has "
                 f"{len(positions)} entries, expected num_uavs={self.num_uavs}")
         low, high = (0.0, 0.0, self.z_min), (self.area_x, self.area_y, self.z_max)
@@ -352,17 +353,17 @@ class Scenario:
             config = ScenarioConfig(**cfg_dict)
             users = UserArrays.from_rows(data["users"], "scenario snapshot users")
             uavs = UavArrays.from_rows(data["uavs"], "scenario snapshot uavs")
-            initial = np.array(data["initial_uav_positions"], dtype=float)
+            initial = data["initial_uav_positions"]
         except KeyError as exc:
             raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc
         for key, rows, need in (("users", users.position, config.num_users),
-                                ("uavs", uavs.position, config.num_uavs),
-                                ("initial_uav_positions", initial, config.num_uavs)):
+                                ("uavs", uavs.position, config.num_uavs)):
             require(np.shape(rows) == (need, 3), f"scenario snapshot {key} has shape "
                     f"{np.shape(rows)}, its config needs ({need}, 3)")
+        config._check_initial_uav_positions(initial)
         users.check()
         uavs.check()
-        return cls(config, users, uavs, initial)
+        return cls(config, users, uavs, np.array(initial, dtype=float))
 
     def save(self, path: str | os.PathLike):
         with open(path, "w") as fh:
@@ -406,9 +407,14 @@ def apply_motion(positions: np.ndarray, deltas,
     v_max * slot_seconds; the resulting positions are clamped componentwise.
     Enforcement never rejects, it flags. Returns the new (N, 3) positions and
     the (N,) box and speed violation masks; neither input is written. Deltas
-    not shaped as the positions, or not finite, are a ConfigError.
+    that are not numbers shaped as the positions, or not finite, are a
+    ConfigError.
     """
-    deltas = np.asarray(deltas, dtype=float)
+    try:
+        deltas = np.asarray(deltas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"motion deltas must be an array of numbers, got {deltas!r}: "
+                          f"{exc}") from None
     if deltas.shape != positions.shape:
         raise ConfigError(f"motion deltas must have the shape of the UAV positions "
                           f"{positions.shape}, got {deltas.shape}")

@@ -109,7 +109,7 @@ def networks_sha256(trainer) -> str:
     digest = hashlib.sha256()
     for agent in trainer.agents:
         for role in ROLES:
-            net = getattr(agent, role)
+            net = agent[role]
             for w, b in zip(net.weights, net.biases):
                 digest.update(w.tobytes())
                 digest.update(b.tobytes())

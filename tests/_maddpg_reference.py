@@ -4,11 +4,12 @@ Acting, replay draws, the critic and actor updates and the soft update as
 plain per-network, per-layer numpy over each network's `weights` and `biases`
 views: a forward pass is `h @ w.T + b` then relu or tanh, a backward pass the
 per-layer `delta @ w` loop. Every agent acts through its own forward pass,
-every TD target runs one forward pass per target actor, each agent draws its
-own replay batch and normalises it where it is used, and the gradient step
-and target blend walk the per-layer arrays. Nothing here calls `nets`, so
-the fast path's stacked passes, one-call replay draw and in-place kernels are
-all checked against it.
+every TD target runs one forward pass per target actor, and the gradient step
+and target blend walk the per-layer arrays. The replay memory is its own ring
+of raw (obs, act, rew, next_obs) transitions; each agent draws its own batch
+from it and normalises it where it is used. Nothing here calls `nets` or the
+trainer's buffer, so the fast path's stacked passes, normalise-once replay
+rows, one-call replay draw and in-place kernels are all checked against it.
 """
 
 import numpy as np
@@ -50,16 +51,32 @@ def gradients(net, x, upstream):
 def joint_actions(tr: MaddpgTrainer, obs, noise_sigma):
     rows = []
     for n in range(tr.num_agents):
-        u = forward(tr.agents[n].actor, (np.asarray(obs[n]) / tr.obs_scale)[None, :])[0]
+        u = forward(tr.agents[n]["actor"], (np.asarray(obs[n]) / tr.obs_scale)[None, :])[0]
         if noise_sigma > 0:
             u = u + tr.rng.normal(scale=noise_sigma, size=3)
         rows.append(np.clip(u, -1.0, 1.0) * tr.max_step)
     return np.stack(rows)
 
 
-def sample(buffer, batch_size, rng):
-    idx = rng.integers(0, buffer.size, size=batch_size)
-    return buffer.obs[idx], buffer.act[idx], buffer.rew[idx], buffer.next_obs[idx]
+class Memory:
+    """Ring of raw (obs, act, rew, next_obs) transitions, each obs and act a
+    flat joint vector."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.rows = []
+        self.cursor = 0
+
+    def push(self, transition):
+        if len(self.rows) < self.capacity:
+            self.rows.append(transition)
+        else:
+            self.rows[self.cursor] = transition
+        self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, len(self.rows), size=batch_size)
+        return tuple(np.array(field) for field in zip(*(self.rows[i] for i in idx)))
 
 
 def split_obs(tr, joint_obs, agent):
@@ -73,9 +90,9 @@ def critic_input(tr, joint_obs, joint_act_norm):
 
 def td_target(tr, agent, batch):
     _, _, rew, next_obs = batch
-    cols = [forward(tr.agents[n].target_actor, split_obs(tr, next_obs, n) / tr.obs_scale)
+    cols = [forward(tr.agents[n]["target_actor"], split_obs(tr, next_obs, n) / tr.obs_scale)
             for n in range(tr.num_agents)]
-    q_next = forward(tr.agents[agent].target_critic,
+    q_next = forward(tr.agents[agent]["target_critic"],
                      critic_input(tr, next_obs, np.hstack(cols)))
     return rew + tr.config.gamma * q_next[:, 0]
 
@@ -90,7 +107,7 @@ def critic_update(tr, agent, batch):
     obs, act, _, _ = batch
     y = td_target(tr, agent, batch)
     x = critic_input(tr, obs, act / tr.max_step)
-    critic = tr.agents[agent].critic
+    critic = tr.agents[agent]["critic"]
     q = forward(critic, x)[:, 0]
     err = q - y
     upstream = (2.0 / err.size) * err[:, None]
@@ -102,13 +119,13 @@ def critic_update(tr, agent, batch):
 def actor_update(tr, agent, batch):
     obs, act, _, _ = batch
     own_obs_norm = split_obs(tr, obs, agent) / tr.obs_scale
-    actor = tr.agents[agent].actor
+    actor = tr.agents[agent]["actor"]
     joint_u = (act / tr.max_step).copy()
     joint_u[:, agent * 3:(agent + 1) * 3] = forward(actor, own_obs_norm)
     x = critic_input(tr, obs, joint_u)
     batch_size = obs.shape[0]
     upstream = np.full((batch_size, 1), 1.0 / batch_size)
-    _, dx = gradients(tr.agents[agent].critic, x, upstream)
+    _, dx = gradients(tr.agents[agent]["critic"], x, upstream)
     act_cols = tr.num_agents * tr.obs_dim + agent * 3
     grads, _ = gradients(actor, own_obs_norm, dx[:, act_cols:act_cols + 3])
     apply_gradients(actor, grads, +tr.config.lr_actor)
@@ -125,8 +142,8 @@ def soft_update(target, online, tau):
 
 def soft_update_agent(tr, agent):
     a = tr.agents[agent]
-    soft_update(a.target_actor, a.actor, tr.config.tau)
-    soft_update(a.target_critic, a.critic, tr.config.tau)
+    soft_update(a["target_actor"], a["actor"], tr.config.tau)
+    soft_update(a["target_critic"], a["critic"], tr.config.tau)
 
 
 def training_slots(scenario, config, history: TrainingHistory):
@@ -134,6 +151,7 @@ def training_slots(scenario, config, history: TrainingHistory):
     and fills `history` as episodes end."""
     trainer = MaddpgTrainer(scenario, config)
     env = EdgeComputeEnv(scenario, penalty=config.penalty)
+    memory = Memory(config.buffer_capacity)
     for episode in range(config.episodes):
         obs = env.reset()
         sigma = config.noise_sigma(episode)
@@ -141,10 +159,10 @@ def training_slots(scenario, config, history: TrainingHistory):
         for _ in range(scenario.config.horizon):
             actions = joint_actions(trainer, obs, sigma)
             next_obs, reward, info = env.step(actions)
-            trainer.buffer.push(obs.ravel(), actions.ravel(), reward, next_obs.ravel())
-            if trainer.buffer.ready(config.min_fill):
+            memory.push((obs.ravel(), actions.ravel(), reward, next_obs.ravel()))
+            if len(memory.rows) >= config.min_fill:
                 for n in range(trainer.num_agents):
-                    batch = sample(trainer.buffer, config.batch_size, trainer.rng)
+                    batch = memory.sample(config.batch_size, trainer.rng)
                     critic_update(trainer, n, batch)
                     actor_update(trainer, n, batch)
                     soft_update_agent(trainer, n)

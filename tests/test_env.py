@@ -164,6 +164,20 @@ class TestAliasing:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0])
+    def test_bad_penalty_rejected(self, penalty):
+        scenario = build_scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
+        with pytest.raises(ConfigError, match="penalty must be finite and >= 0"):
+            EdgeComputeEnv(scenario, penalty=penalty)
+
+    @pytest.mark.parametrize("actions", [[[0, 0], [0, 0, 0]], [["a", "b", "c"], [0, 0, 0]]],
+                             ids=["ragged", "str"])
+    def test_unconvertible_actions_rejected(self, actions):
+        env = make_env([(10, 10, 12), (40, 40, 12)])
+        with pytest.raises(ConfigError, match="motion deltas must be an array of numbers"):
+            env.step(actions)
+        assert env.slot == 0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_action_row_names_the_uav(self, value):
         env = make_env([(10, 10, 12), (40, 40, 12), (25, 25, 15)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tests import _maddpg_reference as reference
-from uavmec import learner
+from uavmec import learner, nets
 from uavmec.errors import ConfigError, NumericError
 from uavmec.learner import MaddpgTrainer, TrainConfig, TrainingHistory, train
 from uavmec.model import ScenarioConfig, build_scenario
@@ -21,8 +21,7 @@ def scenario(num_uavs=4):
 
 def network_bytes(trainer: MaddpgTrainer) -> list[bytes]:
     """Every network's flat parameter vector, as raw bytes."""
-    return [net.theta.tobytes() for a in trainer.agents
-            for net in (a.actor, a.critic, a.target_actor, a.target_critic)]
+    return [a[role].theta.tobytes() for a in trainer.agents for role in learner.ROLES]
 
 
 def replay_bytes(trainer: MaddpgTrainer) -> list[bytes]:
@@ -54,6 +53,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="buffer_capacity 10 must be >= min_fill 50"):
             dataclasses.replace(SMALL, buffer_capacity=10, min_fill=50)
 
+    @pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0])
+    def test_bad_penalty_rejected(self, penalty):
+        with pytest.raises(ConfigError, match="penalty must be finite and >= 0"):
+            dataclasses.replace(SMALL, penalty=penalty)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "4"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
@@ -82,24 +86,31 @@ class TestCheckpointInput:
             MaddpgTrainer.load_checkpoint(scenario(num_uavs=4), path)
 
     def test_other_obs_dim_rejected(self):
-        state = MaddpgTrainer(scenario(), SMALL).state_dict()
-        state["meta"] = edit_meta(state, obs_dim=6)
-        with pytest.raises(ConfigError, match="obs_dim"):
-            MaddpgTrainer(scenario(), SMALL).load_state_dict(state)
+        # the meta holds no obs_dim: the actor stacks and the replay rows pin it
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        wider = nets.param_count(nets.mlp_shapes(6, SMALL.hidden_actor, 3))
+        state = trainer.state_dict()
+        for role in ("actor", "target_actor"):
+            state[role] = np.zeros((4, wider))
+        with pytest.raises(ConfigError, match=rf"actor stack has shape \(4, {wider}\)"):
+            trainer.load_state_dict(state)
+        state = train(scenario(), SMALL)[0].state_dict()
+        state["next_obs"] = np.zeros((len(state["rew"]), 24))
+        with pytest.raises(ConfigError, match=r"next_obs has shape \(24, 24\)"):
+            trainer.load_state_dict(state)
 
     @pytest.mark.parametrize("edit, error, message", [
         ({"rng_state": {"bit_generator": "MT19937"}}, ConfigError, "rng_state"),
-        ({"buffer_size": 25}, ConfigError, "replay field obs"),
+        ({"buffer_size": 25}, ConfigError, "replay field x"),
         ({"buffer_size": "0"}, ConfigError, "buffer_size must be an integer"),
         ({"buffer_size": True}, ConfigError, "buffer_size must be an integer"),
         ({"buffer_cursor": 1.5}, ConfigError, "buffer_cursor must be an integer"),
-        ({"obs_dim": 3.0}, ConfigError, "obs_dim must be an integer"),
         ({"config": []}, ConfigError, "config must be a JSON object"),
         ({"rng_state": "PCG64"}, ConfigError, "rng_state must be a JSON object"),
         (("actor", 1, np.nan), NumericError, "agent 1 actor in the checkpoint"),
         (("target_critic", 3, -np.inf), NumericError, "agent 3 target_critic in the checkpoint"),
     ], ids=["rng_state", "buffer_size", "buffer_size-str", "buffer_size-bool",
-            "buffer_cursor-float", "obs_dim-float", "config-list", "rng_state-str",
+            "buffer_cursor-float", "config-list", "rng_state-str",
             "actor-nan", "target_critic-inf"])
     def test_rejected_state_changes_nothing(self, edit, error, message):
         state = train(scenario(), SMALL)[0].state_dict()   # 24 replay rows
@@ -119,7 +130,7 @@ class TestCheckpointInput:
         ('{"schema_version": 2', "not JSON"),
         ("[3]", "schema_version: None"),
         ('{"schema_version": 2}', "schema_version: 2"),
-        ('{"schema_version": 3}', "missing key.*config"),
+        ('{"schema_version": 4}', "missing key.*config"),
     ], ids=["not-json", "not-an-object", "schema-2", "missing-keys"])
     def test_bad_meta_rejected(self, tmp_path, meta, message):
         path = tmp_path / "ckpt.npz"
@@ -127,6 +138,22 @@ class TestCheckpointInput:
         rewrite(path, meta=meta)
         with pytest.raises(ConfigError, match=message):
             MaddpgTrainer.load_checkpoint(scenario(), path)
+
+    def test_schema_3_archive_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        trainer.save_checkpoint(path)
+        rows = trainer.buffer.size
+        rewrite(path, drop=["x"], obs=np.zeros((rows, 12)), act=np.zeros((rows, 12)),
+                meta=edit_meta(trainer.state_dict(), schema_version=3, obs_dim=3))
+        with pytest.raises(ConfigError, match=r"^unsupported checkpoint schema_version: 3$"):
+            MaddpgTrainer.load_checkpoint(scenario(), path)
+
+    def test_state_dict_entries_are_the_schema(self):
+        # the writer and checkpoint_meta must agree on every entry and meta key
+        state = train(scenario(), SMALL)[0].state_dict()
+        assert sorted(state) == sorted(["meta", *learner.ROLES, *learner.REPLAY_FIELDS])
+        assert sorted(json.loads(state["meta"])) == sorted(learner.META_KEYS)
 
     def test_removed_config_key_named(self, tmp_path):
         path = tmp_path / "ckpt.npz"
@@ -173,8 +200,8 @@ class TestCheckpointInput:
     def test_mismatched_replay_file_rejected(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         train(scenario(), SMALL)[0].save_checkpoint(path)
-        rewrite(path, obs=np.zeros((5, 12)))
-        with pytest.raises(ConfigError, match="replay field obs"):
+        rewrite(path, x=np.zeros((5, 24)))
+        with pytest.raises(ConfigError, match="replay field x"):
             MaddpgTrainer.load_checkpoint(scenario(), path)
 
     @pytest.mark.parametrize("content", [
@@ -200,7 +227,7 @@ class TestCheckpointInput:
         path = tmp_path / "ckpt.npz"
         old = MaddpgTrainer(scenario(), SMALL)
         for i in range(SMALL.buffer_capacity):
-            old.buffer.push(np.full(12, i), np.zeros(12), -1.0, np.zeros(12))
+            old.buffer.push(np.full(24, i), -1.0, np.zeros(12))
         old.save_checkpoint(path)
         saved = path.read_bytes()
         new, _ = train(scenario(), dataclasses.replace(SMALL, seed=9))
@@ -247,34 +274,47 @@ class TestCheckpointInput:
 
 class TestReplayBuffer:
     def test_one_draw_equals_one_draw_per_batch(self):
-        buffer = learner.ReplayBuffer(50, 2, 2)
+        buffer = learner.ReplayBuffer(50, 4, 2)
         for i in range(40):
-            buffer.push(np.full(2, i), np.full(2, -i), float(i), np.full(2, i + 0.5))
-        obs, act, rew, next_obs = buffer.sample(4, 16, np.random.default_rng(60))
-        assert obs.shape == (4, 16, 2) and rew.shape == (4, 16)
+            buffer.push(np.full(4, i), float(-i), np.full(2, i + 0.5))
+        x, rew, next_obs = buffer.sample(4, 16, np.random.default_rng(60))
+        assert x.shape == (4, 16, 4) and rew.shape == (4, 16) and next_obs.shape == (4, 16, 2)
         rng = np.random.default_rng(60)
         for n in range(4):
             idx = rng.integers(0, 40, size=16)
-            assert np.array_equal(rew[n], idx) and np.array_equal(obs[n, :, 0], idx)
-            assert np.array_equal(act[n, :, 1], -idx)
+            assert np.array_equal(x[n, :, 3], idx) and np.array_equal(rew[n], -idx)
             assert np.array_equal(next_obs[n, :, 0], idx + 0.5)
 
     def test_batch_larger_than_fill_rejected(self):
-        buffer = learner.ReplayBuffer(50, 2, 2)
-        buffer.push(np.zeros(2), np.zeros(2), 0.0, np.zeros(2))
+        buffer = learner.ReplayBuffer(50, 4, 2)
+        buffer.push(np.zeros(4), 0.0, np.zeros(2))
         rng = np.random.default_rng(61)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError, match="cannot sample 2"):
             buffer.sample(4, 2, rng)
         assert rng.bit_generator.state == state
 
+    def test_remember_stores_network_units(self):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        rng = np.random.default_rng(62)
+        for _ in range(3):
+            obs, actions, next_obs = rng.uniform(-60, 60, size=(3, 4, 3))
+            trainer.remember(obs, actions, 1.5, next_obs)
+        i = trainer.buffer.size - 1
+        x = np.concatenate([obs.ravel(), actions.ravel()]) / trainer.input_scale
+        assert trainer.buffer.x[i].tobytes() == x.tobytes()
+        assert trainer.buffer.next_obs[i].tobytes() == (
+            next_obs.ravel() / np.tile(trainer.obs_scale, 4)).tobytes()
+        assert trainer.buffer.rew[i] == 1.5
+
 
 class TestParameterStacks:
     def test_agent_networks_are_rows_of_role_stacks(self):
         trainer = MaddpgTrainer(scenario(), SMALL)
         for n, a in enumerate(trainer.agents):
+            assert list(a) == list(learner.ROLES)
             for role in learner.ROLES:
-                net, stack = getattr(a, role), trainer.stacks[role]
+                net, stack = a[role], trainer.nets[role].theta
                 assert net.theta.base is stack
                 assert np.shares_memory(net.theta, stack[n])
                 assert all(np.shares_memory(p, stack[n]) for p in net.weights + net.biases)
@@ -283,43 +323,47 @@ class TestParameterStacks:
 
     def test_actor_stacks_view_the_role_stacks(self):
         trainer = MaddpgTrainer(scenario(), SMALL)
-        for stack, role in ((trainer.actors, "actor"), (trainer.target_actors, "target_actor")):
-            assert stack.theta is trainer.stacks[role]
+        assert list(trainer.nets) == list(learner.ROLES)
+        for role, stack in trainer.nets.items():
+            assert stack.theta.shape[0] == trainer.num_agents
+            assert stack.shapes == trainer.agents[0][role].shapes
             for weight, bias in zip(stack.weights, stack.biases):
-                assert np.shares_memory(weight, trainer.stacks[role])
-                assert np.shares_memory(bias, trainer.stacks[role])
+                assert weight.base is stack.theta and bias.base is stack.theta
 
     def test_targets_start_as_copies_of_online_stacks(self):
         trainer = MaddpgTrainer(scenario(), SMALL)
         for online in ("actor", "critic"):
-            target = trainer.stacks[f"target_{online}"]
-            assert target.tobytes() == trainer.stacks[online].tobytes()
-            assert not np.shares_memory(target, trainer.stacks[online])
+            target = trainer.nets[f"target_{online}"].theta
+            assert target.tobytes() == trainer.nets[online].theta.tobytes()
+            assert not np.shares_memory(target, trainer.nets[online].theta)
 
     def test_state_dict_does_not_alias_stacks(self):
         trainer = MaddpgTrainer(scenario(), SMALL)
         state = trainer.state_dict()
         before = network_bytes(trainer)
         for role in learner.ROLES:
-            assert not np.shares_memory(state[role], trainer.stacks[role])
+            assert not np.shares_memory(state[role], trainer.nets[role].theta)
             state[role] += 1.0
         assert network_bytes(trainer) == before
 
     def test_load_state_dict_is_seen_through_every_view(self):
         trained, _ = train(scenario(), SMALL)
         trainer = MaddpgTrainer(scenario(), dataclasses.replace(SMALL, seed=9))
-        views = [getattr(a, role) for a in trainer.agents for role in learner.ROLES]
+        views = [a[role] for a in trainer.agents for role in learner.ROLES]
+        stacks = dict(trainer.nets)
         trainer.load_state_dict(trained.state_dict())
         assert [net.theta.tobytes() for net in views] == network_bytes(trained)
-        assert network_bytes(trainer) == network_bytes(trained)
+        for role in learner.ROLES:
+            assert trainer.nets[role] is stacks[role]
+            assert stacks[role].theta.tobytes() == trained.nets[role].theta.tobytes()
 
     @pytest.mark.parametrize("role", learner.ROLES)
     def test_check_finite_names_agent_and_role(self, role):
         trainer = MaddpgTrainer(scenario(), SMALL)
         trainer.check_finite("start")
-        getattr(trainer.agents[2], role).biases[1][0] = np.nan
-        for stack in trainer.stacks.values():   # a later agent is not named
-            stack[3, 0] = np.inf
+        trainer.agents[2][role].biases[1][0] = np.nan
+        for stack in trainer.nets.values():   # a later agent is not named
+            stack.theta[3, 0] = np.inf
         with pytest.raises(NumericError,
                            match=f"non-finite parameters in agent 2 {role} at episode 7"):
             trainer.check_finite("episode 7")
@@ -335,10 +379,11 @@ class TestTraining:
 
 class TestReferenceUpdate:
     def test_train_matches_reference_after_every_slot(self, monkeypatch):
-        # 3 x 110 slots with min_fill 128: 203 slots run learner updates
+        # 3 x 110 slots with min_fill 128: 203 slots run learner updates, and
+        # the last 30 overwrite the oldest replay rows
         sc_config = ScenarioConfig(horizon=110)
         config = TrainConfig(episodes=3, batch_size=128, min_fill=128,
-                             buffer_capacity=1000, seed=8)
+                             buffer_capacity=300, seed=8)
         made = []
 
         class Recording(MaddpgTrainer):

@@ -109,12 +109,33 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigError, match="d_min"):
             Scenario.from_dict(data)
 
-    @pytest.mark.parametrize("key, count", [("users", 5), ("uavs", 5),
-                                            ("initial_uav_positions", 3)])
-    def test_snapshot_row_count_names_it(self, key, count):
+    @pytest.mark.parametrize("key, count, message", [
+        ("users", 5, r"users has shape \(5, 3\).*\(4, 3\)"),
+        ("uavs", 5, r"uavs has shape \(5, 3\).*\(4, 3\)"),
+        ("initial_uav_positions", 3, "initial_uav_positions has 3 entries, expected num_uavs=4"),
+    ], ids=["users-5", "uavs-5", "initial_uav_positions-3"])
+    def test_snapshot_row_count_names_it(self, key, count, message):
         data = build_scenario(small_config()).to_dict()
         data[key] = (data[key] * 2)[:count]     # 4 rows in the config
-        with pytest.raises(ConfigError, match=rf"{key} has shape \({count}, 3\).*\(4, 3\)"):
+        with pytest.raises(ConfigError, match=message):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("start, message", [
+        ([np.nan, 1.0, 1e6], "must be finite"),
+        ([500.0, 1.0, 15.0], "outside the flight box"),
+        ([1.0, 1.0], "must be 3 numbers"),
+    ], ids=["nan", "outside-box", "two-coords"])
+    def test_snapshot_bad_initial_uav_position_names_the_uav(self, start, message):
+        # the config's own initial_uav_positions is None: only the snapshot array holds starts
+        data = build_scenario(small_config()).to_dict()
+        data["initial_uav_positions"][0] = start
+        with pytest.raises(ConfigError, match=f"initial position of UAV 0 .*{message}"):
+            Scenario.from_dict(data)
+
+    def test_snapshot_initial_uav_positions_not_a_list_rejected(self):
+        data = build_scenario(small_config()).to_dict()
+        data["initial_uav_positions"] = 5.0
+        with pytest.raises(ConfigError, match="must be a list of positions, got 5.0"):
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize("key, field, value", [
@@ -191,6 +212,13 @@ class TestMotion:
         position = np.array([[25.0, 25.0, 15.0], [10.0, 10.0, 12.0]])
         with pytest.raises(ConfigError, match=rf"positions \(2, 3\), got {re.escape(str(shape))}"):
             apply_motion(position, np.zeros(shape), small_config())
+
+    @pytest.mark.parametrize("deltas", [[[0, 0], [0, 0, 0]], [["a", "b", "c"], [0, 0, 0]]],
+                             ids=["ragged", "str"])
+    def test_unconvertible_deltas_rejected(self, deltas):
+        position = np.array([[25.0, 25.0, 15.0], [10.0, 10.0, 12.0]])
+        with pytest.raises(ConfigError, match="motion deltas must be an array of numbers"):
+            apply_motion(position, deltas, small_config())
 
     def test_non_finite_delta_rejected(self):
         cfg = small_config()
