@@ -19,6 +19,8 @@ from .errors import CapExceededError, ConfigError, ConvergenceError, InfeasibleE
 
 BRUTE_FORCE_CAP = 2 ** 20
 MAX_SWEEPS = 100
+SIMPLEX_TOL = 1e-8          # projected gradient: relative spread of the multipliers
+SIMPLEX_MAX_ITER = 100_000
 
 
 @dataclass
@@ -184,14 +186,13 @@ def brute_force_oracle(ctx: SlotContext, cap: int = BRUTE_FORCE_CAP) -> Allocati
                             iterations=1, converged=True)
 
 
-def minimize_inverse_on_simplex(weights, capacity: float, tol: float = 1e-8,
-                                max_iter: int = 100_000) -> np.ndarray:
+def minimize_inverse_on_simplex(weights, capacity: float) -> np.ndarray:
     """Projected gradient for: minimize sum(w_i / x_i) s.t. x >= 0, sum(x) <= capacity.
 
     Independent numeric check of the square-root closed forms; it never uses
     them. Works on the scale-free unit-simplex problem in extended precision
     and stops when the first-order multipliers w_i / x_i^2 agree to a relative
-    spread below `tol` (the budget binds at any optimum, so sum(x) = capacity).
+    spread below SIMPLEX_TOL (the budget binds at any optimum, so sum(x) = capacity).
     """
     w64 = np.asarray(weights, dtype=float)
     if w64.size == 0:
@@ -220,10 +221,10 @@ def minimize_inverse_on_simplex(weights, capacity: float, tol: float = 1e-8,
     fy = np.sum(w / y)
     step = ld(0.1)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(SIMPLEX_MAX_ITER):
         lam = w / y ** 2
         residual = float((lam.max() - lam.min()) / lam.mean())
-        if residual < tol:
+        if residual < SIMPLEX_TOL:
             return np.asarray(capacity * y, dtype=float)
         t = step
         while True:
@@ -240,11 +241,10 @@ def minimize_inverse_on_simplex(weights, capacity: float, tol: float = 1e-8,
         step = t * 2
     raise ConvergenceError(
         f"projected gradient stalled: multiplier spread {residual:.3e} "
-        f"above tolerance {tol:.1e}")
+        f"above tolerance {SIMPLEX_TOL:.1e}")
 
 
-def numeric_convex_oracle(assignment, ctx: SlotContext, tol: float = 1e-8,
-                          max_iter: int = 100_000) -> tuple[np.ndarray, np.ndarray]:
+def numeric_convex_oracle(assignment, ctx: SlotContext) -> tuple[np.ndarray, np.ndarray]:
     """Numerically optimal (bandwidth, cpu) shares for a fixed assignment.
 
     Solves each UAV's bandwidth group and processor group by projected
@@ -258,12 +258,10 @@ def numeric_convex_oracle(assignment, ctx: SlotContext, tol: float = 1e-8,
         members = off_idx[ing == uav]
         if members.size:
             w = ctx.user_freq[members] / (ctx.task_cycles[members] * ctx.r0[members, uav])
-            bw[members] = minimize_inverse_on_simplex(w, float(ctx.uav_bw[uav]),
-                                                      tol=tol, max_iter=max_iter)
+            bw[members] = minimize_inverse_on_simplex(w, float(ctx.uav_bw[uav]))
         executors = off_idx[a[off_idx] == uav]
         if executors.size:
             cpu[executors] = minimize_inverse_on_simplex(ctx.user_freq[executors],
-                                                         float(ctx.uav_cpu[uav]),
-                                                         tol=tol, max_iter=max_iter)
+                                                         float(ctx.uav_cpu[uav]))
     return bw, cpu
 

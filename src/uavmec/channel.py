@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require
+from .errors import FINITE, POSITIVE, ConfigError, check_numbers
+
+
+_RULES = {"a": POSITIVE, "b": POSITIVE, "eta_los_db": FINITE, "eta_nlos_db": FINITE,
+          "carrier_mhz": POSITIVE, "noise_g2a_watts": POSITIVE, "bw_g2a_hz": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -25,13 +29,10 @@ class ChannelParams:
     bw_g2a_hz: float = 20e6         # per-UAV uplink band
 
     def __post_init__(self):
-        require(self.a > 0 and self.b > 0,
-                f"environment constants a, b must be > 0, got a={self.a}, b={self.b}")
-        require(self.eta_los_db <= self.eta_nlos_db,
-                f"need eta_los_db <= eta_nlos_db, got {self.eta_los_db} > {self.eta_nlos_db}")
-        require(self.carrier_mhz > 0, f"carrier_mhz must be > 0, got {self.carrier_mhz}")
-        require(self.noise_g2a_watts > 0, "noise power must be > 0")
-        require(self.bw_g2a_hz > 0, "bandwidth must be > 0")
+        check_numbers(self, _RULES)
+        if self.eta_los_db > self.eta_nlos_db:
+            raise ConfigError(f"need eta_los_db <= eta_nlos_db, "
+                              f"got {self.eta_los_db} > {self.eta_nlos_db}")
 
 
 def elevation_deg_from_geometry(altitude_m, reference_dist_m):

@@ -1,7 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks of a config:
+`check_numbers` holds a config dataclass to its rule table, and
+`config_from_dict` is the one reader of a saved config (a scenario snapshot's
+or a checkpoint's), which yields the config or a ConfigError.
+"""
 
-import numbers
-from dataclasses import fields
+import math
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -28,24 +34,66 @@ class NumericError(RuntimeError):
     """Non-finite values detected during training (CLI exit code 3)."""
 
 
+TINY = float(np.finfo(float).smallest_subnormal)   # least float > 0: x >= TINY is x > 0
+HUGE = float(np.finfo(float).max)                  # x <= HUGE is x finite (and not NaN)
+
+# Rules shared by the config tables: (kind, low, high, wording), see check_numbers.
+FINITE = ("float", -HUGE, HUGE, "be finite")
+POSITIVE = ("float", TINY, HUGE, "be finite and > 0")
+NON_NEGATIVE = ("float", 0.0, HUGE, "be finite and >= 0")
+COUNT = ("int", 1, math.inf, "be >= 1")
+SEED = ("seed", 0, math.inf, "be a non-negative integer")
+
+_REALS = (int, float, np.integer, np.floating)
+_KINDS = {"int": ((int, np.integer), "an integer"), "float": (_REALS, "a number"),
+          "seed": ((int, np.integer), "a non-negative integer")}
+
+
 def require(cond, msg: str):
     """Raise ConfigError(msg) unless `cond` holds."""
     if not cond:
         raise ConfigError(msg)
 
 
-def require_seed(value, name: str):
-    """Raise ConfigError unless `value`, a seed, is a non-negative integer."""
-    require(isinstance(value, numbers.Integral) and value >= 0,
-            f"{name} must be a non-negative integer, got {value!r}")
+def check_numbers(obj, rules: dict):
+    """ConfigError naming the first field of `obj` that breaks its rule in `rules`:
+    name -> (kind, low, high, wording). Kinds "int" and "seed" are integers
+    (numpy ones too), "float" real numbers, "pair" (lo, hi) sequences of two
+    reals with lo <= hi; a bool is none of them. Every number must lie in
+    [low, high], where a NaN never lies. Messages are built only on failure."""
+    for name, (kind, low, high, wording) in rules.items():
+        value = getattr(obj, name)
+        if kind == "pair":
+            ok = (isinstance(value, (tuple, list)) and len(value) == 2
+                  and all(isinstance(v, _REALS) and v.__class__ is not bool for v in value)
+                  and low <= value[0] <= value[1] <= high)
+        else:
+            types, noun = _KINDS[kind]
+            if not isinstance(value, types) or value.__class__ is bool:
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+            ok = low <= value <= high
+        if not ok:
+            raise ConfigError(f"{name} must {wording}, got {value!r}")
 
 
-def check_fields(cls, data: dict, where: str):
-    """Raise ConfigError unless `data` has exactly the fields of dataclass `cls`."""
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    missing = sorted(names - set(data))
-    if missing:
-        raise ConfigError(f"{where}: missing key(s) {', '.join(missing)}")
+def config_from_dict(cls, data, where: str):
+    """Dataclass `cls` from `data`, a JSON object with exactly its fields. Lists
+    become tuples, at any depth, and a field whose default is a dataclass
+    (`ScenarioConfig.channel`) is read the same way. Any other input, or a
+    TypeError or ValueError of `cls`, is a ConfigError naming `where`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
+    names = {f.name: f for f in fields(cls)}
+    for problem, keys in (("unknown", set(data) - set(names)), ("missing", set(names) - set(data))):
+        require(not keys, f"{where}: {problem} key(s) {', '.join(sorted(keys))}")
+    values = {name: config_from_dict(f.default_factory, data[name], f"{where} {name}")
+              if is_dataclass(f.default_factory) else _tuples(data[name])
+              for name, f in names.items()}
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:   # a ConfigError too: name `where`
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value

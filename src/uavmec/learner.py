@@ -26,10 +26,10 @@ stacked step without changing the result.
 
 A checkpoint is one `.npz` archive of plain arrays (schema version 4): `meta`,
 a JSON string holding schema_version, config (the TrainConfig), buffer_size,
-buffer_cursor and rng_state; the four role stacks, written as they are; and
-the buffer_size filled replay rows as x, rew and next_obs. `save_checkpoint`
-moves the archive into place with one rename, so a reader finds the previous
-checkpoint or the new one, never a mix.
+buffer_cursor and rng_state; the four role stacks; and the buffer_size filled
+replay rows as x, rew and next_obs. `load_checkpoint` reads the config with
+`errors.config_from_dict`. `load_state_dict` checks every array against one
+layout table, entry name -> the float64 array it fills, before writing any.
 """
 
 from __future__ import annotations
@@ -44,13 +44,26 @@ import numpy as np
 
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
-from .errors import ConfigError, NumericError, check_fields, require, require_seed
+from .errors import (COUNT, NON_NEGATIVE, SEED, TINY, ConfigError, NumericError,
+                     check_numbers, config_from_dict, require)
 from .model import Scenario
 
 CHECKPOINT_SCHEMA_VERSION = 4
-META_KEYS = ("schema_version", "config", "buffer_size", "buffer_cursor", "rng_state")
+META_KEYS = {"schema_version": int, "config": dict, "buffer_size": int, "buffer_cursor": int,
+             "rng_state": dict}   # each meta key and the JSON type of its value
 ROLES = ("actor", "critic", "target_actor", "target_critic")
 REPLAY_FIELDS = ("x", "rew", "next_obs")
+
+
+_UNIT = ("float", TINY, 1.0, "lie in (0, 1]")
+_TRAIN_RULES = {
+    "lr_actor": NON_NEGATIVE, "lr_critic": NON_NEGATIVE, "tau": _UNIT,
+    "gamma": ("float", 0.0, float(np.nextafter(1.0, 0.0)), "lie in [0, 1)"),
+    "buffer_capacity": COUNT, "episodes": COUNT, "batch_size": COUNT, "min_fill": COUNT,
+    "hidden_actor": COUNT, "hidden_critic": COUNT,
+    "noise_sigma_start": NON_NEGATIVE, "noise_sigma_end": NON_NEGATIVE,
+    "noise_decay_fraction": _UNIT, "penalty": NON_NEGATIVE, "seed": SEED,
+}
 
 
 @dataclass(frozen=True)
@@ -72,24 +85,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.lr_actor >= 0 and self.lr_critic >= 0, "learning rates must be >= 0")
-        require(0.0 < self.tau <= 1.0, f"tau must lie in (0, 1], got {self.tau}")
-        require(0.0 <= self.gamma < 1.0, f"gamma must lie in [0, 1), got {self.gamma}")
-        require(self.episodes >= 1, "episodes must be >= 1")
-        require(self.batch_size >= 1, "batch_size must be >= 1")
-        require(self.hidden_actor >= 1, f"hidden_actor must be >= 1, got {self.hidden_actor}")
-        require(self.hidden_critic >= 1, f"hidden_critic must be >= 1, got {self.hidden_critic}")
+        check_numbers(self, _TRAIN_RULES)
         require(self.min_fill >= self.batch_size,
                 f"min_fill {self.min_fill} must be >= batch_size {self.batch_size}")
         require(self.buffer_capacity >= self.min_fill,
                 f"buffer_capacity {self.buffer_capacity} must be >= min_fill {self.min_fill}")
-        require_seed(self.seed, "seed")
-        require(self.noise_sigma_start >= self.noise_sigma_end >= 0,
+        require(self.noise_sigma_start >= self.noise_sigma_end,
                 "noise schedule must decay toward a nonnegative floor")
-        require(0.0 < self.noise_decay_fraction <= 1.0,
-                "noise_decay_fraction must lie in (0, 1]")
-        require(0.0 <= self.penalty < np.inf,
-                f"penalty must be finite and >= 0, got {self.penalty}")
 
     def noise_sigma(self, episode: int) -> float:
         """Linear decay over the first noise_decay_fraction of episodes."""
@@ -129,23 +131,6 @@ class ReplayBuffer:
                 f"cannot sample {batch_size} from a buffer holding {self.size}")
         idx = rng.integers(0, self.size, size=(batches, batch_size))
         return self.x[idx], self.rew[idx], self.next_obs[idx]
-
-    def restore(self, contents: dict, size: int, cursor: int):
-        """Refill the first `size` rows from `contents[field]` arrays; raise
-        ConfigError if they do not fit."""
-        if not (0 <= size <= self.capacity and 0 <= cursor < self.capacity):
-            raise ConfigError(f"{size} replay rows at cursor {cursor} do not fit "
-                              f"a buffer of capacity {self.capacity}")
-        for name in REPLAY_FIELDS:
-            have = np.shape(contents[name])
-            need = (size,) + getattr(self, name).shape[1:]
-            if have != need:
-                raise ConfigError(f"replay field {name} has shape {have}, "
-                                  f"the checkpoint needs {need}")
-        for name in REPLAY_FIELDS:
-            getattr(self, name)[:size] = contents[name]
-        self.size = size
-        self.cursor = cursor
 
 
 @dataclass
@@ -290,23 +275,35 @@ class MaddpgTrainer:
         return state
 
     def load_state_dict(self, state: dict):
-        """Restore from `state_dict()` output. If it does not fit this trainer,
-        raise ConfigError naming the entry, or NumericError naming the first
-        agent and role with a non-finite parameter, before anything is changed."""
+        """Restore from `state_dict()` output through the layout table: each role
+        stack, then the first buffer_size rows of each replay field. Unless every
+        entry is there, float64 and shaped as its target, raise ConfigError
+        naming it, or NumericError naming the first agent and role with a
+        non-finite parameter, before anything is changed."""
         meta = checkpoint_meta(state)
-        for role in ROLES:
-            need = self.nets[role].theta.shape
-            require(np.shape(state[role]) == need,
-                    f"checkpoint {role} stack has shape {np.shape(state[role])}, "
-                    f"this trainer needs (num_agents, parameters) = {need}")
+        size, cursor, capacity = meta["buffer_size"], meta["buffer_cursor"], self.buffer.capacity
+        require(0 <= size <= capacity and 0 <= cursor < capacity,
+                f"{size} replay rows at cursor {cursor} do not fit "
+                f"a buffer of capacity {capacity}")
+        layout = {role: (f"{role} stack", self.nets[role].theta) for role in ROLES}
+        layout.update((name, (f"replay field {name}", getattr(self.buffer, name)[:size]))
+                      for name in REPLAY_FIELDS)
+        for name, (label, target) in layout.items():
+            require(name in state, f"checkpoint is missing array {name}")
+            array = state[name]
+            dtype = getattr(array, "dtype", type(array).__name__)
+            require(dtype == np.float64 and array.shape == target.shape,
+                    f"checkpoint {label} has shape {np.shape(array)} and dtype {dtype}, this "
+                    f"trainer needs float64 {target.shape} for (num_agents, buffer_size) = "
+                    f"({self.num_agents}, {size})")
         check_finite_stacks(state, "in the checkpoint")
         try:   # on a scratch generator, so a bad state changes nothing here
             type(self.rng.bit_generator)().state = meta["rng_state"]
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ConfigError(f"checkpoint rng_state does not fit: {exc!r}") from exc
-        self.buffer.restore(state, meta["buffer_size"], meta["buffer_cursor"])
-        for role in ROLES:
-            self.nets[role].theta[...] = state[role]
+        for name, (_, target) in layout.items():
+            target[...] = state[name]
+        self.buffer.size, self.buffer.cursor = size, cursor
         self.rng.bit_generator.state = meta["rng_state"]
 
     def save_checkpoint(self, path: str | os.PathLike):
@@ -336,9 +333,12 @@ class MaddpgTrainer:
                 state = dict(archive)
         except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"{path} is not a checkpoint archive") from exc
-        config = checkpoint_meta(state)["config"]
-        check_fields(TrainConfig, config, "checkpoint config")
-        trainer = cls(scenario, TrainConfig(**config))
+        config = config_from_dict(TrainConfig, checkpoint_meta(state)["config"],
+                                  "checkpoint config")
+        try:   # numpy refuses networks or a buffer too large to allocate
+            trainer = cls(scenario, config)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"checkpoint config does not build a trainer: {exc}") from exc
         trainer.load_state_dict(state)
         return trainer
 
@@ -354,9 +354,9 @@ def check_finite_stacks(stacks: dict, where: str):
 
 def checkpoint_meta(state: dict) -> dict:
     """A checkpoint state's parsed `meta`; ConfigError, naming what is wrong,
-    unless meta is schema-4 JSON, every other entry is present, and meta has
-    all META_KEYS, the counts as ints and config and rng_state as objects."""
-    require("meta" in state, "checkpoint is missing array(s) meta")
+    unless meta is schema-4 JSON holding every key in META_KEYS with its type.
+    `load_state_dict` checks the arrays."""
+    require("meta" in state, "checkpoint is missing array meta")
     try:
         meta = json.loads(str(state["meta"]))
     except json.JSONDecodeError as exc:
@@ -364,15 +364,10 @@ def checkpoint_meta(state: dict) -> dict:
     version = meta.get("schema_version") if isinstance(meta, dict) else None
     require(version == CHECKPOINT_SCHEMA_VERSION,
             f"unsupported checkpoint schema_version: {version!r}")
-    missing = [name for name in ROLES + REPLAY_FIELDS if name not in state]
-    require(not missing, f"checkpoint is missing array(s) {', '.join(missing)}")
-    missing = [key for key in META_KEYS if key not in meta]
-    require(not missing, f"checkpoint meta is missing key(s) {', '.join(missing)}")
-    for key in ("buffer_size", "buffer_cursor"):
-        require(type(meta[key]) is int, f"checkpoint meta {key} must be an integer, "
-                                         f"got {meta[key]!r}")
-    for key in ("config", "rng_state"):
-        require(isinstance(meta[key], dict), f"checkpoint meta {key} must be a JSON object")
+    for key, kind in META_KEYS.items():
+        require(key in meta, f"checkpoint meta is missing key {key}")
+        require(type(meta[key]) is kind, f"checkpoint meta {key} must be "
+                f"{'an integer' if kind is int else 'a JSON object'}, got {meta[key]!r}")
     return meta
 
 

@@ -20,6 +20,8 @@ one entity each; `SlotContext` stacks a list of them into a bundle through
 
 Building a bundle checks nothing. `_Columns.check` applies every rule in
 `FIELD_RULES`: `SlotContext` calls it once per slot, `Scenario.from_dict` at load.
+`ScenarioConfig` holds its numbers to `_SCENARIO_RULES` (`errors.check_numbers`),
+and `Scenario.from_dict` reads a snapshot's config with `errors.config_from_dict`.
 """
 
 from __future__ import annotations
@@ -31,9 +33,23 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import ConfigError, check_fields, require, require_seed
+from .errors import (COUNT, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
+                     check_numbers, config_from_dict, require)
 
 SCHEMA_VERSION = 1
+
+
+_RANGE = ("pair", TINY, HUGE, "be two finite numbers with 0 < low <= high")
+_SCENARIO_RULES = {
+    "area_x": POSITIVE, "area_y": POSITIVE, "z_min": POSITIVE, "z_max": POSITIVE,
+    "d_min": POSITIVE, "v_max": POSITIVE, "slot_seconds": POSITIVE,
+    "num_users": COUNT, "num_uavs": COUNT, "horizon": COUNT,
+    "task_bits_range": _RANGE, "task_cycles_per_bit_range": _RANGE,
+    "user_freq_range": _RANGE, "user_power_range": _RANGE,
+    "uav_freq": POSITIVE, "uav_power": POSITIVE,
+    "coverage_half_angle_deg": ("float", 0.0, 90.0, "lie in [0, 90]"),
+    "user_speed": NON_NEGATIVE, "rng_seed": SEED,
+}
 
 
 @dataclass(frozen=True)
@@ -64,28 +80,13 @@ class ScenarioConfig:
     initial_uav_positions: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self):
-        require(self.area_x > 0, f"area_x must be > 0, got {self.area_x}")
-        require(self.area_y > 0, f"area_y must be > 0, got {self.area_y}")
-        require(0 < self.z_min <= self.z_max,
-                f"need 0 < z_min <= z_max, got z_min={self.z_min}, z_max={self.z_max}")
-        require(self.d_min > 0, f"d_min must be > 0, got {self.d_min}")
-        require(self.v_max > 0, f"v_max must be > 0, got {self.v_max}")
-        require(self.slot_seconds > 0, f"slot_seconds must be > 0, got {self.slot_seconds}")
-        require(self.num_users >= 1, f"num_users must be >= 1, got {self.num_users}")
-        require(self.num_uavs >= 1, f"num_uavs must be >= 1, got {self.num_uavs}")
-        require(self.horizon >= 1, f"horizon must be >= 1, got {self.horizon}")
-        for name in ("task_bits_range", "task_cycles_per_bit_range",
-                     "user_freq_range", "user_power_range"):
-            lo, hi = getattr(self, name)
-            require(0 < lo <= hi, f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
-        require(self.uav_freq > 0, f"uav_freq must be > 0, got {self.uav_freq}")
-        require(self.uav_power > 0, f"uav_power must be > 0, got {self.uav_power}")
-        require(0 <= self.coverage_half_angle_deg <= 90,
-                f"coverage_half_angle_deg must lie in [0, 90], got {self.coverage_half_angle_deg}")
-        require(self.user_mobility in ("static", "random_waypoint"),
-                f"user_mobility must be 'static' or 'random_waypoint', got {self.user_mobility!r}")
-        require(self.user_speed >= 0, f"user_speed must be >= 0, got {self.user_speed}")
-        require_seed(self.rng_seed, "rng_seed")
+        check_numbers(self, _SCENARIO_RULES)
+        if self.z_min > self.z_max:
+            raise ConfigError(f"need 0 < z_min <= z_max, got z_min={self.z_min}, "
+                              f"z_max={self.z_max}")
+        if self.user_mobility not in ("static", "random_waypoint"):
+            raise ConfigError(f"user_mobility must be 'static' or 'random_waypoint', "
+                              f"got {self.user_mobility!r}")
         if self.initial_uav_positions is not None:
             self._check_initial_uav_positions(self.initial_uav_positions)
 
@@ -100,7 +101,7 @@ class ScenarioConfig:
         for n, position in enumerate(positions):
             try:
                 row = np.array(position, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 row = None
             require(row is not None and row.shape == (3,),
                     f"initial position of UAV {n} must be 3 numbers, got {position!r}")
@@ -138,18 +139,16 @@ class Task:
 
 
 _FLOAT64 = np.dtype(float)
-_TINY = float(np.finfo(float).smallest_subnormal)   # least float > 0: x >= _TINY is x > 0
-_HUGE = float(np.finfo(float).max)                  # x <= _HUGE is x finite (and not NaN)
 
 # Every field of every bundle, by name: the shape of one row, the closed range
 # [low, high] each value must lie in (a NaN lies in none), and the wording.
 FIELD_RULES = {
-    "position": ((3,), -_HUGE, _HUGE, "be finite"),
-    "cpu_freq": ((), _TINY, _HUGE, "be finite and > 0"),
-    "tx_power": ((), 0.0, _HUGE, "be finite and >= 0"),
+    "position": ((3,), -HUGE, HUGE, "be finite"),
+    "cpu_freq": ((), TINY, HUGE, "be finite and > 0"),
+    "tx_power": ((), 0.0, HUGE, "be finite and >= 0"),
     "half_angle_deg": ((), 0.0, 90.0, "lie in [0, 90]"),
-    "bits": ((), _TINY, _HUGE, "be finite and > 0"),
-    "cycles_per_bit": ((), _TINY, _HUGE, "be finite and > 0"),
+    "bits": ((), TINY, HUGE, "be finite and > 0"),
+    "cycles_per_bit": ((), TINY, HUGE, "be finite and > 0"),
 }
 
 
@@ -192,7 +191,7 @@ class _Columns:
         for f in fields(cls):
             try:
                 column = np.array([row[f.name] for row in rows], dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{where} field {f.name!r} is not a numeric column: "
                                   f"{exc}") from exc
             columns.append(column)
@@ -336,21 +335,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        version = data.get("schema_version")
+        version = data.get("schema_version") if isinstance(data, dict) else None
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported scenario schema_version: {version!r}")
         try:
-            cfg_dict = dict(data["config"])
-            check_fields(ScenarioConfig, cfg_dict, "scenario config")
-            check_fields(ChannelParams, cfg_dict["channel"], "scenario channel config")
-            cfg_dict["channel"] = ChannelParams(**cfg_dict["channel"])
-            for key in ("task_bits_range", "task_cycles_per_bit_range",
-                        "user_freq_range", "user_power_range"):
-                cfg_dict[key] = tuple(cfg_dict[key])
-            if cfg_dict["initial_uav_positions"] is not None:
-                cfg_dict["initial_uav_positions"] = tuple(
-                    tuple(p) for p in cfg_dict["initial_uav_positions"])
-            config = ScenarioConfig(**cfg_dict)
+            config = config_from_dict(ScenarioConfig, data["config"], "scenario config")
             users = UserArrays.from_rows(data["users"], "scenario snapshot users")
             uavs = UavArrays.from_rows(data["uavs"], "scenario snapshot uavs")
             initial = data["initial_uav_positions"]
@@ -372,8 +361,12 @@ class Scenario:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Scenario":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:   # not JSON, or not text: a ValueError from the decoder
+            with open(path) as fh:
+                data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a JSON scenario snapshot: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tests._cd_gap import GAP_FILE, SEEDS, gap_instance
 from tests._instances import random_slot_context, scenario_range_context
 from uavmec import allocator
 from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment,
@@ -271,6 +272,24 @@ class TestBruteForce:
             brute_force_oracle(ctx)
         assert f"needs {11 ** 100} evaluations" in str(info.value)
         assert "-" not in str(info.value)
+
+    def test_cd_gap_to_the_optimum_does_not_grow(self):
+        # cd_search against the optimum frozen by tests/_cd_gap.py: a change
+        # may close the gap, never widen it on any instance or on average
+        frozen = json.loads(GAP_FILE.read_text())["instances"]
+        assert [row["seed"] for row in frozen] == list(SEEDS)
+        optimum = np.array([float.fromhex(row["optimum"]) for row in frozen])
+        bound = np.array([float.fromhex(row["gap"]) for row in frozen]) + 1e-12 * optimum
+        gap = optimum - [cd_search(gap_instance(seed)).dor for seed in SEEDS]
+        assert [seed for seed in SEEDS if gap[seed] > bound[seed]] == []
+        assert gap.mean() <= bound.mean()
+
+    @pytest.mark.parametrize("seed", [0, 3, 6, 9, 12])
+    def test_frozen_optimum_is_the_oracle(self, seed):
+        row = json.loads(GAP_FILE.read_text())["instances"][seed]
+        assert (row["seed"], row["narrow_coverage"]) == (seed, seed % 2 == 1)
+        expected = float.fromhex(row["optimum"])
+        assert brute_force_oracle(gap_instance(seed)).dor == pytest.approx(expected, rel=1e-12)
 
     def test_decision_validates(self):
         rng = np.random.default_rng(14)
