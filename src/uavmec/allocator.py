@@ -4,6 +4,7 @@ independent correctness oracles (exhaustive enumeration and a projected
 gradient solver for the fixed-assignment convex subproblem). Offloaded users
 enter through `SlotContext.default_ingress` with its weights `w_bw` and `w_cpu`;
 users without an ingress (no cover, or zero rate) always compute locally.
+`delay.check_assignment` checks every assignment given to them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import LOCAL, SlotContext, SlotDecision, SlotMetrics, slot_dor
-from .errors import CapExceededError, ConfigError, ConvergenceError, InfeasibleError
+from .delay import LOCAL, SlotContext, SlotDecision, SlotMetrics, check_assignment, slot_dor
+from .errors import CapExceededError, ConfigError, ConvergenceError
 
 BRUTE_FORCE_CAP = 2 ** 20
 MAX_SWEEPS = 100
@@ -41,49 +42,20 @@ def _sqrt_law_shares(capacity: np.ndarray, group: np.ndarray,
     return capacity[group] * weights / total[group]
 
 
-def _checked_assignment(assignment, ctx: SlotContext):
-    """A fresh int copy of `assignment`, its offloaded users' indices and their
-    ingress UAVs. ConfigError unless it has one entry per user, each LOCAL or
-    a UAV index (an integral float counts as that integer); InfeasibleError
-    naming the first offloaded user without an ingress."""
-    raw = np.asarray(assignment)
-    if raw.shape != (ctx.num_users,):
-        raise ConfigError(f"assignment must have shape ({ctx.num_users},), got {raw.shape}")
-    if raw.dtype.kind == "i":
-        a = raw.astype(int)
-        integral = True
-    elif raw.dtype.kind in "uf":
-        with np.errstate(invalid="ignore"):   # NaN and inf cast to some integer
-            a = raw.astype(int)
-        integral = (a == raw).all()
-    else:
-        raise ConfigError(f"assignment entries must be integers, got dtype {raw.dtype}")
-    if not (integral and a.min() >= LOCAL and a.max() < ctx.num_uavs):
-        user = ((a != raw) | (a < LOCAL) | (a >= ctx.num_uavs)).nonzero()[0][0]
-        raise ConfigError(f"assignment of user {user} must be LOCAL ({LOCAL}) or a UAV "
-                          f"index in [0, {ctx.num_uavs}), got {raw[user]}")
-    off_idx = (a != LOCAL).nonzero()[0]
-    ing = ctx.default_ingress[off_idx]
-    if (ing == LOCAL).any():
-        bad = off_idx[(ing == LOCAL).nonzero()[0][0]]
-        raise InfeasibleError(f"user {bad} is offloaded but has no ingress UAV")
-    return a, off_idx, ing
-
-
 def evaluate_assignment(assignment, ctx: SlotContext,
                         validate: bool = False) -> tuple[SlotDecision, SlotMetrics]:
     """Resource shares (closed forms per UAV group) and objective for one assignment.
 
-    assignment[m] is LOCAL or the executing UAV index; any other entry is a
-    ConfigError naming the user, and offloading a user without an ingress an
-    InfeasibleError naming it. Offloaded users enter through their
+    assignment[m] is LOCAL or the executing UAV index, checked by
+    `delay.check_assignment`. Offloaded users enter through their
     `ctx.default_ingress`; executors may be any UAV.
     """
-    a, off_idx, ing = _checked_assignment(assignment, ctx)
+    a, off_idx = check_assignment(assignment, ctx)
     bw = np.zeros(ctx.num_users)
     cpu = np.zeros(ctx.num_users)
     if off_idx.size:
-        bw[off_idx] = _sqrt_law_shares(ctx.uav_bw, ing, ctx.w_bw[off_idx])
+        bw[off_idx] = _sqrt_law_shares(ctx.uav_bw, ctx.default_ingress[off_idx],
+                                       ctx.w_bw[off_idx])
         cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx], ctx.w_cpu[off_idx])
 
     decision = SlotDecision(assignment=a, bandwidth_hz=bw, cpu_hz=cpu)
@@ -155,11 +127,11 @@ def cd_search(ctx: SlotContext) -> AllocationResult:
                             iterations=sweeps, converged=converged)
 
 
-def brute_force_oracle(ctx: SlotContext, cap: int = BRUTE_FORCE_CAP) -> AllocationResult:
+def brute_force_oracle(ctx: SlotContext) -> AllocationResult:
     """Global optimum by enumerating every feasible one-hot assignment.
 
     Ties resolve to the lexicographically smallest assignment (local sorts
-    before any UAV). Refuses instances whose enumeration exceeds `cap`.
+    before any UAV). Refuses instances above BRUTE_FORCE_CAP evaluations.
     """
     m, n = ctx.num_users, ctx.num_uavs
     can_offload = ctx.default_ingress != LOCAL
@@ -167,10 +139,10 @@ def brute_force_oracle(ctx: SlotContext, cap: int = BRUTE_FORCE_CAP) -> Allocati
     total = 1
     for choices in per_user:
         total *= len(choices)
-        if total > cap:
+        if total > BRUTE_FORCE_CAP:
             raise CapExceededError(
                 f"exhaustive search needs {math.prod(len(c) for c in per_user)} "
-                f"evaluations, above the cap of {cap}")
+                f"evaluations, above the cap of {BRUTE_FORCE_CAP}")
 
     best_assignment = None
     best_dor = -np.inf
@@ -249,9 +221,10 @@ def numeric_convex_oracle(assignment, ctx: SlotContext) -> tuple[np.ndarray, np.
 
     Solves each UAV's bandwidth group and processor group by projected
     gradient; used to cross-check the closed forms, never to replace them.
-    The assignment is checked as by `evaluate_assignment`.
+    The assignment is checked by `delay.check_assignment`.
     """
-    a, off_idx, ing = _checked_assignment(assignment, ctx)
+    a, off_idx = check_assignment(assignment, ctx)
+    ing = ctx.default_ingress[off_idx]
     bw = np.zeros(ctx.num_users)
     cpu = np.zeros(ctx.num_users)
     for uav in range(ctx.num_uavs):

@@ -6,6 +6,9 @@ values when offloading is slower, and those are deliberately kept.
 
 `SlotContext` holds all that is fixed in a slot, each user's uplink UAV (its
 ingress) included; a `SlotDecision` holds only who offloads where, and the shares.
+
+`check_assignment` is the one check of an offloading choice: `validate_decision`,
+`evaluate_assignment` and `numeric_convex_oracle` all run it on theirs.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .errors import ValidationError, ConfigError
+from .errors import ConfigError, InfeasibleError, ValidationError
 from .model import TaskArrays, UavArrays, UserArrays, coverage_radius, pair_geometry
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
@@ -120,38 +123,52 @@ class SlotMetrics:
     per_user_contribution: np.ndarray
 
 
-def validate_decision(decision: SlotDecision, ctx: SlotContext):
-    """Raise ValidationError naming the first violated decision constraint.
+def check_assignment(assignment, ctx: SlotContext) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh int copy of `assignment` and the indices of its offloaded users.
+    ValidationError unless it has shape (num_users,), an integer dtype (not
+    bool, float or str) and each entry LOCAL or a UAV index, naming the first
+    bad user; InfeasibleError naming the first offloaded user without an ingress."""
+    raw = np.asarray(assignment)
+    m, n = ctx.num_users, ctx.num_uavs
+    if raw.shape != (m,):
+        raise ValidationError(f"assignment must have shape ({m},), got {raw.shape}")
+    if raw.dtype.kind not in "iu":
+        raise ValidationError(f"assignment entries must be integers, got dtype {raw.dtype}")
+    if raw.min() < LOCAL or raw.max() >= n:
+        user = ((raw < LOCAL) | (raw >= n)).argmax()
+        raise ValidationError(f"one-hot choice: assignment of user {user} must be LOCAL "
+                              f"({LOCAL}) or a UAV index in [0, {n}), got {raw[user]}")
+    a = raw.astype(int)
+    off = (a != LOCAL).nonzero()[0]
+    stranded = ctx.default_ingress[off] == LOCAL
+    if stranded.any():
+        raise InfeasibleError(f"user {off[stranded.argmax()]} is offloaded but has no ingress UAV")
+    return a, off
 
-    A valid decision passes each constraint in one or two whole-array tests;
-    the index a message names is looked up only after a test has failed.
+
+def validate_decision(decision: SlotDecision, ctx: SlotContext):
+    """Raise ValidationError naming the first violated decision constraint,
+    the assignment's (`check_assignment`) first. A valid decision passes each
+    constraint in one or two whole-array tests; the index a message names is
+    looked up only after a test has failed.
     """
-    a = np.asarray(decision.assignment)
+    a, _ = check_assignment(decision.assignment, ctx)
     bw = np.asarray(decision.bandwidth_hz)
     cpu = np.asarray(decision.cpu_hz)
-    ing = ctx.default_ingress
     m, n = ctx.num_users, ctx.num_uavs
-    if not a.shape == bw.shape == cpu.shape == (m,):
-        raise ValidationError(f"assignment, bandwidth_hz and cpu_hz must have shape ({m},), "
-                              f"got {a.shape}, {bw.shape}, {cpu.shape}")
-    if a.dtype.kind != "i":
-        raise ValidationError(f"assignment entries must be integers, got dtype {a.dtype}")
-    if a.min() < LOCAL or a.max() >= n:
-        raise ValidationError("one-hot choice: assignment entries must be LOCAL or a UAV index")
-
-    local = a == LOCAL
-    stranded = ~local & (ing == LOCAL)
-    if stranded.any():
-        raise ValidationError(f"user {stranded.argmax()} is offloaded but has no ingress UAV")
+    if not bw.shape == cpu.shape == (m,):
+        raise ValidationError(f"bandwidth_hz and cpu_hz must have shape ({m},), "
+                              f"got {bw.shape}, {cpu.shape}")
     if not bw.min() >= 0:       # a NaN fails too
         raise ValidationError("bandwidth shares must be >= 0")
     if not cpu.min() >= 0:
         raise ValidationError("cpu shares must be >= 0")
+    local = a == LOCAL
     if local.any() and (bw[local].any() or cpu[local].any()):
         raise ValidationError("local users must hold zero bandwidth and cpu shares")
 
     # Local users hold zero shares: counting them anywhere adds exactly 0.
-    for kind, group, share, capacity in (("bandwidth", ing, bw, ctx.uav_bw),
+    for kind, group, share, capacity in (("bandwidth", ctx.default_ingress, bw, ctx.uav_bw),
                                          ("cpu", a, cpu, ctx.uav_cpu)):
         total = np.bincount(np.maximum(group, 0), share, minlength=n)
         over = total > capacity * (1 + _CAP_RTOL)

@@ -2,6 +2,8 @@
 `check_numbers` holds a config dataclass to its rule table, and
 `config_from_dict` is the one reader of a saved config (a scenario snapshot's
 or a checkpoint's), which yields the config or a ConfigError.
+InfeasibleError is a ValidationError: `except ValidationError` catches every
+decision that `delay.validate_decision` refuses.
 """
 
 import math
@@ -18,7 +20,7 @@ class ValidationError(ValueError):
     """A slot decision violates one of its structural constraints."""
 
 
-class InfeasibleError(ValueError):
+class InfeasibleError(ValidationError):
     """An assignment offloads a user with no ingress UAV (none covers it at a rate > 0)."""
 
 

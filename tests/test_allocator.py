@@ -12,8 +12,8 @@ from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment
                               minimize_inverse_on_simplex, numeric_convex_oracle)
 from uavmec.baselines import ao_allocate
 from uavmec.channel import ChannelParams
-from uavmec.delay import LOCAL, SlotContext
-from uavmec.errors import CapExceededError, ConfigError, InfeasibleError
+from uavmec.delay import LOCAL, SlotContext, SlotDecision, validate_decision
+from uavmec.errors import CapExceededError, InfeasibleError, ValidationError
 from uavmec.model import (ScenarioConfig, Task, UavState, UserState, build_scenario,
                           generate_tasks)
 
@@ -126,14 +126,14 @@ class TestProjectedGradientOracle:
                           / decision.cpu_hz[off]) < 1e-6
 
     @pytest.mark.parametrize("assignment, message", [
-        ([0.7, LOCAL, 2, 1], r"assignment of user 0 must be LOCAL \(-1\)"),
+        ([0.7, LOCAL, 2, 1], "must be integers, got dtype float64"),
         ([0, LOCAL, 2, 7], r"assignment of user 3 must be LOCAL \(-1\)"),
         (["0", "-1", "2", "1"], "must be integers"),
     ], ids=["fraction", "no-such-uav", "str"])
     def test_bad_assignment_rejected(self, assignment, message):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
         numeric_convex_oracle([0, LOCAL, 2, 1], ctx)    # valid
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValidationError, match=message):
             numeric_convex_oracle(assignment, ctx)
 
     def test_offloaded_user_without_ingress_named(self):
@@ -257,12 +257,13 @@ class TestBruteForce:
             cd = cd_search(ctx)
             assert bf.dor >= cd.dor - 1e-12
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
         rng = np.random.default_rng(13)
         ctx = random_slot_context(rng, num_users=6, num_uavs=3,
                                   narrow_coverage_prob=0.0)
-        with pytest.raises(CapExceededError):
-            brute_force_oracle(ctx, cap=100)
+        monkeypatch.setattr(allocator, "BRUTE_FORCE_CAP", 100)
+        with pytest.raises(CapExceededError, match="above the cap of 100"):
+            brute_force_oracle(ctx)
 
     def test_cap_message_gives_the_exact_count(self):
         # 100 covered users with 11 choices each: 11**100 overflows int64
@@ -300,38 +301,56 @@ class TestBruteForce:
 
 
 class TestEvaluateAssignment:
-    @pytest.mark.parametrize("entry", [-2, 3, 7, 0.7, -1.5, np.nan, np.inf, 2 ** 40],
-                             ids=["-2", "num_uavs", "7", "0.7", "-1.5", "nan", "inf", "2**40"])
-    def test_bad_entry_names_the_user(self, entry):
+    @pytest.mark.parametrize("entry, message", [
+        *((entry, r"one-hot choice: assignment of user 1 must be LOCAL \(-1\) "
+                  rf"or a UAV index in \[0, 3\), got {entry}$") for entry in (-2, 3, 7, 2 ** 40)),
+        *((entry, "assignment entries must be integers, got dtype float64")
+          for entry in (0.7, -1.5, np.nan, np.inf)),
+    ], ids=["-2", "num_uavs", "7", "2**40", "0.7", "-1.5", "nan", "inf"])
+    def test_bad_entry_names_the_user(self, entry, message):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
         assignment = [0, LOCAL, 2, 1]
         evaluate_assignment(assignment, ctx)        # valid
         assignment[1] = entry
-        with pytest.raises(ConfigError, match=r"assignment of user 1 must be LOCAL \(-1\) "
-                                              r"or a UAV index in \[0, 3\)"):
+        with pytest.raises(ValidationError, match=message):
             evaluate_assignment(assignment, ctx)
 
     def test_bad_entry_checked_before_any_work(self, monkeypatch):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
         for name in ("_sqrt_law_shares", "slot_dor"):     # any use would raise TypeError
             monkeypatch.setattr(allocator, name, None)
-        with pytest.raises(ConfigError, match="user 3"):
+        with pytest.raises(ValidationError, match="user 3"):
             evaluate_assignment(np.array([0, 1, 2, -2]), ctx)
 
     @pytest.mark.parametrize("assignment", [["0", "1", "2", "-1"], [True, False, True, True]],
                              ids=["str", "bool"])
     def test_non_numeric_assignment_rejected(self, assignment):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
-        with pytest.raises(ConfigError, match="must be integers"):
+        with pytest.raises(ValidationError, match="must be integers"):
             evaluate_assignment(assignment, ctx)
 
-    def test_integral_floats_are_indices(self):
+    def test_integral_floats_rejected(self):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
-        by_int = evaluate_assignment(np.array([0, LOCAL, 2, 1]), ctx)
-        by_float = evaluate_assignment(np.array([0.0, -1.0, 2.0, 1.0]), ctx)
-        assert by_float[0].assignment.dtype == by_int[0].assignment.dtype
-        assert np.array_equal(by_float[0].assignment, by_int[0].assignment)
-        assert by_float[1].dor == by_int[1].dor
+        with pytest.raises(ValidationError, match="must be integers, got dtype float64"):
+            evaluate_assignment(np.array([0.0, -1.0, 2.0, 1.0]), ctx)
+
+    @pytest.mark.parametrize("assignment", [
+        [0, LOCAL], [[0, LOCAL, 0, 0]], [0, LOCAL, 0, 1], [0, LOCAL, -2, 0], [0, 0, 0, 0],
+        [0.0, -1.0, 0.0, 0.0], [True, False, True, True], ["0", "-1", "0", "0"],
+    ], ids=["short", "2d", "no-such-uav", "below-local", "stranded", "float", "bool", "str"])
+    def test_every_checker_raises_the_same_error(self, assignment):
+        # user 1 has zero tx power, so no ingress: offloading it is infeasible
+        ctx = one_uav_context([1e9] * 4, [500.0] * 4, powers=[1.0, 0.0, 1.0, 1.0])
+        zeros = np.zeros(4)
+        errors = []
+        for check in (lambda: evaluate_assignment(assignment, ctx),
+                      lambda: numeric_convex_oracle(assignment, ctx),
+                      lambda: validate_decision(SlotDecision(assignment, zeros, zeros), ctx)):
+            with pytest.raises(ValidationError) as info:
+                check()
+            errors.append((type(info.value), str(info.value)))
+        assert errors == [errors[0]] * 3
+        assert (errors[0][0] is InfeasibleError) == (assignment == [0, 0, 0, 0])
 
     def test_all_local_dor_zero(self):
         rng = np.random.default_rng(15)
