@@ -16,7 +16,7 @@ import numpy as np
 from .allocator import AllocationResult, cd_search
 from .delay import SlotContext
 from .delay import slot_dor  # noqa: F401  not called here; bench/tracing.py patches it by this name
-from .errors import ConfigError, require
+from .errors import NON_NEGATIVE, ConfigError, check_numbers
 from .model import Scenario, apply_motion, generate_tasks, pairwise_distances
 
 
@@ -42,10 +42,10 @@ class EdgeComputeEnv:
     """
 
     def __init__(self, scenario: Scenario, penalty: float = 10.0, allocate=None):
-        require(0.0 <= penalty < np.inf, f"penalty must be finite and >= 0, got {penalty}")
+        self.penalty = penalty
+        check_numbers(self, {"penalty": NON_NEGATIVE})
         self.scenario = scenario
         self.config = scenario.config
-        self.penalty = penalty
         self.allocate = allocate if allocate is not None else cd_search
         self.slot = 0
 

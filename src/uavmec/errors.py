@@ -1,13 +1,18 @@
-"""Exception types shared across the package, and the two checks of a config:
-`check_numbers` holds a config dataclass to its rule table, and
-`config_from_dict` is the one reader of a saved config (a scenario snapshot's
-or a checkpoint's), which yields the config or a ConfigError.
+"""Exception types shared across the package, the two checks of a config, and
+the one way saved state is written. `check_numbers` holds a config dataclass
+to its rule table, and `config_from_dict` is the one reader of a saved config
+(a scenario snapshot's or a checkpoint's), which yields the config or a
+ConfigError. `config_to_dict` is its inverse, and `replace_file` the one
+write path of a snapshot or a checkpoint.
 InfeasibleError is a ValidationError: `except ValidationError` catches every
 decision that `delay.validate_decision` refuses.
 """
 
+import contextlib
+import json
 import math
-from dataclasses import fields, is_dataclass
+import os
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -99,3 +104,34 @@ def config_from_dict(cls, data, where: str):
 
 def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def config_to_dict(config) -> dict:
+    """Dataclass `config` as the JSON object `config_from_dict` reads: tuples
+    become lists, and numpy numbers and arrays Python ones, at any depth."""
+    return json.loads(json.dumps(asdict(config), default=_plain))
+
+
+def _plain(value):
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@contextlib.contextmanager
+def replace_file(path, mode: str):
+    """A file opened in `mode` at `<path>.tmp`; once the block has written it,
+    it is synced to disk and replaces `path` in one `os.replace`, so an
+    interrupted save leaves the previous file whole. If the block, the sync or
+    the rename raises, `<path>.tmp` is removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):   # keep the original error
+            os.remove(tmp)
+        raise

@@ -34,18 +34,18 @@ layout table, entry name -> the float64 array it fills, before writing any.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
 from .errors import (COUNT, NON_NEGATIVE, SEED, TINY, ConfigError, NumericError,
-                     check_numbers, config_from_dict, require)
+                     check_numbers, config_from_dict, config_to_dict, replace_file,
+                     require)
 from .model import Scenario
 
 CHECKPOINT_SCHEMA_VERSION = 4
@@ -264,7 +264,8 @@ class MaddpgTrainer:
 
     def state_dict(self) -> dict[str, np.ndarray | str]:
         """The checkpoint archive's entries (module docstring), as copies."""
-        meta = {"schema_version": CHECKPOINT_SCHEMA_VERSION, "config": asdict(self.config),
+        meta = {"schema_version": CHECKPOINT_SCHEMA_VERSION,
+                "config": config_to_dict(self.config),
                 "buffer_size": self.buffer.size, "buffer_cursor": self.buffer.cursor,
                 "rng_state": self.rng.bit_generator.state}
         state = {"meta": json.dumps(meta, sort_keys=True)}
@@ -308,22 +309,11 @@ class MaddpgTrainer:
 
     def save_checkpoint(self, path: str | os.PathLike):
         """Write `state_dict()` (`meta` JSON, one (num_agents, P) stack per role,
-        the filled replay rows) as one `.npz` archive at exactly `path`. It goes
-        to `<path>.tmp`, then replaces `path` in a single `os.replace`, so an
-        interrupted save leaves the previous checkpoint whole and loadable. The
-        bytes are synced to disk before the rename; if the write or the rename
-        raises, `<path>.tmp` is removed."""
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "wb") as fh:   # a handle: np.savez would add ".npz" to a name
-                np.savez(fh, **self.state_dict())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):   # keep the original error
-                os.remove(tmp)
-            raise
+        the filled replay rows) as one `.npz` archive at exactly `path`, through
+        `errors.replace_file`: an interrupted save leaves the previous
+        checkpoint whole and loadable."""
+        with replace_file(path, "wb") as fh:   # a handle: np.savez would add ".npz" to a name
+            np.savez(fh, **self.state_dict())
 
     @classmethod
     def load_checkpoint(cls, scenario: Scenario, path: str | os.PathLike) -> "MaddpgTrainer":

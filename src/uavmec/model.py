@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .channel import ChannelParams
 from .errors import (COUNT, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
-                     check_numbers, config_from_dict, require)
+                     check_numbers, config_from_dict, config_to_dict, replace_file,
+                     require)
 
 SCHEMA_VERSION = 1
 
@@ -327,7 +328,7 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "config": json.loads(json.dumps(asdict(self.config))),  # tuples become lists
+            "config": config_to_dict(self.config),
             "users": self.users.to_rows(),
             "uavs": self.uavs.to_rows(),
             "initial_uav_positions": self.initial_uav_positions.tolist(),
@@ -355,7 +356,8 @@ class Scenario:
         return cls(config, users, uavs, np.array(initial, dtype=float))
 
     def save(self, path: str | os.PathLike):
-        with open(path, "w") as fh:
+        """Write `to_dict()` as JSON at `path` through `errors.replace_file`."""
+        with replace_file(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -400,12 +402,15 @@ def apply_motion(positions: np.ndarray, deltas,
     v_max * slot_seconds; the resulting positions are clamped componentwise.
     Enforcement never rejects, it flags. Returns the new (N, 3) positions and
     the (N,) box and speed violation masks; neither input is written. Deltas
-    that are not numbers shaped as the positions, or not finite, are a
+    that are not real numbers shaped as the positions, or not finite, are a
     ConfigError.
     """
     try:
-        deltas = np.asarray(deltas, dtype=float)
-    except (TypeError, ValueError) as exc:
+        deltas = np.asarray(deltas)
+        if deltas.dtype.kind == "c":   # a cast would drop the imaginary part
+            raise TypeError(f"dtype {deltas.dtype} is not real")
+        deltas = deltas.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"motion deltas must be an array of numbers, got {deltas!r}: "
                           f"{exc}") from None
     if deltas.shape != positions.shape:
@@ -476,6 +481,8 @@ def pairwise_distances(positions) -> np.ndarray:
 def generate_tasks(scenario: Scenario, slot: int) -> TaskArrays:
     """One task per user for the given slot, keyed by (rng_seed, slot) only."""
     cfg = scenario.config
+    if not isinstance(slot, (int, np.integer)) or slot.__class__ is bool:
+        raise ConfigError(f"slot must be an integer, got {slot!r}")
     if not 0 <= slot < cfg.horizon:
         raise ConfigError(f"slot {slot} outside horizon [0, {cfg.horizon})")
     rng = np.random.default_rng([cfg.rng_seed, slot])

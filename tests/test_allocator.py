@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tests._cd_gap import GAP_FILE, SEEDS, gap_instance
+from tests._cd_gap import GAP_FILE, GAP_FILES, SEEDS, gap_instance
 from tests._instances import random_slot_context, scenario_range_context
 from uavmec import allocator
 from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment,
@@ -291,6 +291,22 @@ class TestBruteForce:
         assert (row["seed"], row["narrow_coverage"]) == (seed, seed % 2 == 1)
         expected = float.fromhex(row["optimum"])
         assert brute_force_oracle(gap_instance(seed)).dor == pytest.approx(expected, rel=1e-12)
+
+    def test_cd_gap_at_8x3_does_not_grow(self):
+        frozen = json.loads(GAP_FILES[8, 3].read_text())["instances"]
+        assert [row["seed"] for row in frozen] == list(SEEDS)
+        optimum = np.array([float.fromhex(row["optimum"]) for row in frozen])
+        bound = np.array([float.fromhex(row["gap"]) for row in frozen]) + 1e-12 * optimum
+        gap = optimum - [cd_search(gap_instance(seed, 8, 3)).dor for seed in SEEDS]
+        assert [seed for seed in SEEDS if gap[seed] > bound[seed]] == []
+        assert gap.mean() <= bound.mean()
+
+    def test_frozen_8x3_optimum_is_the_oracle(self):
+        # CD ends below the optimum here, and narrow cones keep the enumeration short
+        row = json.loads(GAP_FILES[8, 3].read_text())["instances"][13]
+        assert row["seed"] == 13 and float.fromhex(row["gap"]) > 0
+        expected = float.fromhex(row["optimum"])
+        assert brute_force_oracle(gap_instance(13, 8, 3)).dor == pytest.approx(expected, rel=1e-12)
 
     def test_decision_validates(self):
         rng = np.random.default_rng(14)

@@ -170,6 +170,20 @@ class TestBadInput:
         with pytest.raises(ConfigError, match="penalty must be finite and >= 0"):
             EdgeComputeEnv(scenario, penalty=penalty)
 
+    @pytest.mark.parametrize("penalty", ["x", None, [1.0], True])
+    def test_non_number_penalty_rejected(self, penalty):
+        scenario = build_scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
+        with pytest.raises(ConfigError, match="penalty must be a number"):
+            EdgeComputeEnv(scenario, penalty=penalty)
+
+    def test_complex_actions_rejected(self):
+        env = make_env([(10, 10, 12), (40, 40, 12)])
+        start = env.scenario.uav_positions
+        with pytest.raises(ConfigError, match="complex128 is not real"):
+            env.step(np.array([[0.5 + 1j, 0, 0], [0, 0, 0]]))
+        assert env.slot == 0
+        assert np.array_equal(env.scenario.uav_positions, start)
+
     @pytest.mark.parametrize("actions", [[[0, 0], [0, 0, 0]], [["a", "b", "c"], [0, 0, 0]]],
                              ids=["ragged", "str"])
     def test_unconvertible_actions_rejected(self, actions):

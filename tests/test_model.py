@@ -304,6 +304,18 @@ class TestTasks:
         with pytest.raises(ConfigError, match=f"task 2 {field} must be finite and > 0"):
             tasks.check()
 
+    @pytest.mark.parametrize("slot", [1.5, 1.0, "1", True, None, [1]])
+    def test_non_integer_slot_rejected(self, slot):
+        sc = build_scenario(small_config(horizon=5))
+        with pytest.raises(ConfigError, match="slot must be an integer"):
+            generate_tasks(sc, slot)
+
+    def test_numpy_integer_slot_is_that_slot(self):
+        sc = build_scenario(small_config(horizon=5))
+        by_numpy, by_int = generate_tasks(sc, np.int64(3)), generate_tasks(sc, 3)
+        assert by_numpy.bits.tobytes() == by_int.bits.tobytes()
+        assert by_numpy.cycles_per_bit.tobytes() == by_int.cycles_per_bit.tobytes()
+
     def test_slot_outside_horizon(self):
         sc = build_scenario(small_config(horizon=5))
         for slot in (5, -1):

@@ -1,15 +1,18 @@
 """The two readers of saved state, `Scenario.from_dict` and
-`MaddpgTrainer.load_checkpoint`, and the config checks they rely on.
+`MaddpgTrainer.load_checkpoint`, their writers, the config checks they rely
+on, and the inputs of a slot step.
 
 Whatever a snapshot or a checkpoint holds, reading it gives the saved object
 or raises a type from `uavmec.errors`, with no warning; and every config
-field a writer saves comes back equal.
+field a writer saves comes back equal. The same holds for the actions given
+to `EdgeComputeEnv.step`, its penalty and the slot of `generate_tasks`.
 """
 
 import copy
 import dataclasses
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -17,9 +20,10 @@ import pytest
 
 from uavmec import errors, learner
 from uavmec.channel import ChannelParams
+from uavmec.env import EdgeComputeEnv
 from uavmec.errors import ConfigError
 from uavmec.learner import MaddpgTrainer, TrainConfig, train
-from uavmec.model import Scenario, ScenarioConfig, build_scenario
+from uavmec.model import Scenario, ScenarioConfig, build_scenario, generate_tasks
 
 ERRORS = tuple(value for value in vars(errors).values()
                if isinstance(value, type) and issubclass(value, Exception)
@@ -308,4 +312,61 @@ class TestCheckpointReader:
             escaped.append(loads_or_raises_typed(
                 lambda: MaddpgTrainer.load_checkpoint(trainer_scenario(), path),
                 f"trial {trial}: {change}"))
+        assert [line for line in escaped if line] == []
+
+
+class TestWriters:
+    def test_numpy_numbers_save_as_python_numbers(self, tmp_path):
+        config = dataclasses.replace(SNAPSHOT_CONFIG, num_users=np.int64(4), rng_seed=np.uint8(2),
+                                     initial_uav_positions=tuple(map(np.array, STARTS)))
+        build_scenario(config).save(tmp_path / "scenario.json")
+        loaded = Scenario.load(tmp_path / "scenario.json").config
+        assert loaded == dataclasses.replace(config, initial_uav_positions=STARTS)
+        train_config = TrainConfig(batch_size=np.int64(8), min_fill=8, buffer_capacity=16)
+        MaddpgTrainer(trainer_scenario(), train_config).save_checkpoint(tmp_path / "ckpt.npz")
+        loaded = MaddpgTrainer.load_checkpoint(trainer_scenario(), tmp_path / "ckpt.npz")
+        assert loaded.config == train_config
+
+    def test_failed_snapshot_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scenario.json"
+        build_scenario(SNAPSHOT_CONFIG).save(path)
+        saved = path.read_bytes()
+
+        def disk_full(data, fh, **kwargs):
+            fh.write('{"schema_version": 1, "con')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            build_scenario(OFF_DEFAULT_SCENARIO).save(path)
+        assert os.listdir(tmp_path) == ["scenario.json"]
+        assert path.read_bytes() == saved
+
+
+class TestStepInputs:
+    def test_mutated_step_inputs_run_or_raise_typed_errors(self):
+        rng = np.random.default_rng(2029)
+        scenario = build_scenario(ScenarioConfig(num_users=4, num_uavs=3, horizon=10))
+        actions = rng.uniform(-2.0, 2.0, size=(3, 3))
+        escaped = []
+        for trial in range(300):
+            target = ("actions", "penalty", "slot")[trial % 3]
+            if target == "penalty":
+                values = wrong_values(10.0)
+            elif target == "slot":
+                values = wrong_values(3) + [np.int64(3), np.float64(3.0), np.bool_(True),
+                                            2 ** 64, "3"]
+            elif rng.random() < 0.5:
+                how = list(ARRAY_MUTATIONS)[rng.integers(len(ARRAY_MUTATIONS))]
+                values = [ARRAY_MUTATIONS[how](actions)]
+            else:   # one entry of a nested list replaced
+                rows, (i, j) = actions.tolist(), rng.integers(3, size=2)
+                choices = wrong_values(rows[i][j])
+                rows[i][j] = choices[rng.integers(len(choices))]
+                values = [rows]
+            value = values[rng.integers(len(values))]
+            run = {"actions": lambda: EdgeComputeEnv(scenario).step(value),
+                   "penalty": lambda: EdgeComputeEnv(scenario, penalty=value).step(actions),
+                   "slot": lambda: generate_tasks(scenario, value)}[target]
+            escaped.append(loads_or_raises_typed(run, f"trial {trial}: {target} = {value!r}"[:200]))
         assert [line for line in escaped if line] == []
