@@ -4,32 +4,36 @@ Each step applies the commanded displacements under the motion constraints,
 draws the slot's tasks, solves the slot allocation (coordinate descent by
 default), and pays the slot objective as a shared reward. Constraint
 violations (box, speed, UAV separation) subtract a fixed penalty per
-violating UAV; positions are never rolled back.
+violating UAV; `SlotInfo` keeps the step's (N,) violation masks. Positions
+are never rolled back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocator import AllocationResult, cd_search
 from .delay import SlotContext
 from .delay import slot_dor  # noqa: F401  not called here; bench/tracing.py patches it by this name
-from .errors import NON_NEGATIVE, ConfigError, check_numbers
+from .errors import NON_NEGATIVE, ConfigError, check_numbers, require
 from .model import Scenario, apply_motion, generate_tasks, pairwise_distances
 
 
 @dataclass
 class SlotInfo:
+    """One slot's outcome. `box`, `speed`, `collision` and their union
+    `violators` are new (N,) bool masks of the UAVs that broke each constraint."""
+
     slot: int
     dor: float
     reward: float
     allocation: AllocationResult
-    violating_uavs: list[int]
-    box_violations: list[int] = field(default_factory=list)
-    speed_violations: list[int] = field(default_factory=list)
-    collision_uavs: list[int] = field(default_factory=list)
+    box: np.ndarray
+    speed: np.ndarray
+    collision: np.ndarray
+    violators: np.ndarray
 
 
 class EdgeComputeEnv:
@@ -47,6 +51,7 @@ class EdgeComputeEnv:
         self.scenario = scenario
         self.config = scenario.config
         self.allocate = allocate if allocate is not None else cd_search
+        require(callable(self.allocate), f"allocate must be callable, got {allocate!r}")
         self.slot = 0
 
     def observe(self) -> np.ndarray:
@@ -67,21 +72,18 @@ class EdgeComputeEnv:
         scenario = self.scenario
         positions, box, speed = apply_motion(scenario.uavs.position, actions, self.config)
         scenario.uavs.position[...] = positions
-        collisions = (pairwise_distances(positions) < self.config.d_min).any(axis=1)
+        collision = (pairwise_distances(positions) < self.config.d_min).any(axis=1)
 
         scenario.advance_users()
         tasks = generate_tasks(scenario, self.slot)
         ctx = SlotContext(scenario.users, scenario.uavs, tasks, self.config.channel)
         allocation = self.allocate(ctx)
 
-        violators = box | speed | collisions
+        violators = box | speed | collision
         reward = allocation.dor - self.penalty * np.count_nonzero(violators)
 
         info = SlotInfo(slot=self.slot, dor=allocation.dor, reward=reward,
-                        allocation=allocation,
-                        violating_uavs=violators.nonzero()[0].tolist(),
-                        box_violations=box.nonzero()[0].tolist(),
-                        speed_violations=speed.nonzero()[0].tolist(),
-                        collision_uavs=collisions.nonzero()[0].tolist())
+                        allocation=allocation, box=box, speed=speed, collision=collision,
+                        violators=violators)
         self.slot += 1
         return self.observe(), reward, info

@@ -24,12 +24,14 @@ MADDPG (Lowe et al. 2017, arXiv:1706.02275): agent n + 1's TD target reads
 agent n's target actor as just blended, so the agents cannot be updated as one
 stacked step without changing the result.
 
-A checkpoint is one `.npz` archive of plain arrays (schema version 4): `meta`,
+A checkpoint is one `.npz` archive of plain arrays (schema version 5): `meta`,
 a JSON string holding schema_version, config (the TrainConfig), buffer_size,
-buffer_cursor and rng_state; the four role stacks; and the buffer_size filled
-replay rows as x, rew and next_obs. `load_checkpoint` reads the config with
-`errors.config_from_dict`. `load_state_dict` checks every array against one
-layout table, entry name -> the float64 array it fills, before writing any.
+buffer_cursor and rng_state; the four role stacks; the buffer_size filled
+replay rows as x, rew and next_obs; and input_scale, the network units those
+rows are in. `load_checkpoint` reads the config with `errors.config_from_dict`.
+`load_state_dict` checks every array against one layout table, entry name ->
+the float64 array it fills, and input_scale against the trainer's own, before
+writing any.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (COUNT, NON_NEGATIVE, SEED, TINY, ConfigError, NumericError,
                      require)
 from .model import Scenario
 
-CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_SCHEMA_VERSION = 5
 META_KEYS = {"schema_version": int, "config": dict, "buffer_size": int, "buffer_cursor": int,
              "rng_state": dict}   # each meta key and the JSON type of its value
 ROLES = ("actor", "critic", "target_actor", "target_critic")
@@ -273,14 +275,15 @@ class MaddpgTrainer:
             state[role] = self.nets[role].theta.copy()
         for name in REPLAY_FIELDS:
             state[name] = getattr(self.buffer, name)[:self.buffer.size].copy()
+        state["input_scale"] = self.input_scale.copy()
         return state
 
     def load_state_dict(self, state: dict):
         """Restore from `state_dict()` output through the layout table: each role
         stack, then the first buffer_size rows of each replay field. Unless every
-        entry is there, float64 and shaped as its target, raise ConfigError
-        naming it, or NumericError naming the first agent and role with a
-        non-finite parameter, before anything is changed."""
+        entry is there, float64 and shaped as its target, and input_scale is
+        this trainer's, raise ConfigError naming it, or NumericError naming the
+        first agent and role with a non-finite parameter, before anything is changed."""
         meta = checkpoint_meta(state)
         size, cursor, capacity = meta["buffer_size"], meta["buffer_cursor"], self.buffer.capacity
         require(0 <= size <= capacity and 0 <= cursor < capacity,
@@ -297,6 +300,12 @@ class MaddpgTrainer:
                     f"checkpoint {label} has shape {np.shape(array)} and dtype {dtype}, this "
                     f"trainer needs float64 {target.shape} for (num_agents, buffer_size) = "
                     f"({self.num_agents}, {size})")
+        require("input_scale" in state, "checkpoint is missing array input_scale")
+        scale = state["input_scale"]
+        require(getattr(scale, "dtype", None) == np.float64
+                and np.array_equal(scale, self.input_scale),
+                f"checkpoint input_scale {np.asarray(scale).tolist()} is not this trainer's "
+                f"{self.input_scale.tolist()}: its replay rows are in other network units")
         check_finite_stacks(state, "in the checkpoint")
         try:   # on a scratch generator, so a bad state changes nothing here
             type(self.rng.bit_generator)().state = meta["rng_state"]
@@ -309,9 +318,9 @@ class MaddpgTrainer:
 
     def save_checkpoint(self, path: str | os.PathLike):
         """Write `state_dict()` (`meta` JSON, one (num_agents, P) stack per role,
-        the filled replay rows) as one `.npz` archive at exactly `path`, through
-        `errors.replace_file`: an interrupted save leaves the previous
-        checkpoint whole and loadable."""
+        the filled replay rows, input_scale) as one `.npz` archive at exactly
+        `path`, through `errors.replace_file`: an interrupted save leaves the
+        previous checkpoint whole and loadable."""
         with replace_file(path, "wb") as fh:   # a handle: np.savez would add ".npz" to a name
             np.savez(fh, **self.state_dict())
 
@@ -344,7 +353,7 @@ def check_finite_stacks(stacks: dict, where: str):
 
 def checkpoint_meta(state: dict) -> dict:
     """A checkpoint state's parsed `meta`; ConfigError, naming what is wrong,
-    unless meta is schema-4 JSON holding every key in META_KEYS with its type.
+    unless meta is current-schema JSON holding every key in META_KEYS with its type.
     `load_state_dict` checks the arrays."""
     require("meta" in state, "checkpoint is missing array meta")
     try:
@@ -367,6 +376,8 @@ def train(scenario: Scenario, config: TrainConfig,
 
     slot_callback(episode, info: SlotInfo), when given, observes every slot.
     """
+    require(slot_callback is None or callable(slot_callback),
+            f"slot_callback must be callable, got {slot_callback!r}")
     trainer = MaddpgTrainer(scenario, config)
     env = EdgeComputeEnv(scenario, penalty=config.penalty)
     history = TrainingHistory()
@@ -391,7 +402,7 @@ def train(scenario: Scenario, config: TrainConfig,
                     trainer.soft_update_agent(n)
             total_reward += reward
             total_dor += info.dor
-            violations += len(info.violating_uavs)
+            violations += np.count_nonzero(info.violators)
             if slot_callback is not None:
                 slot_callback(episode, info)
             obs = next_obs

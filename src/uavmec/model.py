@@ -20,6 +20,8 @@ one entity each; `SlotContext` stacks a list of them into a bundle through
 
 Building a bundle checks nothing. `_Columns.check` applies every rule in
 `FIELD_RULES`: `SlotContext` calls it once per slot, `Scenario.from_dict` at load.
+Each field's rule there is one of the rule tuples of `errors` (or the angle rule
+`_SCENARIO_RULES` shares), so a range and its wording are written once.
 `ScenarioConfig` holds its numbers to `_SCENARIO_RULES` (`errors.check_numbers`),
 and `Scenario.from_dict` reads a snapshot's config with `errors.config_from_dict`.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import ChannelParams
-from .errors import (COUNT, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
+from .errors import (COUNT, FINITE, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
                      check_numbers, config_from_dict, config_to_dict, replace_file,
                      require)
 
@@ -41,6 +43,7 @@ SCHEMA_VERSION = 1
 
 
 _RANGE = ("pair", TINY, HUGE, "be two finite numbers with 0 < low <= high")
+_ANGLE = ("float", 0.0, 90.0, "lie in [0, 90]")
 _SCENARIO_RULES = {
     "area_x": POSITIVE, "area_y": POSITIVE, "z_min": POSITIVE, "z_max": POSITIVE,
     "d_min": POSITIVE, "v_max": POSITIVE, "slot_seconds": POSITIVE,
@@ -48,7 +51,7 @@ _SCENARIO_RULES = {
     "task_bits_range": _RANGE, "task_cycles_per_bit_range": _RANGE,
     "user_freq_range": _RANGE, "user_power_range": _RANGE,
     "uav_freq": POSITIVE, "uav_power": POSITIVE,
-    "coverage_half_angle_deg": ("float", 0.0, 90.0, "lie in [0, 90]"),
+    "coverage_half_angle_deg": _ANGLE,
     "user_speed": NON_NEGATIVE, "rng_seed": SEED,
 }
 
@@ -88,17 +91,20 @@ class ScenarioConfig:
         if self.user_mobility not in ("static", "random_waypoint"):
             raise ConfigError(f"user_mobility must be 'static' or 'random_waypoint', "
                               f"got {self.user_mobility!r}")
-        if self.initial_uav_positions is not None:
-            self._check_initial_uav_positions(self.initial_uav_positions)
+        if self.initial_uav_positions is not None:   # stored as float triples: hashable
+            object.__setattr__(self, "initial_uav_positions",
+                               self._check_initial_uav_positions(self.initial_uav_positions))
 
-    def _check_initial_uav_positions(self, positions):
-        """ConfigError unless `positions` holds num_uavs starts, each 3 finite
-        coordinates inside this config's flight box; a bad start names its UAV."""
+    def _check_initial_uav_positions(self, positions) -> tuple[tuple[float, float, float], ...]:
+        """`positions` as a tuple of float triples; ConfigError unless it holds
+        num_uavs starts, each 3 finite coordinates inside this config's flight
+        box. A bad start names its UAV."""
         require(hasattr(positions, "__len__"),
                 f"initial_uav_positions must be a list of positions, got {positions!r}")
         require(len(positions) == self.num_uavs, f"initial_uav_positions has "
                 f"{len(positions)} entries, expected num_uavs={self.num_uavs}")
         low, high = (0.0, 0.0, self.z_min), (self.area_x, self.area_y, self.z_max)
+        starts = []
         for n, position in enumerate(positions):
             try:
                 row = np.array(position, dtype=float)
@@ -111,6 +117,8 @@ class ScenarioConfig:
             require(((row >= low) & (row <= high)).all(),
                     f"initial position of UAV {n} {position} lies outside the flight box "
                     f"[0, {self.area_x}] x [0, {self.area_y}] x [{self.z_min}, {self.z_max}]")
+            starts.append(tuple(row.tolist()))
+        return tuple(starts)
 
     @property
     def max_step(self) -> float:
@@ -141,15 +149,11 @@ class Task:
 
 _FLOAT64 = np.dtype(float)
 
-# Every field of every bundle, by name: the shape of one row, the closed range
-# [low, high] each value must lie in (a NaN lies in none), and the wording.
+# Every field of every bundle, by name: the shape of one row, and the rule whose
+# closed range [low, high] each value must lie in (a NaN lies in none).
 FIELD_RULES = {
-    "position": ((3,), -HUGE, HUGE, "be finite"),
-    "cpu_freq": ((), TINY, HUGE, "be finite and > 0"),
-    "tx_power": ((), 0.0, HUGE, "be finite and >= 0"),
-    "half_angle_deg": ((), 0.0, 90.0, "lie in [0, 90]"),
-    "bits": ((), TINY, HUGE, "be finite and > 0"),
-    "cycles_per_bit": ((), TINY, HUGE, "be finite and > 0"),
+    "position": ((3,), FINITE), "cpu_freq": ((), POSITIVE), "tx_power": ((), NON_NEGATIVE),
+    "half_angle_deg": ((), _ANGLE), "bits": ((), POSITIVE), "cycles_per_bit": ((), POSITIVE),
 }
 
 
@@ -168,7 +172,7 @@ class _Columns:
         rows = None
         for name in self.__dataclass_fields__:
             values = getattr(self, name)
-            tail, low, high, wording = FIELD_RULES[name]
+            tail, (_, low, high, wording) = FIELD_RULES[name]
             if not isinstance(values, np.ndarray) or values.dtype != _FLOAT64:
                 raise ConfigError(f"{self.entity} field {name!r} must be a float64 array, "
                                   f"got {getattr(values, 'dtype', type(values).__name__)}")
@@ -271,7 +275,7 @@ class Scenario:
         self.uavs = uavs
         self.initial_uav_positions = initial_uav_positions
         self._walk_start: np.ndarray | None = None   # user positions before the first walk step
-        self._waypoints: np.ndarray | None = None
+        self._waypoints: np.ndarray | None = None    # set and cleared with _mobility_rng
         self._mobility_rng: np.random.Generator | None = None
 
     @property
@@ -302,14 +306,13 @@ class Scenario:
         if cfg.user_mobility != "random_waypoint":
             return
         pos = self.users.position
-        if self._walk_start is None:
-            self._walk_start = pos.copy()
-        if self._mobility_rng is None:
-            self._mobility_rng = np.random.default_rng([cfg.rng_seed, 7])
-        rng = self._mobility_rng
         area = [cfg.area_x, cfg.area_y]
-        if self._waypoints is None:
-            self._waypoints = rng.uniform([0, 0], area, size=(cfg.num_users, 2))
+        if self._waypoints is None:   # the walk's first step since construction or a reset
+            if self._walk_start is None:
+                self._walk_start = pos.copy()
+            self._mobility_rng = np.random.default_rng([cfg.rng_seed, 7])
+            self._waypoints = self._mobility_rng.uniform([0, 0], area, size=(cfg.num_users, 2))
+        rng = self._mobility_rng
         step = cfg.user_speed * cfg.slot_seconds
         waypoints = self._waypoints
         delta = waypoints - pos[:, :2]
@@ -350,7 +353,7 @@ class Scenario:
                                 ("uavs", uavs.position, config.num_uavs)):
             require(np.shape(rows) == (need, 3), f"scenario snapshot {key} has shape "
                     f"{np.shape(rows)}, its config needs ({need}, 3)")
-        config._check_initial_uav_positions(initial)
+        initial = config._check_initial_uav_positions(initial)
         users.check()
         uavs.check()
         return cls(config, users, uavs, np.array(initial, dtype=float))
@@ -402,13 +405,14 @@ def apply_motion(positions: np.ndarray, deltas,
     v_max * slot_seconds; the resulting positions are clamped componentwise.
     Enforcement never rejects, it flags. Returns the new (N, 3) positions and
     the (N,) box and speed violation masks; neither input is written. Deltas
-    that are not real numbers shaped as the positions, or not finite, are a
-    ConfigError.
+    that are not integers or floats shaped as the positions, or not finite,
+    are a ConfigError: a cast would drop a complex part, and bools, strings and
+    objects are not displacements.
     """
     try:
         deltas = np.asarray(deltas)
-        if deltas.dtype.kind == "c":   # a cast would drop the imaginary part
-            raise TypeError(f"dtype {deltas.dtype} is not real")
+        if deltas.dtype.kind not in "iuf":
+            raise TypeError(f"dtype {deltas.dtype} is not real: need integers or floats")
         deltas = deltas.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"motion deltas must be an array of numbers, got {deltas!r}: "

@@ -59,7 +59,8 @@ def positions_sha256(scenario) -> str:
 
 
 def rollout(spec: dict) -> list[dict]:
-    """One record per slot: reward, violation lists, assignment, position hash."""
+    """One record per slot: reward, the violating UAVs of each kind as index
+    lists, assignment, position hash."""
     config = ScenarioConfig(**spec["config"])
     env = EdgeComputeEnv(build_scenario(config), allocate=ALLOCATORS[spec["allocate"]])
     rng = np.random.default_rng([config.rng_seed, 11])
@@ -71,9 +72,9 @@ def rollout(spec: dict) -> list[dict]:
             _, reward, info = env.step(actions)
             slots.append({
                 "reward": float(reward).hex(),
-                "box": info.box_violations,
-                "speed": info.speed_violations,
-                "collision": info.collision_uavs,
+                "box": np.flatnonzero(info.box).tolist(),
+                "speed": np.flatnonzero(info.speed).tolist(),
+                "collision": np.flatnonzero(info.collision).tolist(),
                 "assignment": [int(a) for a in info.allocation.decision.assignment],
                 "positions_sha256": positions_sha256(env.scenario),
             })

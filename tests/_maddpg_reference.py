@@ -168,7 +168,7 @@ def training_slots(scenario, config, history: TrainingHistory):
                     soft_update_agent(trainer, n)
             total_reward += reward
             total_dor += info.dor
-            violations += len(info.violating_uavs)
+            violations += np.count_nonzero(info.violators)
             obs = next_obs
             yield trainer
         history.episode_reward.append(total_reward)

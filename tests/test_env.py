@@ -20,6 +20,11 @@ def make_env(positions, allocate=None, **overrides):
     return env
 
 
+def indices(mask) -> list[int]:
+    """The UAVs a violation mask flags, in index order."""
+    return np.flatnonzero(mask).tolist()
+
+
 def loop_collisions(pos, d_min):
     """Reference: every UAV within d_min of another, by an explicit pair loop."""
     collisions = set()
@@ -38,10 +43,10 @@ class TestPenalties:
         actions[0] = [-1.0, 0.0, 0.0]            # leaves the box at x = 0
         actions[1] = [3 * step, 0.0, 0.0]        # three times the speed cap
         _, reward, info = env.step(actions)      # UAVs 2 and 3 sit 2 m apart
-        assert info.box_violations == [0]
-        assert info.speed_violations == [1]
-        assert info.collision_uavs == [2, 3]
-        assert info.violating_uavs == [0, 1, 2, 3]
+        assert indices(info.box) == [0]
+        assert indices(info.speed) == [1]
+        assert indices(info.collision) == [2, 3]
+        assert indices(info.violators) == [0, 1, 2, 3]
         assert reward == info.reward == info.dor - 10.0 * 4
 
     def test_uav_with_several_violations_pays_once(self):
@@ -49,15 +54,15 @@ class TestPenalties:
         actions = np.zeros((3, 3))
         actions[0] = [-5.0, 0.0, 0.0]            # overspeed and out of the box
         _, reward, info = env.step(actions)
-        assert info.box_violations == [0] and info.speed_violations == [0]
-        assert info.collision_uavs == [0, 1]
-        assert info.violating_uavs == [0, 1]
+        assert indices(info.box) == [0] and indices(info.speed) == [0]
+        assert indices(info.collision) == [0, 1]
+        assert indices(info.violators) == [0, 1]
         assert reward == info.dor - 10.0 * 2
 
     def test_clean_step_pays_the_slot_objective(self):
         env = make_env([(10, 10, 12), (40, 40, 12)])
         _, reward, info = env.step(np.zeros((2, 3)))
-        assert info.violating_uavs == []
+        assert indices(info.violators) == []
         assert reward == info.dor == info.allocation.dor
 
     def test_collision_set_matches_pair_loop_on_random_layouts(self):
@@ -69,9 +74,9 @@ class TestPenalties:
             for position in env.scenario.uavs.position:
                 position[...] = rng.uniform([0, 0, 10], [50, 50, 20])
             _, reward, info = env.step(np.zeros((6, 3)))
-            assert info.collision_uavs == loop_collisions(env.scenario.uav_positions, 12.0)
-            assert reward == info.dor - 10.0 * len(info.violating_uavs)
-            seen += bool(info.collision_uavs)
+            assert indices(info.collision) == loop_collisions(env.scenario.uav_positions, 12.0)
+            assert reward == info.dor - 10.0 * np.count_nonzero(info.violators)
+            seen += bool(info.collision.any())
         assert 0 < seen < 200
 
 
@@ -154,12 +159,29 @@ class TestAliasing:
         assert np.array_equal(initial, initial_before)
         assert np.array_equal(env.reset(), initial_before)
 
+    def test_masks_are_new_bool_arrays_per_step(self):
+        env = make_env([(0, 0, 10), (40, 40, 15), (10, 40, 12)])
+        actions = np.array([[-5.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        infos = [env.step(actions)[2]]                # UAV 0 overspeeds out of the box
+        saved = {name: getattr(infos[0], name).copy()
+                 for name in ("box", "speed", "collision", "violators")}
+        env.reset()
+        infos.append(env.step(np.zeros((3, 3)))[2])   # a clean step: every mask False
+        for info in infos:
+            for name in saved:
+                mask = getattr(info, name)
+                assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (3,)
+        assert all(np.array_equal(getattr(infos[0], name), saved[name]) for name in saved)
+        assert indices(saved["violators"]) == [0] and not infos[1].violators.any()
+        for name in saved:
+            assert not np.shares_memory(getattr(infos[0], name), getattr(infos[1], name))
+
     def test_step_never_writes_the_actions(self):
         env = make_env([(0, 0, 10), (40, 40, 12)])
         actions = np.array([[-5.0, 0.0, 0.0], [4.0, 4.0, 4.0]])  # overspeed and off the box
         before = actions.copy()
         _, _, info = env.step(actions)
-        assert info.speed_violations == [0, 1] and info.box_violations == [0]
+        assert indices(info.speed) == [0, 1] and indices(info.box) == [0]
         assert np.array_equal(actions, before)
 
 
@@ -183,6 +205,30 @@ class TestBadInput:
             env.step(np.array([[0.5 + 1j, 0, 0], [0, 0, 0]]))
         assert env.slot == 0
         assert np.array_equal(env.scenario.uav_positions, start)
+
+    @pytest.mark.parametrize("actions", [np.ones((2, 3), bool), np.ones((2, 3), object),
+                                         np.array([["1", "2", "3"], ["0", "0", "0"]])],
+                             ids=["bool", "object", "numeric-str"])
+    def test_actions_of_a_non_number_dtype_rejected(self, actions):
+        env = make_env([(10, 10, 12), (40, 40, 12)])
+        start = env.scenario.uav_positions
+        with pytest.raises(ConfigError, match=f"dtype {actions.dtype} is not real"):
+            env.step(actions)
+        assert env.slot == 0
+        assert np.array_equal(env.scenario.uav_positions, start)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.float32])
+    def test_integer_and_float_actions_accepted(self, dtype):
+        env = make_env([(10, 10, 12), (40, 40, 12)])
+        moved, _, info = env.step(np.array([[1, 0, 0], [0, 0, 1]], dtype))
+        assert np.array_equal(moved, [(11, 10, 12), (40, 40, 13)])
+        assert not info.violators.any()
+
+    @pytest.mark.parametrize("allocate", [5, "cd_search"])
+    def test_non_callable_allocate_rejected(self, allocate):
+        scenario = build_scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
+        with pytest.raises(ConfigError, match="allocate must be callable"):
+            EdgeComputeEnv(scenario, allocate=allocate)
 
     @pytest.mark.parametrize("actions", [[[0, 0], [0, 0, 0]], [["a", "b", "c"], [0, 0, 0]]],
                              ids=["ragged", "str"])

@@ -130,7 +130,7 @@ class TestCheckpointInput:
         ('{"schema_version": 2', "not JSON"),
         ("[3]", "schema_version: None"),
         ('{"schema_version": 2}', "schema_version: 2"),
-        ('{"schema_version": 4}', "missing key.*config"),
+        ('{"schema_version": 5}', "missing key.*config"),
     ], ids=["not-json", "not-an-object", "schema-2", "missing-keys"])
     def test_bad_meta_rejected(self, tmp_path, meta, message):
         path = tmp_path / "ckpt.npz"
@@ -149,10 +149,44 @@ class TestCheckpointInput:
         with pytest.raises(ConfigError, match=r"^unsupported checkpoint schema_version: 3$"):
             MaddpgTrainer.load_checkpoint(scenario(), path)
 
+    @pytest.mark.parametrize("change", [{"area_x": 500.0}, {"z_max": 25.0}, {"v_max": 5.0}],
+                             ids=["area_x", "z_max", "v_max"])
+    def test_other_network_units_rejected(self, tmp_path, change):
+        # replay rows saved in one box's units must not mix with another box's rows
+        path = tmp_path / "ckpt.npz"
+        train(scenario(), SMALL)[0].save_checkpoint(path)
+        other = build_scenario(ScenarioConfig(num_users=4, num_uavs=4, horizon=12, **change))
+        trainer = MaddpgTrainer(other, SMALL)
+        before = network_bytes(trainer), replay_bytes(trainer), trainer.rng.bit_generator.state
+        with np.load(path) as archive:
+            state = dict(archive)
+        with pytest.raises(ConfigError, match=r"checkpoint input_scale \[50\.0, .* is not "
+                                              r"this trainer's \[.*other network units"):
+            trainer.load_state_dict(state)
+        assert (network_bytes(trainer), replay_bytes(trainer),
+                trainer.rng.bit_generator.state) == before
+        assert trainer.buffer.size == 0
+        with pytest.raises(ConfigError, match="input_scale"):
+            MaddpgTrainer.load_checkpoint(other, path)
+
+    @pytest.mark.parametrize("scale", [None, "str", "nan"])
+    def test_missing_or_bad_input_scale_rejected(self, scale):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        state = trainer.state_dict()
+        if scale is None:
+            del state["input_scale"]
+        elif scale == "str":
+            state["input_scale"] = state["input_scale"].astype(str)
+        else:
+            state["input_scale"][0] = np.nan
+        with pytest.raises(ConfigError, match="input_scale"):
+            trainer.load_state_dict(state)
+
     def test_state_dict_entries_are_the_schema(self):
         # the writer and checkpoint_meta must agree on every entry and meta key
         state = train(scenario(), SMALL)[0].state_dict()
-        assert sorted(state) == sorted(["meta", *learner.ROLES, *learner.REPLAY_FIELDS])
+        assert sorted(state) == sorted(["meta", *learner.ROLES, *learner.REPLAY_FIELDS,
+                                        "input_scale"])
         assert sorted(json.loads(state["meta"])) == sorted(learner.META_KEYS)
 
     def test_removed_config_key_named(self, tmp_path):
@@ -375,6 +409,22 @@ class TestTraining:
         _, again = train(scenario(), SMALL)
         assert first == again
         assert len(first.episode_reward) == SMALL.episodes
+
+    def test_violation_count_is_the_union_over_slots(self):
+        counts = [0] * SMALL.episodes
+
+        def on_slot(episode, info):
+            counts[episode] += np.count_nonzero(info.violators)
+            assert np.array_equal(info.violators, info.box | info.speed | info.collision)
+
+        _, history = train(scenario(), SMALL, slot_callback=on_slot)
+        assert history.episode_violations == counts
+        assert sum(counts) > 0
+
+    @pytest.mark.parametrize("callback", [5, "print"])
+    def test_non_callable_slot_callback_rejected(self, callback):
+        with pytest.raises(ConfigError, match="slot_callback must be callable"):
+            train(scenario(), SMALL, slot_callback=callback)
 
 
 class TestReferenceUpdate:

@@ -7,10 +7,11 @@ import pytest
 
 from uavmec.channel import ChannelParams
 from uavmec.delay import SlotContext
-from uavmec.errors import ConfigError
-from uavmec.model import (FIELD_RULES, Scenario, ScenarioConfig, Task, TaskArrays,
-                          UavArrays, UavState, UserArrays, UserState, _Columns, apply_motion,
-                          build_scenario, coverage_radius, generate_tasks, pairwise_distances)
+from uavmec.errors import FINITE, NON_NEGATIVE, POSITIVE, ConfigError
+from uavmec.model import (_SCENARIO_RULES, FIELD_RULES, Scenario, ScenarioConfig, Task,
+                          TaskArrays, UavArrays, UavState, UserArrays, UserState, _Columns,
+                          apply_motion, build_scenario, coverage_radius, generate_tasks,
+                          pairwise_distances)
 
 
 def small_config(**overrides):
@@ -76,6 +77,19 @@ class TestScenarioConstruction:
         positions[2] = position
         with pytest.raises(ConfigError, match=f"initial position of UAV 2 .*{message}"):
             small_config(num_uavs=3, initial_uav_positions=tuple(positions))
+
+    def test_initial_uav_positions_stored_as_float_triples(self):
+        starts = ((10.0, 10.0, 12.0), (0.0, 50.0, 10.0), (50.0, 0.0, 20.0))
+        given = [starts, [list(row) for row in starts], np.array(starts),
+                 tuple(map(np.array, starts)), ((10, 10, 12), (0, 50, 10), (50, 0, 20)),
+                 np.array(starts, dtype=np.float32)]
+        configs = [small_config(num_uavs=3, initial_uav_positions=g) for g in given]
+        for config in configs:
+            assert config == configs[0] and hash(config) == hash(configs[0])
+            assert config.initial_uav_positions == starts
+            assert all(type(v) is float for row in config.initial_uav_positions for v in row)
+        assert len(set(configs)) == 1
+        assert small_config().initial_uav_positions is None
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_initial_uav_position_count_checked(self, count):
@@ -392,6 +406,10 @@ class TestEntityCheck:
             assert kind.entity
             for f in fields(kind):
                 assert f.name in FIELD_RULES, f"{kind.__name__}.{f.name} has no rule"
+        # each range and its wording is written once, in a shared rule tuple
+        shared = (FINITE, POSITIVE, NON_NEGATIVE, _SCENARIO_RULES["coverage_half_angle_deg"])
+        for name, (_, rule) in FIELD_RULES.items():
+            assert any(rule is s for s in shared), f"{name} has a rule of its own"
 
 
 class TestUserMobility:
