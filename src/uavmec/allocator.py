@@ -136,13 +136,10 @@ def brute_force_oracle(ctx: SlotContext) -> AllocationResult:
     m, n = ctx.num_users, ctx.num_uavs
     can_offload = ctx.default_ingress != LOCAL
     per_user = [[LOCAL] + (list(range(n)) if can_offload[u] else []) for u in range(m)]
-    total = 1
-    for choices in per_user:
-        total *= len(choices)
-        if total > BRUTE_FORCE_CAP:
-            raise CapExceededError(
-                f"exhaustive search needs {math.prod(len(c) for c in per_user)} "
-                f"evaluations, above the cap of {BRUTE_FORCE_CAP}")
+    total = math.prod(map(len, per_user))
+    if total > BRUTE_FORCE_CAP:
+        raise CapExceededError(f"exhaustive search needs {total} evaluations, "
+                               f"above the cap of {BRUTE_FORCE_CAP}")
 
     best_assignment = None
     best_dor = -np.inf

@@ -37,13 +37,8 @@ class SlotContext:
     sqrt(f) are the square-root-law weights of each user's bandwidth and cpu.
 
     horiz[m, n] and dist3d[m, n] are the horizontal and 3D user-UAV distances
-    from `model.pair_geometry`: with per-axis differences dx, dy, dz,
-    horiz = sqrt(dx*dx + dy*dy) and dist3d = sqrt((dx*dx + dy*dy) + dz*dz).
-    That summation order is fixed because it is the one `np.linalg.norm` uses
-    on the (M, N, 3) difference: both arrays, and the elevation, path loss,
-    r0, coverage and ingress computed from them, keep the exact bits of the
-    norms that seeded rollouts were recorded with. Another grouping changes
-    last bits, and through coverage ties and argmax, choices.
+    from `model.pair_geometry`, whose docstring states their summation order;
+    the elevation, path loss, r0, coverage and ingress inherit their bits.
 
     users, uavs and tasks are the model's array bundles, or record lists that
     are stacked into bundles first. `_Columns.check` holds each bundle to every

@@ -5,7 +5,9 @@ draws the slot's tasks, solves the slot allocation (coordinate descent by
 default), and pays the slot objective as a shared reward. Constraint
 violations (box, speed, UAV separation) subtract a fixed penalty per
 violating UAV; `SlotInfo` keeps the step's (N,) violation masks. Positions
-are never rolled back.
+are never rolled back: a step spends its slot once the world moves, so if
+the allocator then raises, the slot counter still matches the world and the
+next step draws the next slot's tasks.
 """
 
 from __future__ import annotations
@@ -58,15 +60,15 @@ class EdgeComputeEnv:
         return self.scenario.uav_positions
 
     def reset(self) -> np.ndarray:
-        self.scenario.reset_uavs()
-        self.scenario.reset_mobility()
+        self.scenario.reset()
         self.slot = 0
         return self.observe()
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, float, SlotInfo]:
         """Advance one slot. actions: (num_uavs, 3) displacements in meters,
         checked by `apply_motion`."""
-        if self.slot >= self.config.horizon:
+        slot = self.slot
+        if slot >= self.config.horizon:
             raise ConfigError("episode exhausted; call reset()")
 
         scenario = self.scenario
@@ -75,15 +77,15 @@ class EdgeComputeEnv:
         collision = (pairwise_distances(positions) < self.config.d_min).any(axis=1)
 
         scenario.advance_users()
-        tasks = generate_tasks(scenario, self.slot)
+        self.slot = slot + 1   # the world has moved: the slot is spent, whatever follows
+        tasks = generate_tasks(scenario, slot)
         ctx = SlotContext(scenario.users, scenario.uavs, tasks, self.config.channel)
         allocation = self.allocate(ctx)
 
         violators = box | speed | collision
         reward = allocation.dor - self.penalty * np.count_nonzero(violators)
 
-        info = SlotInfo(slot=self.slot, dor=allocation.dor, reward=reward,
+        info = SlotInfo(slot=slot, dor=allocation.dor, reward=reward,
                         allocation=allocation, box=box, speed=speed, collision=collision,
                         violators=violators)
-        self.slot += 1
         return self.observe(), reward, info

@@ -261,11 +261,16 @@ class Scenario:
 
     `users` is a `UserArrays` and `uavs` a `UavArrays` (shapes in the module
     docstring). Single-writer rule: only two arrays are ever written after
-    construction, both in place. `advance_users` and `reset_mobility` write
-    `users.position`; the environment's step and `reset_uavs` write
-    `uavs.position`. `user_positions` and `uav_positions` return copies, and
-    `initial_uav_positions` is never written. Independent scenarios share no
-    state, so many can run in parallel.
+    construction, both in place. `reset` writes both; otherwise
+    `advance_users` writes `users.position` and the environment's step
+    writes `uavs.position`. `initial_uav_positions` and
+    `initial_user_positions` are never written; `user_positions` and
+    `uav_positions` return copies. Independent scenarios share no state, so
+    many can run in parallel.
+
+    An episode starts from the UAV starts and from the users where the
+    scenario was built or loaded. A snapshot stores the UAV starts but not
+    the users' start, so a loaded scenario walks from its loaded positions.
     """
 
     def __init__(self, config: ScenarioConfig, users: UserArrays,
@@ -274,9 +279,8 @@ class Scenario:
         self.users = users
         self.uavs = uavs
         self.initial_uav_positions = initial_uav_positions
-        self._walk_start: np.ndarray | None = None   # user positions before the first walk step
-        self._waypoints: np.ndarray | None = None    # set and cleared with _mobility_rng
-        self._mobility_rng: np.random.Generator | None = None
+        self.initial_user_positions = users.position.copy()
+        self._walk: tuple[np.random.Generator, np.ndarray] | None = None  # (rng, waypoints)
 
     @property
     def user_positions(self) -> np.ndarray:
@@ -286,16 +290,12 @@ class Scenario:
     def uav_positions(self) -> np.ndarray:
         return self.uavs.position.copy()
 
-    def reset_uavs(self):
+    def reset(self):
+        """Put UAVs and users back at their starts and re-arm the waypoint
+        walk, so a fresh episode replays identically."""
         self.uavs.position[...] = self.initial_uav_positions
-
-    def reset_mobility(self):
-        """Put users back where the waypoint walk started and re-arm it, so a
-        fresh episode replays identically."""
-        if self._walk_start is not None:
-            self.users.position[...] = self._walk_start
-        self._mobility_rng = None
-        self._waypoints = None
+        self.users.position[...] = self.initial_user_positions
+        self._walk = None
 
     def advance_users(self):
         """One slot of random-waypoint motion for every user; no-op for static users.
@@ -307,14 +307,11 @@ class Scenario:
             return
         pos = self.users.position
         area = [cfg.area_x, cfg.area_y]
-        if self._waypoints is None:   # the walk's first step since construction or a reset
-            if self._walk_start is None:
-                self._walk_start = pos.copy()
-            self._mobility_rng = np.random.default_rng([cfg.rng_seed, 7])
-            self._waypoints = self._mobility_rng.uniform([0, 0], area, size=(cfg.num_users, 2))
-        rng = self._mobility_rng
+        if self._walk is None:   # the walk's first step since construction or a reset
+            rng = np.random.default_rng([cfg.rng_seed, 7])
+            self._walk = rng, rng.uniform([0, 0], area, size=(cfg.num_users, 2))
+        rng, waypoints = self._walk
         step = cfg.user_speed * cfg.slot_seconds
-        waypoints = self._waypoints
         delta = waypoints - pos[:, :2]
         dist = _row_norms(delta)
         reached = dist <= step

@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from uavmec import allocator
 from uavmec import env as env_module
 from uavmec.allocator import cd_search
-from uavmec.baselines import al_allocate, ao_allocate
+from uavmec.baselines import al_allocate, ao_allocate, rt_actions
+from uavmec.delay import SlotContext
 from uavmec.env import EdgeComputeEnv
 from uavmec.errors import ConfigError
-from uavmec.model import ScenarioConfig, build_scenario
+from uavmec.model import Scenario, ScenarioConfig, build_scenario, generate_tasks
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_env(positions, allocate=None, **overrides):
@@ -130,6 +135,102 @@ class TestEpisode:
         assert not np.array_equal(first[1][-1], start)
         assert first[0] == again[0]
         assert all(np.array_equal(a, b) for a, b in zip(first[1], again[1]))
+
+
+def random_slots(env, slots, seed=5):
+    """`slots` steps under seeded random actions: each step's UAV and user
+    positions and reward."""
+    rng = np.random.default_rng(seed)
+    trace = []
+    for _ in range(slots):
+        obs, reward, _ = env.step(rt_actions(rng, env.config.num_uavs, env.config.max_step))
+        trace.append((obs, env.scenario.user_positions, reward))
+    return trace
+
+
+def assert_same_slots(first, again):
+    assert [reward for *_, reward in first] == [reward for *_, reward in again]
+    for (uavs, users, _), (uavs2, users2, _) in zip(first, again):
+        assert uavs.tobytes() == uavs2.tobytes() and users.tobytes() == users2.tobytes()
+
+
+HORIZON = 8   # of the failed-allocation episodes
+
+
+class TestLifecycle:
+    """One reset restores every start; a step spends its slot once the world moves."""
+
+    def check_reset_replays(self, env, user_start):
+        first = random_slots(env, 30)
+        assert not np.array_equal(env.scenario.users.position, user_start)
+        env.scenario.reset()
+        assert env.scenario.uavs.position.tobytes() == \
+            env.scenario.initial_uav_positions.tobytes()
+        assert env.scenario.users.position.tobytes() == user_start.tobytes()
+        env.reset()
+        assert_same_slots(first, random_slots(env, 30))
+
+    def test_reset_restores_the_built_scenario(self):
+        cfg = ScenarioConfig(num_users=8, num_uavs=3, horizon=60, rng_seed=4,
+                             user_mobility="random_waypoint", user_speed=2.0)
+        env = EdgeComputeEnv(build_scenario(cfg))
+        self.check_reset_replays(env, build_scenario(cfg).users.position)
+
+    def test_loaded_scenario_walks_from_its_loaded_positions(self):
+        path = DATA / "scenario_100x10_walk25.json"
+        scenario = Scenario.load(path)
+        loaded = scenario.user_positions
+        built = build_scenario(scenario.config).users.position
+        assert not np.array_equal(loaded, built)   # the snapshot walked 25 slots
+        self.check_reset_replays(EdgeComputeEnv(scenario, allocate=ao_allocate), loaded)
+        assert Scenario.load(path).initial_user_positions.tobytes() == loaded.tobytes()
+
+    @pytest.mark.parametrize("k", [0, 3, HORIZON - 1])
+    def test_failed_allocation_spends_its_slot(self, k):
+        def failing(ctx):
+            calls.append(1)
+            if len(calls) == k + 1:
+                raise RuntimeError("allocator failed")
+            return cd_search(ctx)
+
+        calls = []
+        overrides = dict(num_users=5, horizon=HORIZON, user_mobility="random_waypoint",
+                         user_speed=2.0)
+        uavs = [(10, 10, 12), (40, 40, 12)]
+        env, clean = make_env(uavs, failing, **overrides), make_env(uavs, **overrides)
+        rng = np.random.default_rng(9)
+        actions = [rt_actions(rng, 2, env.config.max_step) for _ in range(HORIZON)]
+        for slot in range(k):
+            env.step(actions[slot])
+            clean.step(actions[slot])
+        with pytest.raises(RuntimeError, match="allocator failed"):
+            env.step(actions[k])
+        clean.step(actions[k])
+        assert env.slot == k + 1
+        # moved once, as far as the clean episode
+        assert env.scenario.uav_positions.tobytes() == clean.scenario.uav_positions.tobytes()
+        assert env.scenario.user_positions.tobytes() == clean.scenario.user_positions.tobytes()
+
+        if k + 1 == HORIZON:
+            with pytest.raises(ConfigError, match="episode exhausted"):
+                env.step(np.zeros((2, 3)))
+        else:
+            _, _, info = env.step(np.zeros((2, 3)))
+            assert info.slot == k + 1
+            scenario = env.scenario
+            tasks = generate_tasks(scenario, k + 1)
+            want = cd_search(SlotContext(scenario.users, scenario.uavs, tasks,
+                                         env.config.channel))
+            for name in ("assignment", "bandwidth_hz", "cpu_hz"):
+                got = getattr(info.allocation.decision, name)
+                assert np.array_equal(got, getattr(want.decision, name)), name
+            assert info.dor == want.dor
+
+        episodes = []
+        for run in (env, clean):
+            run.reset()
+            episodes.append([run.step(a)[1] for a in actions])
+        assert episodes[0] == episodes[1]
 
 
 class TestAliasing:

@@ -161,7 +161,7 @@ class TestWorldStep:
             scenario.advance_users()
             reference.step()
             assert np.array_equal(scenario.users.position, reference.pos), f"slot {slot}"
-        assert np.array_equal(scenario._waypoints, reference.waypoints)
+        assert np.array_equal(scenario._walk[1], reference.waypoints)
 
     def test_motion_matches_the_masked_speed_cap(self):
         cfg = ScenarioConfig(num_uavs=10)

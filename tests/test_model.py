@@ -422,7 +422,7 @@ class TestUserMobility:
     def test_waypoint_walk_stays_in_box_and_replays(self):
         cfg = small_config(user_mobility="random_waypoint", user_speed=2.0)
         sc = build_scenario(cfg)
-        sc.reset_mobility()
+        sc.reset()
         trace = []
         for _ in range(50):
             sc.advance_users()
@@ -431,7 +431,7 @@ class TestUserMobility:
             assert (pos[:, 1] >= 0).all() and (pos[:, 1] <= cfg.area_y).all()
             trace.append(pos.copy())
         sc2 = build_scenario(cfg)
-        sc2.reset_mobility()
+        sc2.reset()
         for step in range(50):
             sc2.advance_users()
             assert np.array_equal(trace[step], sc2.user_positions)
