@@ -1,7 +1,9 @@
-"""Exception types shared across the package, the two checks of a config, and
-the one way saved state is written. `check_numbers` holds a config dataclass
-to its rule table, and `config_from_dict` is the one reader of a saved config
-(a scenario snapshot's or a checkpoint's), which yields the config or a
+"""Exception types shared across the package, the two checks of a config, the
+one conversion of an outside array, and the one way saved state is written.
+`check_numbers` holds a config dataclass to its rule table, `float_array` an
+array from outside (snapshot rows, records, UAV starts, motion deltas) to
+numbers, and `config_from_dict` is the one reader of a saved config (a
+scenario snapshot's or a checkpoint's), which yields the config or a
 ConfigError. `config_to_dict` is its inverse, and `replace_file` the one
 write path of a snapshot or a checkpoint.
 InfeasibleError is a ValidationError: `except ValidationError` catches every
@@ -81,6 +83,19 @@ def check_numbers(obj, rules: dict):
             ok = low <= value <= high
         if not ok:
             raise ConfigError(f"{name} must {wording}, got {value!r}")
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """`value` as a float64 array (itself if it is one); ConfigError naming `what`
+    unless numpy reads it as integers or floats. A cast would drop a complex
+    part, and bools, strings and objects are not numbers."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind not in "iuf":
+            raise TypeError(f"dtype {array.dtype} is not real: need integers or floats")
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be an array of numbers, got {value!r}: {exc}") from None
 
 
 def config_from_dict(cls, data, where: str):

@@ -36,8 +36,8 @@ import numpy as np
 
 from .channel import ChannelParams
 from .errors import (COUNT, FINITE, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
-                     check_numbers, config_from_dict, config_to_dict, replace_file,
-                     require)
+                     check_numbers, config_from_dict, config_to_dict, float_array,
+                     replace_file, require)
 
 SCHEMA_VERSION = 1
 
@@ -106,11 +106,8 @@ class ScenarioConfig:
         low, high = (0.0, 0.0, self.z_min), (self.area_x, self.area_y, self.z_max)
         starts = []
         for n, position in enumerate(positions):
-            try:
-                row = np.array(position, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                row = None
-            require(row is not None and row.shape == (3,),
+            row = float_array(position, f"initial position of UAV {n}")
+            require(row.shape == (3,),
                     f"initial position of UAV {n} must be 3 numbers, got {position!r}")
             require(np.isfinite(row).all(),
                     f"initial position of UAV {n} must be finite, got {position}")
@@ -190,17 +187,10 @@ class _Columns:
     @classmethod
     def from_rows(cls, rows, where: str):
         """Stack a list of mappings that carry every field name (snapshot rows,
-        or the `vars` of records) into arrays. ConfigError, prefixed with
-        `where`, naming the field unless each column converts to float."""
-        columns = []
-        for f in fields(cls):
-            try:
-                column = np.array([row[f.name] for row in rows], dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{where} field {f.name!r} is not a numeric column: "
-                                  f"{exc}") from exc
-            columns.append(column)
-        return cls(*columns)
+        or the `vars` of records) into arrays, each column through
+        `errors.float_array`. Rows that are not mappings raise TypeError."""
+        return cls(*(float_array([row[f.name] for row in rows], f"{where} field {f.name!r}")
+                     for f in fields(cls)))
 
     def to_rows(self) -> list[dict]:
         names = [f.name for f in fields(self)]
@@ -346,11 +336,17 @@ class Scenario:
             initial = data["initial_uav_positions"]
         except KeyError as exc:
             raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc
+        except TypeError as exc:   # a section that is not a list of row objects
+            raise ConfigError(f"scenario snapshot is malformed: {exc}") from exc
         for key, rows, need in (("users", users.position, config.num_users),
                                 ("uavs", uavs.position, config.num_uavs)):
             require(np.shape(rows) == (need, 3), f"scenario snapshot {key} has shape "
                     f"{np.shape(rows)}, its config needs ({need}, 3)")
         initial = config._check_initial_uav_positions(initial)
+        for n, (start, own) in enumerate(zip(initial, config.initial_uav_positions or ())):
+            if start != own:   # a config with starts has them written twice in a snapshot
+                raise ConfigError(f"scenario snapshot initial position of UAV {n} {list(start)} "
+                                  f"differs from its config's {list(own)}")
         users.check()
         uavs.check()
         return cls(config, users, uavs, np.array(initial, dtype=float))
@@ -402,18 +398,10 @@ def apply_motion(positions: np.ndarray, deltas,
     v_max * slot_seconds; the resulting positions are clamped componentwise.
     Enforcement never rejects, it flags. Returns the new (N, 3) positions and
     the (N,) box and speed violation masks; neither input is written. Deltas
-    that are not integers or floats shaped as the positions, or not finite,
-    are a ConfigError: a cast would drop a complex part, and bools, strings and
-    objects are not displacements.
+    that are not an array of numbers (`errors.float_array`) shaped as the
+    positions, or not finite, are a ConfigError.
     """
-    try:
-        deltas = np.asarray(deltas)
-        if deltas.dtype.kind not in "iuf":
-            raise TypeError(f"dtype {deltas.dtype} is not real: need integers or floats")
-        deltas = deltas.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"motion deltas must be an array of numbers, got {deltas!r}: "
-                          f"{exc}") from None
+    deltas = float_array(deltas, "motion deltas")
     if deltas.shape != positions.shape:
         raise ConfigError(f"motion deltas must have the shape of the UAV positions "
                           f"{positions.shape}, got {deltas.shape}")

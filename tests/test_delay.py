@@ -89,13 +89,24 @@ class TestScalarDelays:
         ("user", "position", [1.0, 2.0], "all",
          r"user field 'position' has shape \(2, 2\), expected \(2, 3\)"),
         ("user", "position", [1.0, 2.0], "last",
-         "user records field 'position' is not a numeric column"),
+         "user records field 'position' must be an array of numbers"),
         ("user", "cpu_freq", "fast", "last",
-         "user records field 'cpu_freq' is not a numeric column"),
+         "user records field 'cpu_freq' must be an array of numbers"),
         ("UAV", "tx_power", [5.0, 5.0], "all", r"UAV field 'tx_power' has shape \(2, 2\)"),
-        ("task", "bits", "many", "last", "task records field 'bits' is not a numeric column"),
+        ("task", "bits", "many", "last", "task records field 'bits' must be an array of numbers"),
+        ("user", "cpu_freq", "1e9", "last",
+         "user records field 'cpu_freq' must be an array of numbers"),
+        ("UAV", "position", ["30", "30", "10"], "last",
+         "UAV records field 'position' must be an array of numbers"),
+        ("task", "bits", "1e5", "last", "task records field 'bits' must be an array of numbers"),
+        ("user", "tx_power", True, "all",
+         "user records field 'tx_power' must be an array of numbers"),
+        ("UAV", "half_angle_deg", False, "all",
+         "UAV records field 'half_angle_deg' must be an array of numbers"),
     ], ids=["user-position-2d", "user-position-ragged", "user-cpu_freq-str",
-            "uav-tx_power-vector", "task-bits-str"])
+            "uav-tx_power-vector", "task-bits-str", "user-cpu_freq-numeric-str",
+            "uav-position-numeric-str", "task-bits-numeric-str", "user-tx_power-all-bool",
+            "uav-half_angle_deg-all-bool"])
     def test_malformed_record_names_the_field(self, kind, field, value, rows, message):
         records = {"user": [make_user(0, 0), make_user(5, 5)],
                    "UAV": [make_uav(0, 0), make_uav(30, 30)],

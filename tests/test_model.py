@@ -66,11 +66,13 @@ class TestScenarioConstruction:
         ((5.0, 5.0, 21.0), "outside the flight box"),
         ((5.0, 5.0), "must be 3 numbers"),
         ((5.0, 5.0, 12.0, 1.0), "must be 3 numbers"),
-        ((5.0, "high", 12.0), "must be 3 numbers"),
+        ((5.0, "high", 12.0), "must be an array of numbers"),
+        ((5.0, "5.0", 12.0), "must be an array of numbers"),
+        ((True, True, True), "must be an array of numbers"),
         ((np.nan, 5.0, 12.0), "must be finite"),
         ((5.0, np.inf, 12.0), "must be finite"),
     ], ids=["x-low", "x-high", "y-high", "z-low", "z-high", "two-coords", "four-coords",
-            "str", "nan", "inf"])
+            "str", "numeric-str", "all-bool", "nan", "inf"])
     def test_bad_initial_uav_position_names_the_uav(self, position, message):
         positions = [(10.0, 10.0, 12.0), (0.0, 50.0, 10.0), (50.0, 0.0, 20.0)]
         small_config(num_uavs=3, initial_uav_positions=tuple(positions))   # valid
@@ -138,12 +140,22 @@ class TestScenarioConstruction:
         ([np.nan, 1.0, 1e6], "must be finite"),
         ([500.0, 1.0, 15.0], "outside the flight box"),
         ([1.0, 1.0], "must be 3 numbers"),
-    ], ids=["nan", "outside-box", "two-coords"])
+        (["30", "5", "15"], "must be an array of numbers"),
+    ], ids=["nan", "outside-box", "two-coords", "numeric-str"])
     def test_snapshot_bad_initial_uav_position_names_the_uav(self, start, message):
         # the config's own initial_uav_positions is None: only the snapshot array holds starts
         data = build_scenario(small_config()).to_dict()
         data["initial_uav_positions"][0] = start
         with pytest.raises(ConfigError, match=f"initial position of UAV 0 .*{message}"):
+            Scenario.from_dict(data)
+
+    def test_snapshot_starts_must_match_its_config_starts(self):
+        starts = ((1.0, 1.0, 12.0), (0.0, 50.0, 10.0), (50.0, 0.0, 20.0), (50.0, 50.0, 15.0))
+        data = build_scenario(small_config(initial_uav_positions=starts)).to_dict()
+        assert Scenario.from_dict(data).initial_uav_positions.tolist() == list(map(list, starts))
+        data["initial_uav_positions"][2] = [30.0, 5.0, 15.0]   # inside the box, unlike the config
+        with pytest.raises(ConfigError, match=r"initial position of UAV 2 \[30.0, 5.0, 15.0\] "
+                                              r"differs from its config's \[50.0, 0.0, 20.0\]"):
             Scenario.from_dict(data)
 
     def test_snapshot_initial_uav_positions_not_a_list_rejected(self):
@@ -168,6 +180,25 @@ class TestScenarioConstruction:
         for row in data[key]:          # the same value in every row
             row[field] = value
         with pytest.raises(ConfigError, match=f"{key} has shape|field '{field}'"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("key, field, value", [
+        ("users", "cpu_freq", "9e8"), ("uavs", "position", ["30", "5", "15"]),
+        ("users", "tx_power", True),
+    ], ids=["user-cpu_freq-numeric-str", "uav-position-numeric-str", "user-tx_power-all-bool"])
+    def test_snapshot_column_of_non_numbers_refused(self, key, field, value):
+        data = build_scenario(small_config()).to_dict()
+        for row in data[key]:          # one numeric string is enough, bools must fill the column
+            row[field] = value
+        with pytest.raises(ConfigError, match=f"snapshot {key} field '{field}' must be an "
+                                              f"array of numbers"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("section", [5.0, [5.0, 6.0], "rows"], ids=["number", "list", "str"])
+    def test_snapshot_section_not_rows_rejected(self, section):
+        data = build_scenario(small_config()).to_dict()
+        data["users"] = section
+        with pytest.raises(ConfigError, match="scenario snapshot is malformed"):
             Scenario.from_dict(data)
 
     def test_snapshot_with_bad_value_rejected_at_load(self):

@@ -60,3 +60,15 @@ def test_package_never_unpickles():
                     if isinstance(node, ast.keyword) and node.arg == "allow_pickle"
                     and not (isinstance(node.value, ast.Constant) and node.value.value is False)]
     assert unpicklers == [] and allow_pickle == []
+
+
+def test_only_errors_converts_an_outside_array():
+    """An outside array of numbers is converted by `errors.float_array` alone:
+    no other `try` body in the package casts with `np.array` or `np.asarray`."""
+    casts = [f"{filename}:{call.lineno}" for filename, node in package_nodes()
+             if filename != "errors.py" and isinstance(node, ast.Try)
+             for statement in node.body for call in ast.walk(statement)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+             and call.func.attr in ("array", "asarray")
+             and isinstance(call.func.value, ast.Name) and call.func.value.id == "np"]
+    assert casts == []

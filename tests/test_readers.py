@@ -21,7 +21,7 @@ import pytest
 from uavmec import errors, learner
 from uavmec.channel import ChannelParams
 from uavmec.env import EdgeComputeEnv
-from uavmec.errors import ConfigError
+from uavmec.errors import ConfigError, float_array
 from uavmec.learner import MaddpgTrainer, TrainConfig, train
 from uavmec.model import Scenario, ScenarioConfig, build_scenario, generate_tasks
 
@@ -184,6 +184,24 @@ class TestConfigChecks:
                                 area_x=np.float64(40.0), rng_seed=np.uint8(3))
         assert (config.num_users, config.num_uavs, config.area_x) == (4, 2, 40.0)
         assert TrainConfig(batch_size=np.int64(8), min_fill=8, tau=np.float32(0.5)).batch_size == 8
+
+
+class TestFloatArray:
+    def test_float64_array_is_returned_uncopied(self):
+        values = np.arange(6.0).reshape(2, 3)
+        assert float_array(values, "x") is values
+
+    def test_integers_become_float64(self):
+        values = np.arange(-3, 3, dtype=np.int32).reshape(2, 3)
+        converted = float_array(values, "x")
+        assert converted.dtype == np.float64 and (converted == values).all()
+
+    @pytest.mark.parametrize("value", [["1", "2"], [True, False], [1 + 2j], [[1.0], [2.0, 3.0]],
+                                       [None, 1.0], 2**80],
+                             ids=["numeric-str", "all-bool", "complex", "ragged", "none", "huge"])
+    def test_non_numbers_refused_with_the_name(self, value):
+        with pytest.raises(ConfigError, match="^x must be an array of numbers"):
+            float_array(value, "x")
 
 
 class TestSnapshotReader:
