@@ -28,10 +28,11 @@ A checkpoint is one `.npz` archive of plain arrays (schema version 5): `meta`,
 a JSON string holding schema_version, config (the TrainConfig), buffer_size,
 buffer_cursor and rng_state; the four role stacks; the buffer_size filled
 replay rows as x, rew and next_obs; and input_scale, the network units those
-rows are in. `load_checkpoint` reads the config with `errors.config_from_dict`.
-`load_state_dict` checks every array against one layout table, entry name ->
-the float64 array it fills, and input_scale against the trainer's own, before
-writing any.
+rows are in. Replay rows past buffer_size hold no data (see `ReplayBuffer`)
+and are neither saved nor restored. `load_checkpoint` reads the config with
+`errors.config_from_dict`. `load_state_dict` checks every array against one
+layout table, entry name -> the float64 array it fills, and input_scale
+against the trainer's own, before writing any.
 """
 
 from __future__ import annotations
@@ -104,15 +105,21 @@ class TrainConfig:
 
 class ReplayBuffer:
     """Fixed-capacity ring of (critic input x, reward, next joint obs) rows,
-    stored as given."""
+    stored as given.
+
+    The arrays are allocated uninitialised, so rows at or past `size` hold no
+    data. None is ever read: `sample` draws indices below `size`, `state_dict`
+    copies and `load_state_dict` writes only `[:size]`, and `push` writes a row
+    before `size` can cover it, since `cursor == size` until the ring is full.
+    """
 
     def __init__(self, capacity: int, x_dim: int, obs_dim: int):
         if capacity < 1:
             raise ConfigError("buffer capacity must be >= 1")
         self.capacity = capacity
-        self.x = np.zeros((capacity, x_dim))
-        self.rew = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
+        self.x = np.empty((capacity, x_dim))
+        self.rew = np.empty(capacity)
+        self.next_obs = np.empty((capacity, obs_dim))
         self.size = 0
         self.cursor = 0
 
@@ -281,9 +288,10 @@ class MaddpgTrainer:
     def load_state_dict(self, state: dict):
         """Restore from `state_dict()` output through the layout table: each role
         stack, then the first buffer_size rows of each replay field. Unless every
-        entry is there, float64 and shaped as its target, and input_scale is
-        this trainer's, raise ConfigError naming it, or NumericError naming the
-        first agent and role with a non-finite parameter, before anything is changed."""
+        entry is there, float64 and shaped as its target, the cursor is where
+        `push` would have left it, and input_scale is this trainer's, raise
+        ConfigError naming it, or NumericError naming the first agent and role
+        with a non-finite parameter, before anything is changed."""
         meta = checkpoint_meta(state)
         size, cursor, capacity = meta["buffer_size"], meta["buffer_cursor"], self.buffer.capacity
         require(0 <= size <= capacity and 0 <= cursor < capacity,
@@ -300,6 +308,9 @@ class MaddpgTrainer:
                     f"checkpoint {label} has shape {np.shape(array)} and dtype {dtype}, this "
                     f"trainer needs float64 {target.shape} for (num_agents, buffer_size) = "
                     f"({self.num_agents}, {size})")
+        require(size == capacity or cursor == size,   # push's order, or unwritten rows get read
+                f"replay cursor {cursor} does not follow its {size} rows in a buffer of "
+                f"capacity {capacity}: a ring that is not full has its cursor at its size")
         require("input_scale" in state, "checkpoint is missing array input_scale")
         scale = state["input_scale"]
         require(getattr(scale, "dtype", None) == np.float64

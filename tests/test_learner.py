@@ -25,7 +25,15 @@ def network_bytes(trainer: MaddpgTrainer) -> list[bytes]:
 
 
 def replay_bytes(trainer: MaddpgTrainer) -> list[bytes]:
+    """Every replay array, unwritten rows included: catches a write past `size`."""
     return [getattr(trainer.buffer, name).tobytes() for name in learner.REPLAY_FIELDS]
+
+
+def filled_replay_bytes(trainer: MaddpgTrainer) -> list[bytes]:
+    """The filled replay rows, as `state_dict` saves them: the only rows two
+    trainers can share, since a buffer's unwritten rows hold no data."""
+    state = trainer.state_dict()
+    return [state[name].tobytes() for name in learner.REPLAY_FIELDS]
 
 
 def edit_meta(state: dict, **changes) -> str:
@@ -126,6 +134,25 @@ class TestCheckpointInput:
         assert (network_bytes(trainer), replay_bytes(trainer),
                 trainer.rng.bit_generator.state) == before
 
+    @pytest.mark.parametrize("capacity, cursor", [(64, 3), (16, None)],
+                             ids=["cursor-behind-size", "wrapped-ring-into-larger-buffer"])
+    def test_cursor_must_follow_size(self, capacity, cursor):
+        # 24 slots: 24 rows at cursor 24, edited to 3; or a full 16-row ring at
+        # cursor 8, loaded into capacity 64. Either way the next pushes would
+        # leave rows below `size` that no push wrote.
+        trained, _ = train(scenario(), dataclasses.replace(SMALL, buffer_capacity=capacity))
+        state = trained.state_dict()
+        if cursor is not None:
+            state["meta"] = edit_meta(state, buffer_cursor=cursor)
+        meta = json.loads(state["meta"])
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        before = network_bytes(trainer), replay_bytes(trainer), trainer.rng.bit_generator.state
+        with pytest.raises(ConfigError, match=rf"replay cursor {meta['buffer_cursor']} does not "
+                           rf"follow its {meta['buffer_size']} rows in a buffer of capacity 64"):
+            trainer.load_state_dict(state)
+        assert (network_bytes(trainer), replay_bytes(trainer),
+                trainer.rng.bit_generator.state) == before
+
     @pytest.mark.parametrize("meta, message", [
         ('{"schema_version": 2', "not JSON"),
         ("[3]", "schema_version: None"),
@@ -217,7 +244,7 @@ class TestCheckpointInput:
         assert network_bytes(loaded) == network_bytes(trainer)
         assert (loaded.buffer.size, loaded.buffer.cursor) == (trainer.buffer.size,
                                                               trainer.buffer.cursor)
-        assert replay_bytes(loaded) == replay_bytes(trainer)
+        assert filled_replay_bytes(loaded) == filled_replay_bytes(trainer)
         draw = trainer.buffer.sample(2, 8, trainer.rng)
         again = loaded.buffer.sample(2, 8, loaded.rng)
         for a, b in zip(draw, again):
@@ -340,6 +367,24 @@ class TestReplayBuffer:
         assert trainer.buffer.next_obs[i].tobytes() == (
             next_obs.ravel() / np.tile(trainer.obs_scale, 4)).tobytes()
         assert trainer.buffer.rew[i] == 1.5
+
+    @pytest.mark.parametrize("capacity", [64, 16])  # 24 slots: partly filled, wrapped
+    def test_unwritten_rows_are_never_read(self, monkeypatch, capacity):
+        config = dataclasses.replace(SMALL, buffer_capacity=capacity)
+        trainer, history = train(scenario(), config)
+        init = learner.ReplayBuffer.__init__
+
+        def poisoned(self, *args):
+            init(self, *args)
+            for name in learner.REPLAY_FIELDS:
+                getattr(self, name).fill(np.nan)
+
+        monkeypatch.setattr(learner.ReplayBuffer, "__init__", poisoned)
+        again, again_history = train(scenario(), config)
+        assert np.isnan(again.buffer.rew).any() == (capacity == 64)
+        assert network_bytes(again) == network_bytes(trainer)
+        assert again_history == history
+        assert filled_replay_bytes(again) == filled_replay_bytes(trainer)
 
 
 class TestParameterStacks:
