@@ -4,7 +4,7 @@ independent correctness oracles (exhaustive enumeration and a projected
 gradient solver for the fixed-assignment convex subproblem). Offloaded users
 enter through `SlotContext.default_ingress` with its weights `w_bw` and `w_cpu`;
 users without an ingress (no cover, or zero rate) always compute locally.
-`delay.check_assignment` checks every assignment given to them.
+`delay.check_assignment` checks every assignment given to them, once.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import LOCAL, SlotContext, SlotDecision, SlotMetrics, check_assignment, slot_dor
-from .errors import CapExceededError, ConfigError, ConvergenceError
+from .delay import (LOCAL, SlotContext, SlotDecision, SlotMetrics, check_assignment,
+                    check_shares, slot_dor)
+from .errors import CapExceededError, ConfigError, ConvergenceError, float_array
 
 BRUTE_FORCE_CAP = 2 ** 20
 MAX_SWEEPS = 100
@@ -48,7 +49,8 @@ def evaluate_assignment(assignment, ctx: SlotContext,
 
     assignment[m] is LOCAL or the executing UAV index, checked by
     `delay.check_assignment`. Offloaded users enter through their
-    `ctx.default_ingress`; executors may be any UAV.
+    `ctx.default_ingress`; executors may be any UAV. With `validate`, the
+    shares then pass `delay.check_shares`, so the assignment is checked once.
     """
     a, off_idx = check_assignment(assignment, ctx)
     bw = np.zeros(ctx.num_users)
@@ -59,8 +61,9 @@ def evaluate_assignment(assignment, ctx: SlotContext,
         cpu[off_idx] = _sqrt_law_shares(ctx.uav_cpu, a[off_idx], ctx.w_cpu[off_idx])
 
     decision = SlotDecision(assignment=a, bandwidth_hz=bw, cpu_hz=cpu)
-    metrics = slot_dor(decision, ctx, validate=validate)
-    return decision, metrics
+    if validate:
+        check_shares(decision, a, ctx)
+    return decision, slot_dor(decision, ctx, validate=False)
 
 
 def cd_search(ctx: SlotContext) -> AllocationResult:
@@ -162,8 +165,10 @@ def minimize_inverse_on_simplex(weights, capacity: float) -> np.ndarray:
     them. Works on the scale-free unit-simplex problem in extended precision
     and stops when the first-order multipliers w_i / x_i^2 agree to a relative
     spread below SIMPLEX_TOL (the budget binds at any optimum, so sum(x) = capacity).
+    Both arguments go through `errors.float_array`.
     """
-    w64 = np.asarray(weights, dtype=float)
+    w64 = float_array(weights, "weights")
+    capacity = float_array(capacity, "capacity")
     if w64.size == 0:
         return np.empty(0)
     if np.any(w64 <= 0):

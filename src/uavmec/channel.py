@@ -1,8 +1,10 @@
 """Ground-to-air radio link: the probabilistic LoS/NLoS model.
 
-All helpers accept scalars or numpy arrays and broadcast. Path losses are in dB,
-spectral efficiencies in bits/second/Hz. The carrier is stored in MHz: the
--27.56 constant in the free-space term assumes a MHz carrier.
+All helpers accept scalars or arrays of numbers and broadcast; each numeric
+argument goes through `errors.float_array`, so any other input is a
+ConfigError naming the argument. Path losses are in dB, spectral efficiencies
+in bits/second/Hz. The carrier is stored in MHz: the -27.56 constant in the
+free-space term assumes a MHz carrier.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, ConfigError, check_numbers
+from .errors import FINITE, POSITIVE, ConfigError, check_numbers, float_array
 
 
 _RULES = {"a": POSITIVE, "b": POSITIVE, "eta_los_db": FINITE, "eta_nlos_db": FINITE,
@@ -40,24 +42,25 @@ def elevation_deg_from_geometry(altitude_m, reference_dist_m):
 
     Coincident horizontal positions give 90 degrees exactly.
     """
-    alt = np.asarray(altitude_m, dtype=float)
-    ref = np.asarray(reference_dist_m, dtype=float)
+    alt = float_array(altitude_m, "altitude_m")
+    ref = float_array(reference_dist_m, "reference_dist_m")
     # max(ref, 1e-300) > 0 keeps the division finite; coincident points get +inf
     ratio = np.where(ref > 0, alt / np.maximum(ref, 1e-300), np.inf)
     return np.degrees(np.arctan(ratio))
 
 
 def los_probability_from_angle(theta_deg, params: ChannelParams):
-    theta = np.asarray(theta_deg, dtype=float)
+    theta = float_array(theta_deg, "theta_deg")
     return 1.0 / (1.0 + params.a * np.exp(-params.b * (theta - params.a)))
 
 
 def free_space_loss_db(dist_m, carrier_mhz):
     """Free-space term, distance in meters, carrier in MHz."""
-    d = np.asarray(dist_m, dtype=float)
+    d = float_array(dist_m, "dist_m")
+    carrier = float_array(carrier_mhz, "carrier_mhz")
     if (d <= 0).any():
         raise ConfigError("free-space path loss undefined at zero distance")
-    return 20.0 * np.log10(d) + 20.0 * np.log10(carrier_mhz) - 27.56
+    return 20.0 * np.log10(d) + 20.0 * np.log10(carrier) - 27.56
 
 
 def mean_path_loss_db(dist_m, theta_deg, params: ChannelParams):
@@ -70,5 +73,6 @@ def mean_path_loss_db(dist_m, theta_deg, params: ChannelParams):
 
 def spectral_efficiency(tx_power_watts, path_loss_db, noise_watts):
     """Per-Hz uplink rate log2(1 + SNR); the rate is bandwidth times this."""
-    pl_linear = np.power(10.0, np.asarray(path_loss_db, dtype=float) / 10.0)
-    return np.log2(1.0 + tx_power_watts / (pl_linear * noise_watts))
+    power = float_array(tx_power_watts, "tx_power_watts")
+    pl_linear = np.power(10.0, float_array(path_loss_db, "path_loss_db") / 10.0)
+    return np.log2(1.0 + power / (pl_linear * float_array(noise_watts, "noise_watts")))

@@ -7,8 +7,12 @@ values when offloading is slower, and those are deliberately kept.
 `SlotContext` holds all that is fixed in a slot, each user's uplink UAV (its
 ingress) included; a `SlotDecision` holds only who offloads where, and the shares.
 
-`check_assignment` is the one check of an offloading choice: `validate_decision`,
-`evaluate_assignment` and `numeric_convex_oracle` all run it on theirs.
+`check_assignment` checks an assignment, and `check_shares` a decision's
+bandwidth_hz and cpu_hz given its checked assignment, their dtype by
+`errors.holds_numbers` (the test of `errors.float_array`). `validate_decision`
+runs both, and `slot_dor(validate=True)` scores the arrays it returns. A
+validated `allocator.evaluate_assignment` runs each once: its assignment, then
+its shares. `allocator.numeric_convex_oracle` runs `check_assignment` too.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .errors import ConfigError, InfeasibleError, ValidationError
+from .errors import ConfigError, InfeasibleError, ValidationError, holds_numbers
 from .model import TaskArrays, UavArrays, UserArrays, coverage_radius, pair_geometry
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
@@ -141,19 +145,33 @@ def check_assignment(assignment, ctx: SlotContext) -> tuple[np.ndarray, np.ndarr
     return a, off
 
 
-def validate_decision(decision: SlotDecision, ctx: SlotContext):
-    """Raise ValidationError naming the first violated decision constraint,
-    the assignment's (`check_assignment`) first. A valid decision passes each
-    constraint in one or two whole-array tests; the index a message names is
-    looked up only after a test has failed.
-    """
+def validate_decision(decision: SlotDecision,
+                      ctx: SlotContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`decision`'s assignment (`check_assignment`) and shares (`check_shares`),
+    checked in that order, as arrays; ValidationError naming the first violated
+    constraint."""
     a, _ = check_assignment(decision.assignment, ctx)
+    return (a, *check_shares(decision, a, ctx))
+
+
+def check_shares(decision: SlotDecision, a: np.ndarray,
+                 ctx: SlotContext) -> tuple[np.ndarray, np.ndarray]:
+    """`decision`'s bandwidth and cpu shares as arrays, given `a` from
+    `check_assignment`. ValidationError naming the first violated constraint
+    unless both have shape (num_users,), hold numbers (`errors.holds_numbers`),
+    are >= 0, are zero for local users and fit every UAV's capacities. Each
+    constraint is one or two whole-array tests; the index a message names is
+    looked up only after a test has failed."""
     bw = np.asarray(decision.bandwidth_hz)
     cpu = np.asarray(decision.cpu_hz)
     m, n = ctx.num_users, ctx.num_uavs
     if not bw.shape == cpu.shape == (m,):
         raise ValidationError(f"bandwidth_hz and cpu_hz must have shape ({m},), "
                               f"got {bw.shape}, {cpu.shape}")
+    for name, share in (("bandwidth_hz", bw), ("cpu_hz", cpu)):
+        if not holds_numbers(share):
+            raise ValidationError(f"{name} entries must be integers or floats, "
+                                  f"got dtype {share.dtype}")
     if not bw.min() >= 0:       # a NaN fails too
         raise ValidationError("bandwidth shares must be >= 0")
     if not cpu.min() >= 0:
@@ -171,24 +189,28 @@ def validate_decision(decision: SlotDecision, ctx: SlotContext):
             uav = over.nonzero()[0][0]
             raise ValidationError(f"{kind} oversubscribed on UAV {uav}: "
                                   f"{total[uav]:.6g} > {capacity[uav]:.6g} Hz")
+    return bw, cpu
 
 
 def slot_dor(decision: SlotDecision, ctx: SlotContext, validate: bool = True) -> SlotMetrics:
-    """Per-slot objective value and its per-user breakdown."""
+    """Per-slot objective value and its per-user breakdown; with `validate`, of
+    the arrays `validate_decision` returns."""
     if validate:
-        validate_decision(decision, ctx)
-    off = (np.asarray(decision.assignment) != LOCAL).nonzero()[0]
+        a, bw, cpu = validate_decision(decision, ctx)
+    else:
+        a, bw, cpu = decision.assignment, decision.bandwidth_hz, decision.cpu_hz
+    off = (np.asarray(a) != LOCAL).nonzero()[0]
 
     delay = ctx.t_loc.copy()
     contribution = np.zeros(ctx.num_users)
     if off.size:
         bits = ctx.task_bits[off]
         # max(x, 1e-300) > 0: the divisions are finite; a zero share takes forever
-        rate = decision.bandwidth_hz[off] * ctx.r0[off, ctx.default_ingress[off]]
+        rate = bw[off] * ctx.r0[off, ctx.default_ingress[off]]
         t_edge = np.where(rate > 0, bits / np.maximum(rate, 1e-300), np.inf)
-        cpu = decision.cpu_hz[off]
-        t_edge += np.where(cpu > 0, bits * ctx.task_cycles[off] / np.maximum(cpu, 1e-300),
-                           np.inf)
+        cpu_off = cpu[off]
+        t_edge += np.where(cpu_off > 0,
+                           bits * ctx.task_cycles[off] / np.maximum(cpu_off, 1e-300), np.inf)
         delay[off] = t_edge
         t_edge /= ctx.t_loc[off]
         contribution[off] = 1.0 - t_edge

@@ -47,8 +47,8 @@ import numpy as np
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
 from .errors import (COUNT, NON_NEGATIVE, SEED, TINY, ConfigError, NumericError,
-                     check_numbers, config_from_dict, config_to_dict, replace_file,
-                     require)
+                     check_numbers, config_from_dict, config_to_dict, float_array,
+                     replace_file, require)
 from .model import Scenario
 
 CHECKPOINT_SCHEMA_VERSION = 5
@@ -195,9 +195,9 @@ class MaddpgTrainer:
 
         Each row is the agent's policy output plus Gaussian noise, clipped to
         the per-axis step budget; the environment's motion enforcement still
-        applies on top.
+        applies on top. `obs` goes through `errors.float_array`.
         """
-        obs_norm = np.asarray(obs) / self.obs_scale
+        obs_norm = float_array(obs, "obs") / self.obs_scale
         u = nets.mlp_activations(self.nets["actor"], obs_norm[:, None, :])[-1][:, 0]
         if noise_sigma > 0:
             u = u + self.rng.normal(scale=noise_sigma, size=u.shape)
@@ -208,7 +208,10 @@ class MaddpgTrainer:
     def remember(self, obs, actions, reward: float, next_obs):
         """Store one transition in network units: the critic input
         [obs, actions] / input_scale, the reward, and next_obs divided by the
-        box extents. obs, actions and next_obs are (num_agents, 3)."""
+        box extents. obs, actions and next_obs are (num_agents, 3). Every
+        argument goes through `errors.float_array`."""
+        obs, actions, reward, next_obs = (float_array(value, name) for value, name in (
+            (obs, "obs"), (actions, "actions"), (reward, "reward"), (next_obs, "next_obs")))
         x = np.concatenate([np.ravel(obs), np.ravel(actions)]) / self.input_scale
         self.buffer.push(x, reward, np.ravel(next_obs) / self.joint_obs_scale)
 
@@ -220,7 +223,7 @@ class MaddpgTrainer:
         next_actions = nets.mlp_activations(self.nets["target_actor"], own_obs)[-1]
         critic_in = np.concatenate(
             [next_obs, next_actions.transpose(1, 0, 2).reshape(batch_size, -1)], axis=1)
-        q_next = nets.mlp_forward(self.agents[agent]["target_critic"], critic_in)
+        q_next = nets.mlp_activations(self.agents[agent]["target_critic"], critic_in)[-1]
         return rew + self.config.gamma * q_next[:, 0]
 
     def critic_update(self, agent: int, batch) -> float:

@@ -423,9 +423,10 @@ def apply_motion(positions: np.ndarray, deltas,
 
 
 def coverage_radius(altitude_m, half_angle_deg):
-    """Max horizontal service radius per UAV; +inf for a 90-degree half-angle."""
-    alt = np.asarray(altitude_m, dtype=float)
-    angle = np.asarray(half_angle_deg, dtype=float)
+    """Max horizontal service radius per UAV; +inf for a 90-degree half-angle.
+    Both arguments go through `errors.float_array`."""
+    alt = float_array(altitude_m, "altitude_m")
+    angle = float_array(half_angle_deg, "half_angle_deg")
     return np.where(angle < 90.0, alt * np.tan(np.radians(angle)), np.inf)
 
 
@@ -459,9 +460,10 @@ def pairwise_distances(positions) -> np.ndarray:
     """3D distance between every pair of positions (N, 3) as an (N, N) array.
 
     The diagonal is +inf, so a UAV is never its own nearest neighbour and the
-    minimum over the array is +inf for fewer than two UAVs.
+    minimum over the array is +inf for fewer than two UAVs. `positions` goes
+    through `errors.float_array`.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = float_array(positions, "positions")
     dist = pair_geometry(pos, pos)[1]
     np.fill_diagonal(dist, np.inf)
     return dist

@@ -7,10 +7,10 @@ import pytest
 
 from tests._cd_gap import GAP_FILE, GAP_FILES, SEEDS, gap_instance
 from tests._instances import random_slot_context, scenario_range_context
-from uavmec import allocator
+from uavmec import allocator, delay
 from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment,
                               minimize_inverse_on_simplex, numeric_convex_oracle)
-from uavmec.baselines import ao_allocate
+from uavmec.baselines import al_allocate, ao_allocate
 from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext, SlotDecision, validate_decision
 from uavmec.errors import CapExceededError, InfeasibleError, ValidationError
@@ -367,6 +367,28 @@ class TestEvaluateAssignment:
             errors.append((type(info.value), str(info.value)))
         assert errors == [errors[0]] * 3
         assert (errors[0][0] is InfeasibleError) == (assignment == [0, 0, 0, 0])
+
+    @pytest.mark.parametrize("solve", [
+        lambda ctx: evaluate_assignment(ctx.default_ingress, ctx, validate=True),
+        cd_search, ao_allocate, al_allocate, brute_force_oracle,
+    ], ids=["evaluate", "cd_search", "ao_allocate", "al_allocate", "brute_force"])
+    def test_each_evaluation_checks_its_assignment_once(self, monkeypatch, solve):
+        calls = []
+        original = delay.check_assignment
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        for module in (delay, allocator):   # `validate_decision`'s name and the allocator's
+            monkeypatch.setattr(module, "check_assignment", counted)
+        ctx = random_slot_context(np.random.default_rng(17), num_users=4, num_uavs=2,
+                                  narrow_coverage_prob=0.0)
+        served = np.count_nonzero(ctx.default_ingress != LOCAL)
+        solve(ctx)
+        # the brute force scores every assignment unvalidated, then its winner validated
+        evaluations = 3 ** served + 1 if solve is brute_force_oracle else 1
+        assert served and len(calls) == evaluations
 
     def test_all_local_dor_zero(self):
         rng = np.random.default_rng(15)

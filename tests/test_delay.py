@@ -295,6 +295,25 @@ class TestValidation:
             validate_decision(self._decision(assignment=np.array(assignment)),
                               single_user_context())
 
+    @pytest.mark.parametrize("share", [[True], ["1e6"], [None]], ids=["bool", "str", "object"])
+    @pytest.mark.parametrize("field", ["bandwidth_hz", "cpu_hz"])
+    def test_non_number_shares_rejected(self, field, share):
+        decision = self._decision(**{field: np.array(share)})
+        for check in (validate_decision, slot_dor):
+            with pytest.raises(ValidationError, match=f"^{field} entries must be integers or floats"):
+                check(decision, single_user_context())
+
+    def test_list_shares_score_as_arrays(self):
+        from uavmec.allocator import evaluate_assignment
+        ctx = random_slot_context(np.random.default_rng(8), num_users=5, num_uavs=2,
+                                  narrow_coverage_prob=0.0)
+        decision, metrics = evaluate_assignment(ctx.default_ingress, ctx)
+        listed = SlotDecision(decision.assignment, decision.bandwidth_hz.tolist(),
+                              decision.cpu_hz.tolist())
+        again = slot_dor(listed, ctx)
+        assert np.count_nonzero(decision.bandwidth_hz) and again.dor == metrics.dor
+        assert again.per_user_delay.tobytes() == metrics.per_user_delay.tobytes()
+
     def test_bad_assignment_index(self):
         with pytest.raises(ValidationError, match="one-hot"):
             validate_decision(self._decision(assignment=np.array([3])),

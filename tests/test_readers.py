@@ -5,7 +5,9 @@ on, and the inputs of a slot step.
 Whatever a snapshot or a checkpoint holds, reading it gives the saved object
 or raises a type from `uavmec.errors`, with no warning; and every config
 field a writer saves comes back equal. The same holds for the actions given
-to `EdgeComputeEnv.step`, its penalty and the slot of `generate_tasks`.
+to `EdgeComputeEnv.step`, its penalty and the slot of `generate_tasks`; and
+each argument of a public numeric helper that is not an array of numbers is a
+ConfigError naming it.
 """
 
 import copy
@@ -18,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uavmec import errors, learner
+from uavmec import allocator, channel, errors, learner, model
 from uavmec.channel import ChannelParams
 from uavmec.env import EdgeComputeEnv
 from uavmec.errors import ConfigError, float_array
@@ -388,3 +390,47 @@ class TestStepInputs:
                    "slot": lambda: generate_tasks(scenario, value)}[target]
             escaped.append(loads_or_raises_typed(run, f"trial {trial}: {target} = {value!r}"[:200]))
         assert [line for line in escaped if line] == []
+
+
+# Each public numeric helper, with valid arguments by name: every argument
+# except `params` goes through `errors.float_array`.
+HELPERS = [
+    (channel.elevation_deg_from_geometry, {"altitude_m": 10.0, "reference_dist_m": 5.0}),
+    (channel.los_probability_from_angle, {"theta_deg": 30.0, "params": ChannelParams()}),
+    (channel.free_space_loss_db, {"dist_m": 20.0, "carrier_mhz": 2000.0}),
+    (channel.spectral_efficiency, {"tx_power_watts": 1.0, "path_loss_db": 80.0,
+                                   "noise_watts": 1e-10}),
+    (model.coverage_radius, {"altitude_m": 10.0, "half_angle_deg": 45.0}),
+    (model.pairwise_distances, {"positions": [[0.0, 0.0, 10.0], [3.0, 4.0, 10.0]]}),
+    (allocator.minimize_inverse_on_simplex, {"weights": [1.0, 2.0], "capacity": 3.0}),
+]
+
+
+class TestNumericHelperInputs:
+    @pytest.mark.parametrize("bad", ["10", True], ids=["str", "bool"])
+    @pytest.mark.parametrize("helper, name", [(helper, name) for helper, kwargs in HELPERS
+                                              for name in kwargs if name != "params"],
+                             ids=lambda v: v if isinstance(v, str) else v.__name__)
+    def test_non_number_argument_named(self, helper, name, bad):
+        kwargs = dict(dict(HELPERS)[helper])
+        helper(**kwargs)
+        with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers"):
+            helper(**{**kwargs, name: bad})
+
+    @pytest.mark.parametrize("name, bad", [("obs", "str"), ("actions", "bool"),
+                                           ("reward", "str"), ("next_obs", "bool")])
+    def test_remember_refuses_non_numbers(self, name, bad):
+        trainer = MaddpgTrainer(trainer_scenario(), SMALL)
+        obs = np.ones((3, 3))
+        args = {"obs": obs, "actions": obs, "reward": 1.5, "next_obs": obs}
+        args[name] = np.asarray(args[name]).astype(bad).tolist()
+        with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers"):
+            trainer.remember(**args)
+        assert trainer.buffer.size == 0
+
+    @pytest.mark.parametrize("bad", ["str", "bool"])
+    def test_joint_actions_refuses_non_numbers(self, bad):
+        trainer = MaddpgTrainer(trainer_scenario(), SMALL)
+        obs = np.full((3, 3), 5.0).astype(bad)
+        with pytest.raises(ConfigError, match="^obs must be an array of numbers"):
+            trainer.joint_actions(obs, 0.1)
