@@ -8,8 +8,8 @@ values when offloading is slower, and those are deliberately kept.
 ingress) included; a `SlotDecision` holds only who offloads where, and the shares.
 
 `check_assignment` checks an assignment, and `check_shares` a decision's
-bandwidth_hz and cpu_hz given its checked assignment, their dtype by
-`errors.holds_numbers` (the test of `errors.float_array`). `validate_decision`
+bandwidth_hz and cpu_hz given its checked assignment; it reads them through
+`errors.float_array` and raises its refusal as a ValidationError. `validate_decision`
 runs both, and `slot_dor(validate=True)` scores the arrays it returns. A
 validated `allocator.evaluate_assignment` runs each once: its assignment, then
 its shares. `allocator.numeric_convex_oracle` runs `check_assignment` too.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .errors import ConfigError, InfeasibleError, ValidationError, holds_numbers
+from .errors import ConfigError, InfeasibleError, ValidationError, float_array
 from .model import TaskArrays, UavArrays, UserArrays, coverage_radius, pair_geometry
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
@@ -156,22 +156,21 @@ def validate_decision(decision: SlotDecision,
 
 def check_shares(decision: SlotDecision, a: np.ndarray,
                  ctx: SlotContext) -> tuple[np.ndarray, np.ndarray]:
-    """`decision`'s bandwidth and cpu shares as arrays, given `a` from
+    """`decision`'s bandwidth and cpu shares as float arrays, given `a` from
     `check_assignment`. ValidationError naming the first violated constraint
-    unless both have shape (num_users,), hold numbers (`errors.holds_numbers`),
-    are >= 0, are zero for local users and fit every UAV's capacities. Each
+    unless `errors.float_array` reads both, they have shape (num_users,), are
+    >= 0, are zero for local users and fit every UAV's capacities. Each
     constraint is one or two whole-array tests; the index a message names is
     looked up only after a test has failed."""
-    bw = np.asarray(decision.bandwidth_hz)
-    cpu = np.asarray(decision.cpu_hz)
+    try:
+        bw = float_array(decision.bandwidth_hz, "bandwidth_hz")
+        cpu = float_array(decision.cpu_hz, "cpu_hz")
+    except ConfigError as exc:   # a decision's fault, not a config's
+        raise ValidationError(str(exc)) from None
     m, n = ctx.num_users, ctx.num_uavs
     if not bw.shape == cpu.shape == (m,):
         raise ValidationError(f"bandwidth_hz and cpu_hz must have shape ({m},), "
                               f"got {bw.shape}, {cpu.shape}")
-    for name, share in (("bandwidth_hz", bw), ("cpu_hz", cpu)):
-        if not holds_numbers(share):
-            raise ValidationError(f"{name} entries must be integers or floats, "
-                                  f"got dtype {share.dtype}")
     if not bw.min() >= 0:       # a NaN fails too
         raise ValidationError("bandwidth shares must be >= 0")
     if not cpu.min() >= 0:

@@ -6,14 +6,15 @@ or a checkpoint's), which yields the config or a ConfigError. `config_to_dict`
 is its inverse, and `replace_file` the one write path of a snapshot or a
 checkpoint.
 
-`holds_numbers` is the one test of an array of numbers: integers or floats.
-`float_array` applies it to every array that enters the package from outside,
-and returns it as float64 or raises a ConfigError naming the input: snapshot
-rows and records, UAV starts, motion deltas, and the arguments of the
-`channel` helpers, `model.coverage_radius` and `pairwise_distances`,
-`allocator.minimize_inverse_on_simplex`, and `MaddpgTrainer.joint_actions`
-(its obs) and `remember`. `delay.check_shares` applies it to a decision's
-shares, and raises a ValidationError.
+`float_array` is the one rule for an array of numbers (numpy must read it as
+integers or floats), and every array that enters the package from outside
+passes it: it returns the array as float64 or raises a ConfigError naming the
+input. Its callers: snapshot rows and records, UAV starts, motion deltas, the
+arguments of the `channel` helpers, `model.coverage_radius` and
+`pairwise_distances`, `allocator.minimize_inverse_on_simplex`, and
+`MaddpgTrainer.joint_actions` (its obs) and `remember`. `delay.check_shares`
+reads a decision's shares through it and raises its refusal as a
+ValidationError.
 InfeasibleError is a ValidationError: `except ValidationError` catches every
 decision that `delay.validate_decision` refuses.
 """
@@ -93,18 +94,13 @@ def check_numbers(obj, rules: dict):
             raise ConfigError(f"{name} must {wording}, got {value!r}")
 
 
-def holds_numbers(array: np.ndarray) -> bool:
-    """Whether numpy holds `array` as integers or floats. A cast would drop a
-    complex part, and bools, strings and objects are not numbers."""
-    return array.dtype.kind in "iuf"
-
-
 def float_array(value, what: str) -> np.ndarray:
     """`value` as a float64 array (itself if it is one); ConfigError naming `what`
-    unless numpy reads it as an array that `holds_numbers`."""
+    unless numpy reads it as integers or floats. A cast would drop a complex
+    part, and bools, strings and objects are not numbers."""
     try:
         array = np.asarray(value)
-        if not holds_numbers(array):
+        if array.dtype.kind not in "iuf":
             raise TypeError(f"dtype {array.dtype} is not real: need integers or floats")
         return array.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -295,12 +295,13 @@ class TestValidation:
             validate_decision(self._decision(assignment=np.array(assignment)),
                               single_user_context())
 
-    @pytest.mark.parametrize("share", [[True], ["1e6"], [None]], ids=["bool", "str", "object"])
+    @pytest.mark.parametrize("share", [[True], ["1e6"], [None], [[0.0], [0.0, 0.0]]],
+                             ids=["bool", "str", "object", "ragged"])
     @pytest.mark.parametrize("field", ["bandwidth_hz", "cpu_hz"])
     def test_non_number_shares_rejected(self, field, share):
-        decision = self._decision(**{field: np.array(share)})
+        decision = self._decision(**{field: share})
         for check in (validate_decision, slot_dor):
-            with pytest.raises(ValidationError, match=f"^{field} entries must be integers or floats"):
+            with pytest.raises(ValidationError, match=f"^{field} must be an array of numbers"):
                 check(decision, single_user_context())
 
     def test_list_shares_score_as_arrays(self):

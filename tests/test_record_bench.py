@@ -2,9 +2,11 @@
 no benchmark subprocess runs here."""
 
 import json
+import subprocess
 
 import pytest
 
+from bench import steadiness
 from tools import record_bench
 
 MANIFEST = {"commit": "40c891ff4f6a251a42be511159b7a543068e937e", "python": "3.11.7",
@@ -46,16 +48,45 @@ def test_aggregate_gives_median_and_quartiles_per_workload():
     assert table["a"]["seeds"] == [0, 2, 4, 6, 8] and table["b"]["seeds"] == [1, 3, 5, 7, 9]
     assert table["a"]["correct"] and not table["b"]["correct"]
     assert table["a"]["failed"] == 10 and table["a"]["attempted"] == 500
-    assert table["a"]["metrics"]["op_ms_p90"] == {"median": 3.0, "q1": 2.0, "q3": 4.0,
-                                                  "iqr": 2.0, "n": 5}
+    assert table["a"]["metrics"]["op_ms_p90"] == {"median": 3.0, "q1": 1.5, "q3": 4.5,
+                                                  "iqr": 3.0, "n": 5}
     assert table["b"]["metrics"]["op_ms_p50"]["median"] == 1.5
     assert set(table["a"]["metrics"]) == {"setup_s", "op_ms_p90", "peak_rss_mb", "op_ms_p50"}
 
 
-def test_summary_interpolates_between_runs():
+def test_summary_takes_quartiles_as_steadiness_does():
     assert record_bench.summary([1.0, 2.0, 3.0, 4.0]) == {
-        "median": 2.5, "q1": 1.75, "q3": 3.25, "iqr": 1.5, "n": 4}
-    assert record_bench.summary([7.0])["iqr"] == 0.0
+        "median": 2.5, "q1": 1.25, "q3": 3.75, "iqr": 2.5, "n": 4}
+    values = [6.9, 7.4, 6.4, 7.5, 7.1, 6.2]
+    row = record_bench.summary(values)
+    assert (row["median"], row["iqr"] / row["median"]) == steadiness.spread(values)
+
+
+def fake_run(monkeypatch, returncode, stdout, stderr=""):
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(cmd, returncode, stdout, stderr)
+    monkeypatch.setattr(record_bench.subprocess, "run", run)
+    return calls
+
+
+SPEC = {"command": ["python3", "bench/run.py"], "run_seconds": 30}
+
+
+def test_run_benchmark_records_a_failed_output_check(monkeypatch):
+    calls = fake_run(monkeypatch, 1, run_stdout("a", 3, 1.0, 1.0, correct=False))
+    assert record_bench.run_benchmark(None, SPEC, "a", 3)["correct"] is False
+    assert calls[0]["timeout"] == 600
+
+
+@pytest.mark.parametrize("returncode, stdout", [(1, ""), (1, "a seed=3\nTraceback\n"), (2, "")],
+                         ids=["exit-1-silent", "exit-1-no-result", "exit-2"])
+def test_run_benchmark_stops_on_a_crash(monkeypatch, returncode, stdout):
+    fake_run(monkeypatch, returncode, stdout, stderr="ZeroDivisionError: boom")
+    with pytest.raises(SystemExit, match=f"exited {returncode} .*\n.*boom"):
+        record_bench.run_benchmark(None, SPEC, "a", 3)
 
 
 def test_projection_splits_cold_and_warm_slots():
@@ -69,7 +100,7 @@ def test_projection_splits_cold_and_warm_slots():
 def test_record_holds_environment_projection_and_runs():
     runs = [record_bench.parse_run(run_stdout(w, seed, p90=3.0, p50=p50))
             for seed, (w, p50) in enumerate([("train_warm", 5.0), ("alloc_dense", 2.0),
-                                             ("train_warm", 7.0)])]
+                                             ("train_warm", 7.0), ("alloc_dense", 2.0)])]
     for run in runs:
         run.update(probe_before={"gemm_us": 20.0}, probe_after={"gemm_us": 21.0})
     fresh = {"warm_slot_ms_p50": 6.0, "cold_slot_ms_p50": 1.0}
@@ -80,7 +111,7 @@ def test_record_holds_environment_projection_and_runs():
         (4 * 1.0 + 16 * 6.0) / 60e3)
     assert report["projected_full_run"]["train_warm"]["minutes"] == pytest.approx(
         (4 * 1.0 + 16 * 6.0) / 60e3)    # the median of 5.0 and 7.0
-    assert [run["probe_after"] for run in report["runs"]] == [{"gemm_us": 21.0}] * 3
+    assert [run["probe_after"] for run in report["runs"]] == [{"gemm_us": 21.0}] * 4
     assert all("manifest" not in run for run in report["runs"])
     json.dumps(report)
 

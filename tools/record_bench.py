@@ -7,16 +7,17 @@ checkout, next to readings of the machine's speed taken around each run.
     python3 tools/record_bench.py train --root .
 
 `record` runs the command in the checkout's BENCHMARK.json (bench/run.py)
-with --trace 0, one subprocess per run, alternating workloads: round r runs
-each workload once, workload i on seed first_seed + r * (number of workloads)
-+ i, so every run has a seed of its own. It parses each run's `manifest` line
-and its last line, the JSON result. Before and after each run it reads the
-speed probe in a subprocess of its own, and after the last run it times one
-fresh training process. It writes BENCH_<first 7 digits of the checkout's
-commit>.json, holding:
+with --trace 0 for its run_seconds, one subprocess per run, alternating
+workloads: round r runs each workload once, workload i on seed first_seed +
+r * (number of workloads) + i, so every run has a seed of its own. It parses
+each run's `manifest` line and its last line, the JSON result. Before and
+after each run it reads the speed probe in a subprocess of its own, and after
+the last run it times one fresh training process. It writes BENCH_<first 7
+digits of the checkout's commit>.json, holding:
 - per workload, the median, quartiles and IQR of every end-to-end metric and
-  of op_ms_p50 (numpy's linear percentiles), the seeds, the op counts, and
-  whether every run was correct;
+  of op_ms_p50 (statistics.quantiles, n=4, as bench/steadiness.py takes
+  them, so both give one IQR for the same runs), the seeds, the op counts,
+  and whether every run was correct;
 - every run's metrics next to the probe readings taken before and after it;
 - the fresh training reading, and from it and from train_warm's op_ms_p50 a
   projection of a full default run (TrainConfig and ScenarioConfig defaults:
@@ -37,6 +38,15 @@ allocator before the timed slots.
 
 Every subprocess runs with one BLAS thread, as bench/run.py pins it. The
 benchmark runs leave their records in the checkout's git-ignored bench/out/.
+
+bench/steadiness.py does some of the same jobs: it runs the same command per
+seed and workload with --trace 0, parses the last line and takes medians and
+quartiles. It is repeated here, not imported, because this script alternates
+workloads within each round, reads probes around each run, measures another
+checkout (--root) and keeps a crashed run apart from a failed output check,
+while steadiness runs one workload at a time in its own checkout and stops
+at the first incorrect run. Merging the run-and-parse step of the two into
+one helper is left to a change that may edit bench/.
 """
 
 from __future__ import annotations
@@ -119,8 +129,11 @@ def fresh_train(root: Path) -> dict:
 
 def parse_run(stdout: str) -> dict:
     """One bench/run.py --trace 0 run from its stdout: the last line's result and
-    the manifest line's op_ms_p50 and versions."""
+    the manifest line's op_ms_p50 and versions. ValueError if there is no
+    result line (a JSONDecodeError is one)."""
     lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("no output, so no result line")
     result = json.loads(lines[-1])
     manifests = [line[len("manifest "):] for line in lines if line.startswith("manifest ")]
     if len(manifests) != 1:
@@ -135,9 +148,9 @@ def parse_run(stdout: str) -> dict:
 
 
 def summary(values: list[float]) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": float(median), "q1": float(q1), "q3": float(q3),
-            "iqr": float(q3 - q1), "n": len(values)}
+    """Median and quartiles of two or more values, by bench/steadiness.py's rule."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
 def aggregate(runs: list[dict]) -> dict:
@@ -190,13 +203,20 @@ def record(runs: list[dict], fresh: dict, defaults: dict) -> dict:
 
 # ---- the recording ----
 
-def run_benchmark(root: Path, spec: dict, workload: str, seed: int, seconds: float) -> dict:
+def run_benchmark(root: Path, spec: dict, workload: str, seed: int) -> dict:
+    """One run for BENCHMARK.json's run_seconds. Exit code 1 with a result line
+    is a failed output check, recorded as correct=false; any other exit code,
+    or 1 without a result line (an uncaught exception), stops the recording."""
     cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):   # 1: a failed output check, recorded as correct=false
-        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return parse_run(proc.stdout)
+                             "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
+    try:
+        if proc.returncode not in (0, 1):
+            raise ValueError("neither a result nor a failed output check")
+        return parse_run(proc.stdout)
+    except ValueError as exc:
+        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode} ({exc}):\n"
+                         f"{proc.stderr}") from None
 
 
 def run_defaults(root: Path) -> dict:
@@ -215,7 +235,6 @@ def main(argv=None) -> int:
     rec.add_argument("--out-dir", type=Path, default=REPO)
     rec.add_argument("--runs", type=int, default=5, help="runs per workload")
     rec.add_argument("--first-seed", type=int, default=30001)
-    rec.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     modes.add_parser("probe", help="print one speed-probe reading")
     modes.add_parser("train", help="print one fresh training reading").add_argument(
         "--root", type=Path, default=REPO)
@@ -228,18 +247,17 @@ def main(argv=None) -> int:
         print(json.dumps(fresh_train(args.root.resolve())))
         return 0
 
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
+    if args.runs < 2:
+        parser.error("--runs must be >= 2: quartiles need two runs")
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]]
     runs = []
     for r in range(args.runs):
         for i, workload in enumerate(names):
             seed = args.first_seed + r * len(names) + i
             before = self_command("probe")
-            run = run_benchmark(root, spec, workload, seed, seconds)
+            run = run_benchmark(root, spec, workload, seed)
             run.update(probe_before=before, probe_after=self_command("probe"))
             runs.append(run)
             print(f"{workload} seed={seed} correct={run['correct']} "
@@ -248,7 +266,8 @@ def main(argv=None) -> int:
                   flush=True)
     fresh = self_command("train", "--root", str(root))
     report = record(runs, fresh, run_defaults(root))
-    report["settings"] = {"runs": args.runs, "first_seed": args.first_seed, "seconds": seconds}
+    report["settings"] = {"runs": args.runs, "first_seed": args.first_seed,
+                          "seconds": spec["run_seconds"]}
     out = args.out_dir / f"BENCH_{report['environment']['commit'][:7]}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
