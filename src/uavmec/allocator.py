@@ -17,7 +17,8 @@ import numpy as np
 
 from .delay import (LOCAL, SlotContext, SlotDecision, SlotMetrics, check_assignment,
                     check_shares, slot_dor)
-from .errors import CapExceededError, ConfigError, ConvergenceError, float_array
+from .errors import (POSITIVE, CapExceededError, ConfigError, ConvergenceError, check_number,
+                     float_array)
 
 BRUTE_FORCE_CAP = 2 ** 20
 MAX_SWEEPS = 100
@@ -165,16 +166,16 @@ def minimize_inverse_on_simplex(weights, capacity: float) -> np.ndarray:
     them. Works on the scale-free unit-simplex problem in extended precision
     and stops when the first-order multipliers w_i / x_i^2 agree to a relative
     spread below SIMPLEX_TOL (the budget binds at any optimum, so sum(x) = capacity).
-    Both arguments go through `errors.float_array`.
+    `weights` go through `errors.float_array`, and `capacity` must be a
+    finite number > 0 (`errors.check_number`).
     """
     w64 = float_array(weights, "weights")
-    capacity = float_array(capacity, "capacity")
+    check_number(capacity, POSITIVE, "capacity")
+    capacity = float(capacity)
     if w64.size == 0:
         return np.empty(0)
     if np.any(w64 <= 0):
         raise ConfigError("simplex solver needs strictly positive weights")
-    if capacity <= 0:
-        raise ConfigError(f"capacity must be > 0, got {capacity}")
     if w64.size == 1:
         return np.array([capacity])
 

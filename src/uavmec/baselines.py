@@ -11,10 +11,14 @@ import numpy as np
 
 from .allocator import AllocationResult, evaluate_assignment
 from .delay import LOCAL, SlotContext
+from .errors import COUNT, NON_NEGATIVE, check_number
 
 
 def rt_actions(rng: np.random.Generator, num_uavs: int, max_step: float) -> np.ndarray:
-    """Uniform random 3D direction, uniform speed in [0, max_step], per UAV."""
+    """Uniform random 3D direction, uniform speed in [0, max_step], per UAV;
+    num_uavs must be >= 1 and max_step finite and >= 0 (`errors.check_number`)."""
+    check_number(num_uavs, COUNT, "num_uavs")
+    check_number(max_step, NON_NEGATIVE, "max_step")
     direction = rng.normal(size=(num_uavs, 3))
     direction /= np.maximum(np.linalg.norm(direction, axis=1, keepdims=True), 1e-12)
     speed = rng.uniform(0.0, max_step, size=(num_uavs, 1))

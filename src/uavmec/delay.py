@@ -7,12 +7,13 @@ values when offloading is slower, and those are deliberately kept.
 `SlotContext` holds all that is fixed in a slot, each user's uplink UAV (its
 ingress) included; a `SlotDecision` holds only who offloads where, and the shares.
 
-`check_assignment` checks an assignment, and `check_shares` a decision's
-bandwidth_hz and cpu_hz given its checked assignment; it reads them through
-`errors.float_array` and raises its refusal as a ValidationError. `validate_decision`
-runs both, and `slot_dor(validate=True)` scores the arrays it returns. A
-validated `allocator.evaluate_assignment` runs each once: its assignment, then
-its shares. `allocator.numeric_convex_oracle` runs `check_assignment` too.
+`check_assignment` checks an assignment, read through `errors.int_array`, and
+`check_shares` a decision's bandwidth_hz and cpu_hz, read through
+`errors.float_array`, given its checked assignment; each raises its reader's
+refusal as a ValidationError. `validate_decision` runs both, and
+`slot_dor(validate=True)` scores the arrays it returns. A validated
+`allocator.evaluate_assignment` runs each once: its assignment, then its
+shares. `allocator.numeric_convex_oracle` runs `check_assignment` too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .errors import ConfigError, InfeasibleError, ValidationError, float_array
+from .errors import ConfigError, InfeasibleError, ValidationError, float_array, int_array
 from .model import TaskArrays, UavArrays, UserArrays, coverage_radius, pair_geometry
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
@@ -124,15 +125,17 @@ class SlotMetrics:
 
 def check_assignment(assignment, ctx: SlotContext) -> tuple[np.ndarray, np.ndarray]:
     """A fresh int copy of `assignment` and the indices of its offloaded users.
-    ValidationError unless it has shape (num_users,), an integer dtype (not
-    bool, float or str) and each entry LOCAL or a UAV index, naming the first
-    bad user; InfeasibleError naming the first offloaded user without an ingress."""
-    raw = np.asarray(assignment)
+    ValidationError unless `errors.int_array` reads it (integers, not bools,
+    floats or strings), it has shape (num_users,) and each entry is LOCAL or a
+    UAV index, naming the first bad user; InfeasibleError naming the first
+    offloaded user without an ingress."""
+    try:
+        raw = int_array(assignment, "assignment")
+    except ConfigError as exc:   # a decision's fault, not a config's
+        raise ValidationError(str(exc)) from None
     m, n = ctx.num_users, ctx.num_uavs
     if raw.shape != (m,):
         raise ValidationError(f"assignment must have shape ({m},), got {raw.shape}")
-    if raw.dtype.kind not in "iu":
-        raise ValidationError(f"assignment entries must be integers, got dtype {raw.dtype}")
     if raw.min() < LOCAL or raw.max() >= n:
         user = ((raw < LOCAL) | (raw >= n)).argmax()
         raise ValidationError(f"one-hot choice: assignment of user {user} must be LOCAL "

@@ -19,7 +19,7 @@ import numpy as np
 from .allocator import AllocationResult, cd_search
 from .delay import SlotContext
 from .delay import slot_dor  # noqa: F401  not called here; bench/tracing.py patches it by this name
-from .errors import NON_NEGATIVE, ConfigError, check_numbers, require
+from .errors import NON_NEGATIVE, ConfigError, check_number, require
 from .model import Scenario, apply_motion, generate_tasks, pairwise_distances
 
 
@@ -48,8 +48,8 @@ class EdgeComputeEnv:
     """
 
     def __init__(self, scenario: Scenario, penalty: float = 10.0, allocate=None):
+        check_number(penalty, NON_NEGATIVE, "penalty")
         self.penalty = penalty
-        check_numbers(self, {"penalty": NON_NEGATIVE})
         self.scenario = scenario
         self.config = scenario.config
         self.allocate = allocate if allocate is not None else cd_search

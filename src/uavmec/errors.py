@@ -1,20 +1,27 @@
-"""Exception types shared across the package, the two checks of a config, the
-one rule for an array of numbers, and the one way saved state is written.
-`check_numbers` holds a config dataclass to its rule table, and
-`config_from_dict` is the one reader of a saved config (a scenario snapshot's
-or a checkpoint's), which yields the config or a ConfigError. `config_to_dict`
-is its inverse, and `replace_file` the one write path of a snapshot or a
-checkpoint.
+"""Exception types shared across the package, the readers of outside numbers,
+the two checks of a config, and the one way saved state is written.
 
-`float_array` is the one rule for an array of numbers (numpy must read it as
-integers or floats), and every array that enters the package from outside
-passes it: it returns the array as float64 or raises a ConfigError naming the
-input. Its callers: snapshot rows and records, UAV starts, motion deltas, the
-arguments of the `channel` helpers, `model.coverage_radius` and
-`pairwise_distances`, `allocator.minimize_inverse_on_simplex`, and
-`MaddpgTrainer.joint_actions` (its obs) and `remember`. `delay.check_shares`
-reads a decision's shares through it and raises its refusal as a
-ValidationError.
+Every number that enters the package from outside passes one of three
+readers, and each refusal is a ConfigError naming the argument:
+- `check_number` holds one scalar to one rule tuple (FINITE, POSITIVE, UNIT,
+  ...): every config field, through `check_numbers`, and `generate_tasks`'
+  slot, `EdgeComputeEnv`'s penalty, `nets.soft_update`'s tau, the capacity of
+  `ReplayBuffer` and of `allocator.minimize_inverse_on_simplex`,
+  `MaddpgTrainer.joint_actions`' noise_sigma, and `baselines.rt_actions`'
+  num_uavs and max_step.
+- `float_array` returns an array of numbers as float64: snapshot rows and
+  records, UAV starts, motion deltas, the arrays of the public numeric
+  helpers and of `MaddpgTrainer.joint_actions` and `remember`, and a
+  decision's shares (in `delay.check_shares`).
+- `int_array` returns an array of integers as numpy reads it: an assignment
+  (in `delay.check_assignment`).
+The array readers share one core: numpy must read the value as their dtype
+kind, and a list or tuple must hold no bool, which numpy would read as 0 or 1
+among numbers. `delay` raises their refusals as ValidationErrors.
+
+`config_from_dict` is the one reader of a saved config (a scenario
+snapshot's or a checkpoint's), `config_to_dict` its inverse, and
+`replace_file` the one write path of a snapshot or a checkpoint.
 InfeasibleError is a ValidationError: `except ValidationError` catches every
 decision that `delay.validate_decision` refuses.
 """
@@ -22,6 +29,7 @@ decision that `delay.validate_decision` refuses.
 import contextlib
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, fields, is_dataclass
 
@@ -55,16 +63,19 @@ class NumericError(RuntimeError):
 TINY = float(np.finfo(float).smallest_subnormal)   # least float > 0: x >= TINY is x > 0
 HUGE = float(np.finfo(float).max)                  # x <= HUGE is x finite (and not NaN)
 
-# Rules shared by the config tables: (kind, low, high, wording), see check_numbers.
+# Rules shared by the readers: (kind, low, high, wording), see check_number.
 FINITE = ("float", -HUGE, HUGE, "be finite")
 POSITIVE = ("float", TINY, HUGE, "be finite and > 0")
 NON_NEGATIVE = ("float", 0.0, HUGE, "be finite and >= 0")
+UNIT = ("float", TINY, 1.0, "lie in (0, 1]")
 COUNT = ("int", 1, math.inf, "be >= 1")
 SEED = ("seed", 0, math.inf, "be a non-negative integer")
 
 _REALS = (int, float, np.integer, np.floating)
 _KINDS = {"int": ((int, np.integer), "an integer"), "float": (_REALS, "a number"),
           "seed": ((int, np.integer), "a non-negative integer")}
+_BOOLS = (bool, np.bool_)
+_DTYPE_KIND = operator.attrgetter("dtype.kind")
 
 
 def require(cond, msg: str):
@@ -73,38 +84,84 @@ def require(cond, msg: str):
         raise ConfigError(msg)
 
 
+def check_number(value, rule: tuple, name: str):
+    """ConfigError naming `name` unless `value` keeps `rule`, a tuple (kind,
+    low, high, wording). Kinds "int" and "seed" are integers (numpy ones too),
+    "float" real numbers, "pair" (lo, hi) sequences of two reals with
+    lo <= hi; a bool is none of them. Every number must lie in [low, high],
+    where a NaN never lies. Messages are built only on failure."""
+    kind, low, high, wording = rule
+    if kind == "pair":
+        ok = (isinstance(value, (tuple, list)) and len(value) == 2
+              and all(isinstance(v, _REALS) and v.__class__ is not bool for v in value)
+              and low <= _python(value[0]) <= _python(value[1]) <= high)
+    else:
+        types, noun = _KINDS[kind]
+        if not isinstance(value, types) or value.__class__ is bool:
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        ok = low <= _python(value) <= high
+    if not ok:
+        raise ConfigError(f"{name} must {wording}, got {value!r}")
+
+
+def _python(number):
+    """`number` as a Python number: against a float32, numpy would round the
+    bounds to float32 (HUGE to inf, TINY to 0)."""
+    return number.item() if isinstance(number, np.generic) else number
+
+
 def check_numbers(obj, rules: dict):
-    """ConfigError naming the first field of `obj` that breaks its rule in `rules`:
-    name -> (kind, low, high, wording). Kinds "int" and "seed" are integers
-    (numpy ones too), "float" real numbers, "pair" (lo, hi) sequences of two
-    reals with lo <= hi; a bool is none of them. Every number must lie in
-    [low, high], where a NaN never lies. Messages are built only on failure."""
-    for name, (kind, low, high, wording) in rules.items():
-        value = getattr(obj, name)
-        if kind == "pair":
-            ok = (isinstance(value, (tuple, list)) and len(value) == 2
-                  and all(isinstance(v, _REALS) and v.__class__ is not bool for v in value)
-                  and low <= value[0] <= value[1] <= high)
-        else:
-            types, noun = _KINDS[kind]
-            if not isinstance(value, types) or value.__class__ is bool:
-                raise ConfigError(f"{name} must be {noun}, got {value!r}")
-            ok = low <= value <= high
-        if not ok:
-            raise ConfigError(f"{name} must {wording}, got {value!r}")
+    """`check_number` on each field of `obj` named in `rules` (name -> rule),
+    in table order."""
+    for name, rule in rules.items():
+        check_number(getattr(obj, name), rule, name)
 
 
 def float_array(value, what: str) -> np.ndarray:
     """`value` as a float64 array (itself if it is one); ConfigError naming `what`
-    unless numpy reads it as integers or floats. A cast would drop a complex
-    part, and bools, strings and objects are not numbers."""
+    unless numpy reads it as integers or floats, with no bool among them. A
+    cast would drop a complex part, and bools, strings and objects are not
+    numbers."""
+    return _number_array(value, "iuf", "numbers", "real: need integers or floats",
+                         what).astype(float, copy=False)
+
+
+def int_array(value, what: str) -> np.ndarray:
+    """`value` as numpy reads it (itself if it is an array), of any integer
+    dtype; ConfigError naming `what` unless numpy reads it as integers, with
+    no bool among them. Floats, integral ones too, are refused."""
+    return _number_array(value, "iu", "integers", "an integer type", what)
+
+
+def _number_array(value, kinds: str, noun: str, need: str, what: str) -> np.ndarray:
+    """The two array readers' core: `np.asarray(value)`, whose dtype kind must
+    be in `kinds`, and, for a list or tuple, a scan for a bool among numbers.
+    An ndarray answers by its dtype and is never scanned."""
     try:
         array = np.asarray(value)
-        if array.dtype.kind not in "iuf":
-            raise TypeError(f"dtype {array.dtype} is not real: need integers or floats")
-        return array.astype(float, copy=False)
+        if array.dtype.kind not in kinds:
+            raise TypeError(f"dtype {array.dtype} is not {need}")
+        if isinstance(value, (list, tuple)) and _holds_bool(value):
+            raise TypeError("it holds a bool among numbers")
+        return array
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be an array of numbers, got {value!r}: {exc}") from None
+        raise ConfigError(f"{what} must be an array of {noun}, got {value!r}: {exc}") from None
+
+
+def _holds_bool(items) -> bool:
+    """Whether a list or tuple holds a bool, at any depth of lists and tuples;
+    a nested ndarray answers by its dtype. Entries are grouped by type first,
+    so a list of plain numbers costs one pass in C."""
+    kinds = set(map(type, items))
+    for kind in kinds:
+        if issubclass(kind, _BOOLS):
+            return True
+        if issubclass(kind, (list, tuple, np.ndarray)):
+            group = items if len(kinds) == 1 else [item for item in items if type(item) is kind]
+            if (any(map(_holds_bool, group)) if issubclass(kind, (list, tuple))
+                    else "b" in map(_DTYPE_KIND, group)):
+                return True
+    return False
 
 
 def config_from_dict(cls, data, where: str):

@@ -30,9 +30,10 @@ buffer_cursor and rng_state; the four role stacks; the buffer_size filled
 replay rows as x, rew and next_obs; and input_scale, the network units those
 rows are in. Replay rows past buffer_size hold no data (see `ReplayBuffer`)
 and are neither saved nor restored. `load_checkpoint` reads the config with
-`errors.config_from_dict`. `load_state_dict` checks every array against one
-layout table, entry name -> the float64 array it fills, and input_scale
-against the trainer's own, before writing any.
+`errors.config_from_dict`. `checkpoint_layout` is the one layout table, entry
+name -> the float64 array it holds: `state_dict` copies from it, and
+`load_state_dict` checks every array against it, and input_scale against the
+trainer's own, before writing any.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ import numpy as np
 
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
-from .errors import (COUNT, NON_NEGATIVE, SEED, TINY, ConfigError, NumericError,
-                     check_numbers, config_from_dict, config_to_dict, float_array,
-                     replace_file, require)
-from .model import Scenario
+from .errors import (COUNT, NON_NEGATIVE, SEED, UNIT, ConfigError, NumericError,
+                     check_number, check_numbers, config_from_dict, config_to_dict,
+                     float_array, replace_file, require)
+from .model import Scenario, stream
 
 CHECKPOINT_SCHEMA_VERSION = 5
 META_KEYS = {"schema_version": int, "config": dict, "buffer_size": int, "buffer_cursor": int,
@@ -58,14 +59,13 @@ ROLES = ("actor", "critic", "target_actor", "target_critic")
 REPLAY_FIELDS = ("x", "rew", "next_obs")
 
 
-_UNIT = ("float", TINY, 1.0, "lie in (0, 1]")
 _TRAIN_RULES = {
-    "lr_actor": NON_NEGATIVE, "lr_critic": NON_NEGATIVE, "tau": _UNIT,
+    "lr_actor": NON_NEGATIVE, "lr_critic": NON_NEGATIVE, "tau": UNIT,
     "gamma": ("float", 0.0, float(np.nextafter(1.0, 0.0)), "lie in [0, 1)"),
     "buffer_capacity": COUNT, "episodes": COUNT, "batch_size": COUNT, "min_fill": COUNT,
     "hidden_actor": COUNT, "hidden_critic": COUNT,
     "noise_sigma_start": NON_NEGATIVE, "noise_sigma_end": NON_NEGATIVE,
-    "noise_decay_fraction": _UNIT, "penalty": NON_NEGATIVE, "seed": SEED,
+    "noise_decay_fraction": UNIT, "penalty": NON_NEGATIVE, "seed": SEED,
 }
 
 
@@ -114,8 +114,7 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, x_dim: int, obs_dim: int):
-        if capacity < 1:
-            raise ConfigError("buffer capacity must be >= 1")
+        check_number(capacity, COUNT, "capacity")
         self.capacity = capacity
         self.x = np.empty((capacity, x_dim))
         self.rew = np.empty(capacity)
@@ -168,7 +167,7 @@ class MaddpgTrainer:
         self.joint_obs_scale = np.tile(self.obs_scale, self.num_agents)
         self.input_scale = np.concatenate([self.joint_obs_scale,
                                            np.full(self.num_agents * 3, self.max_step)])
-        self.rng = np.random.default_rng([config.seed, 11])
+        self.rng = stream(config.seed, "learner")
 
         joint_dim = self.num_agents * (self.obs_dim + 3)
         actor = (nets.mlp_shapes(self.obs_dim, config.hidden_actor, 3), "tanh")
@@ -195,8 +194,10 @@ class MaddpgTrainer:
 
         Each row is the agent's policy output plus Gaussian noise, clipped to
         the per-axis step budget; the environment's motion enforcement still
-        applies on top. `obs` goes through `errors.float_array`.
+        applies on top. `obs` goes through `errors.float_array`, and
+        `noise_sigma` must be finite and >= 0 (`errors.check_number`).
         """
+        check_number(noise_sigma, NON_NEGATIVE, "noise_sigma")
         obs_norm = float_array(obs, "obs") / self.obs_scale
         u = nets.mlp_activations(self.nets["actor"], obs_norm[:, None, :])[-1][:, 0]
         if noise_sigma > 0:
@@ -281,16 +282,23 @@ class MaddpgTrainer:
                 "buffer_size": self.buffer.size, "buffer_cursor": self.buffer.cursor,
                 "rng_state": self.rng.bit_generator.state}
         state = {"meta": json.dumps(meta, sort_keys=True)}
-        for role in ROLES:
-            state[role] = self.nets[role].theta.copy()
-        for name in REPLAY_FIELDS:
-            state[name] = getattr(self.buffer, name)[:self.buffer.size].copy()
+        state.update((name, array.copy())
+                     for name, (_, array) in self.checkpoint_layout(self.buffer.size).items())
         state["input_scale"] = self.input_scale.copy()
         return state
 
+    def checkpoint_layout(self, size: int) -> dict[str, tuple[str, np.ndarray]]:
+        """The checkpoint's arrays, written once for saving and loading: entry
+        name -> (label, the float64 array it is), each role stack, then the first
+        `size` rows of each replay field."""
+        layout = {role: (f"{role} stack", self.nets[role].theta) for role in ROLES}
+        layout.update((name, (f"replay field {name}", getattr(self.buffer, name)[:size]))
+                      for name in REPLAY_FIELDS)
+        return layout
+
     def load_state_dict(self, state: dict):
-        """Restore from `state_dict()` output through the layout table: each role
-        stack, then the first buffer_size rows of each replay field. Unless every
+        """Restore from `state_dict()` output through `checkpoint_layout`: each
+        role stack, then the first buffer_size rows of each replay field. Unless every
         entry is there, float64 and shaped as its target, the cursor is where
         `push` would have left it, and input_scale is this trainer's, raise
         ConfigError naming it, or NumericError naming the first agent and role
@@ -300,9 +308,7 @@ class MaddpgTrainer:
         require(0 <= size <= capacity and 0 <= cursor < capacity,
                 f"{size} replay rows at cursor {cursor} do not fit "
                 f"a buffer of capacity {capacity}")
-        layout = {role: (f"{role} stack", self.nets[role].theta) for role in ROLES}
-        layout.update((name, (f"replay field {name}", getattr(self.buffer, name)[:size]))
-                      for name in REPLAY_FIELDS)
+        layout = self.checkpoint_layout(size)
         for name, (label, target) in layout.items():
             require(name in state, f"checkpoint is missing array {name}")
             array = state[name]

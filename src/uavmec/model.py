@@ -24,6 +24,10 @@ Each field's rule there is one of the rule tuples of `errors` (or the angle rule
 `_SCENARIO_RULES` shares), so a range and its wording are written once.
 `ScenarioConfig` holds its numbers to `_SCENARIO_RULES` (`errors.check_numbers`),
 and `Scenario.from_dict` reads a snapshot's config with `errors.config_from_dict`.
+
+Every random generator of the package comes from `stream(seed, role, *keys)`,
+whose one table `STREAMS` keys each role: the scenario build, each slot's
+tasks, the waypoint walk, and the learner.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ import numpy as np
 
 from .channel import ChannelParams
 from .errors import (COUNT, FINITE, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
-                     check_numbers, config_from_dict, config_to_dict, float_array,
-                     replace_file, require)
+                     check_number, check_numbers, config_from_dict, config_to_dict,
+                     float_array, replace_file, require)
 
 SCHEMA_VERSION = 1
 
@@ -142,6 +146,20 @@ class UavState:
 class Task:
     bits: float
     cycles_per_bit: float
+
+
+# Every random stream, by role: the keys after the seed that name its seed
+# sequence, and how many keys its caller adds. A stream is
+# default_rng([seed, *fixed, *added]); "build" is default_rng(seed) itself.
+STREAMS = {"build": ((), 0), "tasks": ((), 1), "walk": ((7,), 0), "learner": ((11,), 0)}
+
+
+def stream(seed: int, role: str, *keys: int) -> np.random.Generator:
+    """The generator of `role` (a `STREAMS` key) under `seed`, the only place
+    the package makes one: tasks take the slot as their key."""
+    fixed, count = STREAMS[role]
+    require(len(keys) == count, f"stream {role!r} takes {count} key(s), got {keys}")
+    return np.random.default_rng([seed, *fixed, *keys])
 
 
 _FLOAT64 = np.dtype(float)
@@ -298,7 +316,7 @@ class Scenario:
         pos = self.users.position
         area = [cfg.area_x, cfg.area_y]
         if self._walk is None:   # the walk's first step since construction or a reset
-            rng = np.random.default_rng([cfg.rng_seed, 7])
+            rng = stream(cfg.rng_seed, "walk")
             self._walk = rng, rng.uniform([0, 0], area, size=(cfg.num_users, 2))
         rng, waypoints = self._walk
         step = cfg.user_speed * cfg.slot_seconds
@@ -369,7 +387,7 @@ class Scenario:
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Seeded construction: users uniform on the ground, UAVs at their start corners."""
-    rng = np.random.default_rng(config.rng_seed)
+    rng = stream(config.rng_seed, "build")
     xy = rng.uniform([0.0, 0.0], [config.area_x, config.area_y],
                      size=(config.num_users, 2))
     freqs = rng.uniform(*config.user_freq_range, size=config.num_users)
@@ -472,11 +490,8 @@ def pairwise_distances(positions) -> np.ndarray:
 def generate_tasks(scenario: Scenario, slot: int) -> TaskArrays:
     """One task per user for the given slot, keyed by (rng_seed, slot) only."""
     cfg = scenario.config
-    if not isinstance(slot, (int, np.integer)) or slot.__class__ is bool:
-        raise ConfigError(f"slot must be an integer, got {slot!r}")
-    if not 0 <= slot < cfg.horizon:
-        raise ConfigError(f"slot {slot} outside horizon [0, {cfg.horizon})")
-    rng = np.random.default_rng([cfg.rng_seed, slot])
+    check_number(slot, ("int", 0, cfg.horizon - 1, f"lie in [0, {cfg.horizon})"), "slot")
+    rng = stream(cfg.rng_seed, "tasks", slot)
     bits = rng.uniform(*cfg.task_bits_range, size=cfg.num_users)
     cycles = rng.uniform(*cfg.task_cycles_per_bit_range, size=cfg.num_users)
     return TaskArrays(bits=bits, cycles_per_bit=cycles)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import UNIT, ConfigError, check_number
 
 
 class MlpParams:
@@ -186,8 +186,8 @@ def mlp_gradients(params: MlpParams, x: np.ndarray,
 
 
 def soft_update(target: MlpParams, online: MlpParams, tau: float):
-    """Convex blend target <- tau * online + (1 - tau) * target, elementwise."""
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError(f"tau must lie in (0, 1], got {tau}")
+    """Convex blend target <- tau * online + (1 - tau) * target, elementwise;
+    `tau` must lie in (0, 1] (`errors.check_number`)."""
+    check_number(tau, UNIT, "tau")
     target.theta *= (1.0 - tau)
     target.theta += tau * online.theta

@@ -126,9 +126,9 @@ class TestProjectedGradientOracle:
                           / decision.cpu_hz[off]) < 1e-6
 
     @pytest.mark.parametrize("assignment, message", [
-        ([0.7, LOCAL, 2, 1], "must be integers, got dtype float64"),
+        ([0.7, LOCAL, 2, 1], "^assignment must be an array of integers, .*dtype float64"),
         ([0, LOCAL, 2, 7], r"assignment of user 3 must be LOCAL \(-1\)"),
-        (["0", "-1", "2", "1"], "must be integers"),
+        (["0", "-1", "2", "1"], "assignment must be an array of integers"),
     ], ids=["fraction", "no-such-uav", "str"])
     def test_bad_assignment_rejected(self, assignment, message):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
@@ -320,7 +320,8 @@ class TestEvaluateAssignment:
     @pytest.mark.parametrize("entry, message", [
         *((entry, r"one-hot choice: assignment of user 1 must be LOCAL \(-1\) "
                   rf"or a UAV index in \[0, 3\), got {entry}$") for entry in (-2, 3, 7, 2 ** 40)),
-        *((entry, "assignment entries must be integers, got dtype float64")
+        *((entry, r"^assignment must be an array of integers, .*: dtype float64 is not an "
+                  "integer type$")
           for entry in (0.7, -1.5, np.nan, np.inf)),
     ], ids=["-2", "num_uavs", "7", "2**40", "0.7", "-1.5", "nan", "inf"])
     def test_bad_entry_names_the_user(self, entry, message):
@@ -342,12 +343,13 @@ class TestEvaluateAssignment:
                              ids=["str", "bool"])
     def test_non_numeric_assignment_rejected(self, assignment):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
-        with pytest.raises(ValidationError, match="must be integers"):
+        with pytest.raises(ValidationError, match="assignment must be an array of integers"):
             evaluate_assignment(assignment, ctx)
 
     def test_integral_floats_rejected(self):
         ctx = scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
-        with pytest.raises(ValidationError, match="must be integers, got dtype float64"):
+        with pytest.raises(ValidationError,
+                           match="^assignment must be an array of integers, .*dtype float64"):
             evaluate_assignment(np.array([0.0, -1.0, 2.0, 1.0]), ctx)
 
     @pytest.mark.parametrize("assignment", [

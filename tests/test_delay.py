@@ -278,7 +278,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", ["assignment", "bandwidth_hz", "cpu_hz"])
     def test_misshapen_arrays_rejected(self, field):
-        decision = self._decision(**{field: np.zeros(2)})
+        decision = self._decision(**{field: np.zeros(2, dtype=int)})
         with pytest.raises(ValidationError, match=r"must have shape \(1,\)"):
             validate_decision(decision, single_user_context())
 
@@ -291,7 +291,7 @@ class TestValidation:
     @pytest.mark.parametrize("assignment", [[0.5], [0.0], ["0"], [True]],
                              ids=["fraction", "integral-float", "str", "bool"])
     def test_non_integer_assignment_rejected(self, assignment):
-        with pytest.raises(ValidationError, match="assignment entries must be integers"):
+        with pytest.raises(ValidationError, match="^assignment must be an array of integers"):
             validate_decision(self._decision(assignment=np.array(assignment)),
                               single_user_context())
 

@@ -11,7 +11,7 @@ from uavmec.errors import FINITE, NON_NEGATIVE, POSITIVE, ConfigError
 from uavmec.model import (_SCENARIO_RULES, FIELD_RULES, Scenario, ScenarioConfig, Task,
                           TaskArrays, UavArrays, UavState, UserArrays, UserState, _Columns,
                           apply_motion, build_scenario, coverage_radius, generate_tasks,
-                          pairwise_distances)
+                          pairwise_distances, stream)
 
 
 def small_config(**overrides):
@@ -364,7 +364,7 @@ class TestTasks:
     def test_slot_outside_horizon(self):
         sc = build_scenario(small_config(horizon=5))
         for slot in (5, -1):
-            with pytest.raises(ConfigError, match=f"slot {slot} outside horizon"):
+            with pytest.raises(ConfigError, match=rf"^slot must lie in \[0, 5\), got {slot}$"):
                 generate_tasks(sc, slot)
 
 
@@ -373,6 +373,26 @@ def two_uavs(**columns) -> UavArrays:
     return UavArrays(**{"position": np.array([[10.0, 10.0, 12.0], [40.0, 40.0, 12.0]]),
                         "cpu_freq": np.full(2, 10e9), "tx_power": np.full(2, 5.0),
                         "half_angle_deg": np.full(2, 90.0), **columns})
+
+
+class TestStreams:
+    """`stream` keys each role as the generators it replaced did."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 2 ** 32 + 1, np.uint8(3)])
+    def test_build_stream_is_default_rng_of_the_seed(self, seed):
+        assert (stream(seed, "build").random(4).tobytes()
+                == np.random.default_rng(seed).random(4).tobytes())
+
+    @pytest.mark.parametrize("role, keys, entropy", [("tasks", (5,), [9, 5]), ("walk", (), [9, 7]),
+                                                     ("learner", (), [9, 11])])
+    def test_role_keys(self, role, keys, entropy):
+        assert (stream(9, role, *keys).random(4).tobytes()
+                == np.random.default_rng(entropy).random(4).tobytes())
+
+    @pytest.mark.parametrize("role, keys", [("tasks", ()), ("walk", (1,)), ("build", (0,))])
+    def test_wrong_number_of_keys_refused(self, role, keys):
+        with pytest.raises(ConfigError, match=f"stream '{role}' takes"):
+            stream(9, role, *keys)
 
 
 class TestEntityCheck:

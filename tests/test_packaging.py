@@ -72,3 +72,45 @@ def test_only_errors_converts_an_outside_array():
              and call.func.attr in ("array", "asarray")
              and isinstance(call.func.value, ast.Name) and call.func.value.id == "np"]
     assert casts == []
+
+
+# Names of the number types, builtin or numpy, as `isinstance` would be given them.
+NUMBER_TYPES = {"int", "float", "complex", "bool", "Number", "Real", "Integral", "number",
+                "integer", "signedinteger", "unsignedinteger", "floating", "bool_", "generic"}
+
+
+def named_types(node):
+    """The names in an `isinstance` type argument: a name, an attribute, a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return {name for element in node.elts for name in named_types(element)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return {node.attr} if isinstance(node, ast.Attribute) else set()
+
+
+def test_only_errors_tests_the_type_of_a_number():
+    """A number from outside is checked by the readers in `errors` alone: no
+    other module tests `isinstance(x, <number type>)` or `x.__class__ is ...`."""
+    tests = [f"{filename}:{node.lineno}" for filename, node in package_nodes()
+             if filename != "errors.py" and (
+                 (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2
+                  and named_types(node.args[1]) & NUMBER_TYPES)
+                 or (isinstance(node, ast.Compare)
+                     and any(isinstance(side, ast.Attribute) and side.attr == "__class__"
+                             for side in (node.left, *node.comparators))))]
+    assert tests == []
+
+
+def test_only_model_stream_makes_a_generator():
+    """Every random stream comes from `model.stream`, the one key table."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {id(node): function.name for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "default_rng"
+                  and (path.name, owners.get(id(node))) != ("model.py", "stream")]
+    assert calls == []

@@ -1,13 +1,16 @@
 """The two readers of saved state, `Scenario.from_dict` and
 `MaddpgTrainer.load_checkpoint`, their writers, the config checks they rely
-on, and the inputs of a slot step.
+on, the inputs of a slot step, and the readers of outside numbers.
 
 Whatever a snapshot or a checkpoint holds, reading it gives the saved object
 or raises a type from `uavmec.errors`, with no warning; and every config
 field a writer saves comes back equal. The same holds for the actions given
 to `EdgeComputeEnv.step`, its penalty and the slot of `generate_tasks`; and
 each argument of a public numeric helper that is not an array of numbers is a
-ConfigError naming it.
+ConfigError naming it. `READERS` holds every entry point of an outside scalar
+or integer array, and of an array that may mix a bool among its numbers: each
+refuses a numeric string, a bool, a NaN (where its rule excludes it), a
+ragged list and a list that mixes in a bool, naming the argument.
 """
 
 import copy
@@ -20,12 +23,14 @@ import warnings
 import numpy as np
 import pytest
 
-from uavmec import allocator, channel, errors, learner, model
+from tests._instances import scenario_range_context
+from uavmec import allocator, baselines, channel, errors, learner, model, nets
 from uavmec.channel import ChannelParams
+from uavmec.delay import SlotDecision, slot_dor, validate_decision
 from uavmec.env import EdgeComputeEnv
-from uavmec.errors import ConfigError, float_array
+from uavmec.errors import ConfigError, ValidationError, float_array, int_array
 from uavmec.learner import MaddpgTrainer, TrainConfig, train
-from uavmec.model import Scenario, ScenarioConfig, build_scenario, generate_tasks
+from uavmec.model import Scenario, ScenarioConfig, apply_motion, build_scenario, generate_tasks
 
 ERRORS = tuple(value for value in vars(errors).values()
                if isinstance(value, type) and issubclass(value, Exception)
@@ -181,11 +186,23 @@ class TestConfigChecks:
         with pytest.raises(ConfigError, match=rf"^{field} must "):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("cls, field, value", [
+        (TrainConfig, "tau", np.float32(0.0)),
+        (TrainConfig, "noise_decay_fraction", np.float32(0.0)),
+        (ScenarioConfig, "area_x", np.float32(0.0)), (ScenarioConfig, "area_x", np.float16(np.inf)),
+        (ScenarioConfig, "task_bits_range", (np.float32(0.0), np.float32(1.0))),
+    ])
+    def test_numpy_number_held_to_the_bounds_as_written(self, cls, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must "):
+            cls(**{field: value})
+
     def test_numpy_numbers_accepted(self):
         config = ScenarioConfig(num_users=np.int64(4), num_uavs=np.int32(2),
                                 area_x=np.float64(40.0), rng_seed=np.uint8(3))
         assert (config.num_users, config.num_uavs, config.area_x) == (4, 2, 40.0)
         assert TrainConfig(batch_size=np.int64(8), min_fill=8, tau=np.float32(0.5)).batch_size == 8
+        assert ScenarioConfig(area_x=np.float32(40.0), v_max=np.float16(2.0),
+                              user_power_range=(np.float32(1.0), np.float32(1.5))).area_x == 40.0
 
 
 class TestFloatArray:
@@ -199,11 +216,34 @@ class TestFloatArray:
         assert converted.dtype == np.float64 and (converted == values).all()
 
     @pytest.mark.parametrize("value", [["1", "2"], [True, False], [1 + 2j], [[1.0], [2.0, 3.0]],
-                                       [None, 1.0], 2**80],
-                             ids=["numeric-str", "all-bool", "complex", "ragged", "none", "huge"])
+                                       [None, 1.0], 2**80, [1.0, True], (1.0, np.True_),
+                                       [[1.0, 2.0], [3.0, False]], [np.ones(2), np.ones(2, bool)]],
+                             ids=["numeric-str", "all-bool", "complex", "ragged", "none", "huge",
+                                  "bool-in-list", "numpy-bool-in-tuple", "nested-bool",
+                                  "bool-array-in-list"])
     def test_non_numbers_refused_with_the_name(self, value):
         with pytest.raises(ConfigError, match="^x must be an array of numbers"):
             float_array(value, "x")
+
+
+class TestIntArray:
+    @pytest.mark.parametrize("values", [np.arange(4), np.arange(4, dtype=np.uint8),
+                                        np.array([2 ** 64 - 1], dtype=np.uint64)])
+    def test_integer_array_is_returned_as_read(self, values):
+        assert int_array(values, "x") is values
+
+    def test_list_of_integers_is_read(self):
+        read = int_array([0, -1, 2, 1], "x")
+        assert read.dtype.kind == "i" and read.tolist() == [0, -1, 2, 1]
+
+    @pytest.mark.parametrize("value", [[0.0, 1.0], [0, 1.5], ["0"], [True, False], [0, 1, True],
+                                       [0, np.True_], [[0], [0, 0]], [None, 1], 1.0],
+                             ids=["integral-float", "fraction", "numeric-str", "all-bool",
+                                  "bool-in-list", "numpy-bool-in-list", "ragged", "none",
+                                  "float-scalar"])
+    def test_non_integers_refused_with_the_name(self, value):
+        with pytest.raises(ConfigError, match="^x must be an array of integers"):
+            int_array(value, "x")
 
 
 class TestSnapshotReader:
@@ -393,7 +433,8 @@ class TestStepInputs:
 
 
 # Each public numeric helper, with valid arguments by name: every argument
-# except `params` goes through `errors.float_array`.
+# except `params` and the simplex `capacity` (a scalar, in `READERS`) goes
+# through `errors.float_array`.
 HELPERS = [
     (channel.elevation_deg_from_geometry, {"altitude_m": 10.0, "reference_dist_m": 5.0}),
     (channel.los_probability_from_angle, {"theta_deg": 30.0, "params": ChannelParams()}),
@@ -409,7 +450,8 @@ HELPERS = [
 class TestNumericHelperInputs:
     @pytest.mark.parametrize("bad", ["10", True], ids=["str", "bool"])
     @pytest.mark.parametrize("helper, name", [(helper, name) for helper, kwargs in HELPERS
-                                              for name in kwargs if name != "params"],
+                                              for name in kwargs
+                                              if name not in ("params", "capacity")],
                              ids=lambda v: v if isinstance(v, str) else v.__name__)
     def test_non_number_argument_named(self, helper, name, bad):
         kwargs = dict(dict(HELPERS)[helper])
@@ -434,3 +476,122 @@ class TestNumericHelperInputs:
         obs = np.full((3, 3), 5.0).astype(bad)
         with pytest.raises(ConfigError, match="^obs must be an array of numbers"):
             trainer.joint_actions(obs, 0.1)
+
+
+# ---- one reader per kind of outside number ----
+
+def four_user_slot():
+    """A 4-user, 3-UAV slot under full cones, where [0, 1, 2, 1] is valid."""
+    return scenario_range_context(np.random.default_rng(19), 4, 3, narrow_coverage=False)
+
+
+def tiny_net():
+    shapes = nets.mlp_shapes(2, 3, 1)
+    return nets.MlpParams(np.zeros(nets.param_count(shapes)), shapes, "linear")
+
+
+def motion(deltas):
+    positions = np.array([[10.0, 10.0, 12.0], [30.0, 20.0, 18.0]])
+    return apply_motion(positions, deltas, ScenarioConfig(num_uavs=2))
+
+
+def snapshot_tx_power(value):
+    data = build_scenario(SNAPSHOT_CONFIG).to_dict()
+    data["users"][1]["tx_power"] = value
+    return Scenario.from_dict(data)
+
+
+def noisy_actions(noise_sigma):
+    return MaddpgTrainer(trainer_scenario(), SMALL).joint_actions(np.full((3, 3), 5.0),
+                                                                  noise_sigma)
+
+
+def check_assignment_through(entry):
+    def run(assignment):
+        ctx = four_user_slot()
+        decision = SlotDecision(assignment, np.zeros(4), np.zeros(4))
+        return {"validate_decision": lambda: validate_decision(decision, ctx),
+                "slot_dor": lambda: slot_dor(decision, ctx),
+                "evaluate_assignment": lambda: allocator.evaluate_assignment(assignment, ctx),
+                "numeric_convex_oracle": lambda: allocator.numeric_convex_oracle(assignment, ctx),
+                }[entry]()
+    return run
+
+
+RAGGED = [[0], [0, 0]]
+INTEGERS = ValidationError, "assignment must be an array of integers"
+
+# Each row: the entry point, a call that passes one value to the argument
+# under test, a valid value, the error and the start of its message, a list
+# that mixes in a bool, whether its rule refuses NaN, and more values it
+# refuses. Every value must raise that error with that message.
+READERS = {
+    **{f"{entry} assignment": (check_assignment_through(entry), [0, 1, 2, 1], *INTEGERS,
+                               [0, 1, 2, True], True, [[0.0, 1.0, 2.0, 1.0], [0, 1, 2, np.True_]])
+       for entry in ("validate_decision", "slot_dor", "evaluate_assignment",
+                     "numeric_convex_oracle")},
+    "generate_tasks slot": (lambda slot: generate_tasks(build_scenario(ScenarioConfig(
+        num_users=2, horizon=5)), slot), 4, ConfigError, "slot must ", [0, True], True,
+        [5, -1, 1.0, np.float64(2.0), np.bool_(True), None]),
+    "soft_update tau": (lambda tau: nets.soft_update(tiny_net(), tiny_net(), tau), 0.5,
+                        ConfigError, "tau must ", [0.5, True], True, ["0.5", 0.0, 1.5, None]),
+    "ReplayBuffer capacity": (lambda capacity: learner.ReplayBuffer(capacity, 4, 2), 8,
+                              ConfigError, "capacity must ", [8, True], True,
+                              [0, -1, 8.0, np.bool_(True), None]),
+    "minimize_inverse_on_simplex capacity": (
+        lambda capacity: allocator.minimize_inverse_on_simplex([1.0, 2.0], capacity), 3.0,
+        ConfigError, "capacity must ", [3.0, True], True,
+        [[3.0, 3.0], 0.0, -3.0, math.inf, np.array(3.0), None]),
+    "minimize_inverse_on_simplex weights": (
+        lambda weights: allocator.minimize_inverse_on_simplex(weights, 3.0), [1.0, 2.0],
+        ConfigError, "weights must be an array of numbers", [1.0, True], False, [(2.0, False)]),
+    "joint_actions noise_sigma": (noisy_actions, 0.1, ConfigError, "noise_sigma must ",
+                                  [0.1, True], True, ["0.1", -1.0, math.inf, None]),
+    "rt_actions num_uavs": (lambda n: baselines.rt_actions(np.random.default_rng(0), n, 1.0), 4,
+                            ConfigError, "num_uavs must ", [4, True], True,
+                            ["4", 0, 4.0, np.bool_(True), None]),
+    "rt_actions max_step": (lambda step: baselines.rt_actions(np.random.default_rng(0), 4, step),
+                            1.0, ConfigError, "max_step must ", [1.0, True], True,
+                            [-1.0, math.inf, None]),
+    "ScenarioConfig UAV start": (
+        lambda start: ScenarioConfig(num_uavs=1, initial_uav_positions=(start,)),
+        (10.0, 10.0, 15.0), ConfigError, "initial position of UAV 0 must be an array of numbers",
+        [True, False, 15.0], False, [(10.0, np.False_, 15.0)]),
+    "Scenario.from_dict user tx_power": (
+        snapshot_tx_power, 1.1, ConfigError,
+        "scenario snapshot users field 'tx_power' must be an array of numbers", True, False,
+        [False, [1.0, True]]),
+    "apply_motion deltas": (motion, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], ConfigError,
+                            "motion deltas must be an array of numbers",
+                            [[0.0, 0.0, 0.0], [1.0, True, 1.0]], False,
+                            [[[0, 0, 0], [1, 1, 1.0j]]]),
+    "joint_actions obs": (
+        lambda obs: MaddpgTrainer(trainer_scenario(), SMALL).joint_actions(obs, 0.1),
+        np.full((3, 3), 5.0), ConfigError, "obs must be an array of numbers",
+        [[5.0, 5.0, 5.0], [5.0, 5.0, False], [5.0, 5.0, 5.0]], False, []),
+}
+
+
+class TestReaders:
+    @pytest.mark.parametrize("entry", list(READERS))
+    def test_every_bad_value_refused_with_the_argument_named(self, entry):
+        call, valid, error, prefix, mixed, nan_refused, more = READERS[entry]
+        call(valid)
+        bad = ["1", True, RAGGED, mixed, *([math.nan] if nan_refused else []), *more]
+        escaped = []
+        for value in bad:
+            try:
+                call(value)
+            except error as exc:
+                if not str(exc).startswith(prefix):
+                    escaped.append(f"{value!r}: {type(exc).__name__}: {exc}")
+            except Exception as exc:   # anything else escaped the reader: report it
+                escaped.append(f"{value!r}: {type(exc).__name__}: {exc}")
+            else:
+                escaped.append(f"{value!r}: accepted")
+        assert escaped == []
+
+    @pytest.mark.parametrize("capacity", [3.0, 3, np.float32(3.0), np.int64(3)])
+    def test_simplex_capacity_keeps_its_bits(self, capacity):
+        shares = allocator.minimize_inverse_on_simplex([2.0], capacity)
+        assert shares.dtype == np.float64 and shares.tobytes() == np.array([3.0]).tobytes()

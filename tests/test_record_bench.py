@@ -105,7 +105,9 @@ def test_record_holds_environment_projection_and_runs():
         run.update(probe_before={"gemm_us": 20.0}, probe_after={"gemm_us": 21.0})
     fresh = {"warm_slot_ms_p50": 6.0, "cold_slot_ms_p50": 1.0}
     defaults = {"episodes": 2, "horizon": 10, "min_fill": 5}
-    report = record_bench.record(runs, fresh, defaults)
+    alloc = record_bench.alloc_summary({"10x4": {"full": [0.5, 0.7], "narrow": [0.3, 0.4]}})
+    report = record_bench.record(runs, fresh, alloc, defaults)
+    assert report["allocator"] == alloc
     assert report["environment"]["commit"] == MANIFEST["commit"]
     assert report["projected_full_run"]["fresh_process"]["minutes"] == pytest.approx(
         (4 * 1.0 + 16 * 6.0) / 60e3)
@@ -122,3 +124,26 @@ def test_runs_from_different_checkouts_are_refused():
     runs[1]["manifest"]["commit"] = "0" * 40
     with pytest.raises(ValueError, match="disagree"):
         record_bench.environment([run["manifest"] for run in runs])
+
+
+def test_alloc_summary_gives_medians_per_size_and_cone():
+    times = {"10x4": {"full": [0.5, 0.9, 0.7], "narrow": [0.3, 0.4, 0.2]},
+             "40x8": {"full": [2.0, 1.0], "narrow": [1.5, 1.5]}}
+    assert record_bench.alloc_summary(times) == {
+        "10x4": {"full_ms_p50": 0.7, "narrow_ms_p50": 0.3, "ms_p50": 0.45, "contexts": 6},
+        "40x8": {"full_ms_p50": 1.5, "narrow_ms_p50": 1.5, "ms_p50": 1.5, "contexts": 4}}
+
+
+def test_alloc_times_solves_every_seeded_context():
+    times = record_bench.alloc_times(record_bench.REPO, sizes=((3, 2),), count=2)
+    assert list(times) == ["3x2"] and {cone: len(ms) for cone, ms in times["3x2"].items()} == {
+        "full": 2, "narrow": 2}
+    assert all(t > 0 for ms in times["3x2"].values() for t in ms)
+
+
+def test_alloc_contexts_are_seeded_bundles():
+    from uavmec import delay, model
+    narrow = [list(record_bench.alloc_contexts(model, delay, 4, 3, True, 2)) for _ in range(2)]
+    assert [ctx.r0.tobytes() for ctx in narrow[0]] == [ctx.r0.tobytes() for ctx in narrow[1]]
+    full = next(record_bench.alloc_contexts(model, delay, 4, 3, False, 1))
+    assert full.coverage.all() and not narrow[0][0].coverage.all()

@@ -5,6 +5,7 @@ checkout, next to readings of the machine's speed taken around each run.
     python3 tools/record_bench.py record --root ../parent --out-dir .
     python3 tools/record_bench.py probe
     python3 tools/record_bench.py train --root .
+    python3 tools/record_bench.py alloc --root .
 
 `record` runs the command in the checkout's BENCHMARK.json (bench/run.py)
 with --trace 0 for its run_seconds, one subprocess per run, alternating
@@ -12,8 +13,9 @@ workloads: round r runs each workload once, workload i on seed first_seed +
 r * (number of workloads) + i, so every run has a seed of its own. It parses
 each run's `manifest` line and its last line, the JSON result. Before and
 after each run it reads the speed probe in a subprocess of its own, and after
-the last run it times one fresh training process. It writes BENCH_<first 7
-digits of the checkout's commit>.json, holding:
+the last run it times one fresh training process and one allocator-only
+process. It writes BENCH_<first 7 digits of the checkout's commit>.json,
+holding:
 - per workload, the median, quartiles and IQR of every end-to-end metric and
   of op_ms_p50 (statistics.quantiles, n=4, as bench/steadiness.py takes
   them, so both give one IQR for the same runs), the seeds, the op counts,
@@ -22,6 +24,7 @@ digits of the checkout's commit>.json, holding:
 - the fresh training reading, and from it and from train_warm's op_ms_p50 a
   projection of a full default run (TrainConfig and ScenarioConfig defaults:
   250 episodes x 500 slots);
+- under `allocator`, the allocator-only reading;
 - the commit, python, numpy and BLAS versions and BLAS thread settings, from
   the runs' manifests.
 
@@ -35,6 +38,13 @@ and after it.
 10x4 scenario with min_fill = batch_size = 128, one episode, in a new process.
 train_warm cannot show this number, because its set-ups warm glibc's
 allocator before the timed slots.
+
+`alloc` prints one JSON line: per size (10x4, 40x8 and 100x10 users x UAVs),
+the median wall time of `allocator.cd_search` alone over 60 seeded contexts
+with full cones and 60 with one 30-60 degree cone for all UAVs, as
+bench/workloads.py AllocDense draws them, drawn from the ScenarioConfig
+ranges and built as `model` array bundles; the medians per cone and over
+both. Building the contexts is not timed.
 
 Every subprocess runs with one BLAS thread, as bench/run.py pins it. The
 benchmark runs leave their records in the checkout's git-ignored bench/out/.
@@ -68,6 +78,8 @@ PROBE_GEMM_REPS = 200
 PROBE_LOOP_REPS = 5
 PROBE_LOOP_STEPS = 200_000
 FRESH_WARM = 128       # min_fill = batch_size of the fresh training reading
+ALLOC_SIZES = ((10, 4), (40, 8), (100, 10))   # (users, UAVs) of the allocator reading
+ALLOC_CONTEXTS = 60    # seeded contexts per size and cone
 
 
 def pinned_env() -> dict:
@@ -125,7 +137,61 @@ def fresh_train(root: Path) -> dict:
             "warm_slot_ms_p50": float(np.median(warm)), "warm_slots": len(warm)}
 
 
+def alloc_contexts(model, delay, num_users: int, num_uavs: int, narrow: bool, count: int):
+    """`count` slot contexts drawn from the ScenarioConfig ranges, context i on
+    seed [num_users, num_uavs, narrow, i]; narrow ones give every UAV one
+    30-60 degree cone."""
+    config = model.ScenarioConfig(num_users=num_users, num_uavs=num_uavs)
+    m, n = num_users, num_uavs
+    for i in range(count):
+        rng = np.random.default_rng([m, n, int(narrow), i])
+        half_angle = rng.uniform(30.0, 60.0) if narrow else 90.0
+        users = model.UserArrays(
+            position=np.column_stack([rng.uniform(0.0, config.area_x, m),
+                                      rng.uniform(0.0, config.area_y, m), np.zeros(m)]),
+            cpu_freq=rng.uniform(*config.user_freq_range, m),
+            tx_power=rng.uniform(*config.user_power_range, m))
+        uavs = model.UavArrays(
+            position=rng.uniform([0.0, 0.0, config.z_min],
+                                 [config.area_x, config.area_y, config.z_max], size=(n, 3)),
+            cpu_freq=np.full(n, config.uav_freq), tx_power=np.full(n, config.uav_power),
+            half_angle_deg=np.full(n, half_angle))
+        tasks = model.TaskArrays(bits=rng.uniform(*config.task_bits_range, m),
+                                 cycles_per_bit=rng.uniform(*config.task_cycles_per_bit_range, m))
+        yield delay.SlotContext(users, uavs, tasks, config.channel)
+
+
+def alloc_times(root: Path, sizes=ALLOC_SIZES, count: int = ALLOC_CONTEXTS) -> dict:
+    """cd_search wall times in ms, per "<users>x<UAVs>" and cone. Each size's
+    first context is solved once, untimed, before the timed solves."""
+    sys.path.insert(0, str(root / "src"))
+    from uavmec import allocator, delay, model
+
+    times = {}
+    for m, n in sizes:
+        row = times[f"{m}x{n}"] = {}
+        for cone in ("full", "narrow"):
+            contexts = list(alloc_contexts(model, delay, m, n, cone == "narrow", count))
+            if cone == "full":
+                allocator.cd_search(contexts[0])
+            row[cone] = []
+            for ctx in contexts:
+                t0 = time.perf_counter()
+                allocator.cd_search(ctx)
+                row[cone].append(1e3 * (time.perf_counter() - t0))
+    return times
+
+
 # ---- parsing and aggregation, tested without subprocesses ----
+
+def alloc_summary(times: dict) -> dict:
+    """Per size, the median cd_search time per cone and over both, and the
+    number of contexts."""
+    return {size: {**{f"{cone}_ms_p50": statistics.median(ms) for cone, ms in cones.items()},
+                   "ms_p50": statistics.median([t for ms in cones.values() for t in ms]),
+                   "contexts": sum(map(len, cones.values()))}
+            for size, cones in times.items()}
+
 
 def parse_run(stdout: str) -> dict:
     """One bench/run.py --trace 0 run from its stdout: the last line's result and
@@ -188,7 +254,7 @@ def environment(manifests: list[dict]) -> dict:
     return json.loads(seen.pop())
 
 
-def record(runs: list[dict], fresh: dict, defaults: dict) -> dict:
+def record(runs: list[dict], fresh: dict, alloc: dict, defaults: dict) -> dict:
     env = environment([run["manifest"] for run in runs])
     workloads = aggregate(runs)
     cold = fresh["cold_slot_ms_p50"]
@@ -197,7 +263,7 @@ def record(runs: list[dict], fresh: dict, defaults: dict) -> dict:
         warm = workloads["train_warm"]["metrics"]["op_ms_p50"]["median"]
         projected["train_warm"] = projection(warm, cold, **defaults)
     return {"environment": env, "workloads": workloads, "fresh_train": fresh,
-            "projected_full_run": {"defaults": defaults, **projected},
+            "allocator": alloc, "projected_full_run": {"defaults": defaults, **projected},
             "runs": [{k: v for k, v in run.items() if k != "manifest"} for run in runs]}
 
 
@@ -238,6 +304,8 @@ def main(argv=None) -> int:
     modes.add_parser("probe", help="print one speed-probe reading")
     modes.add_parser("train", help="print one fresh training reading").add_argument(
         "--root", type=Path, default=REPO)
+    modes.add_parser("alloc", help="print one allocator-only reading").add_argument(
+        "--root", type=Path, default=REPO)
     args = parser.parse_args(argv)
 
     if args.mode == "probe":
@@ -245,6 +313,9 @@ def main(argv=None) -> int:
         return 0
     if args.mode == "train":
         print(json.dumps(fresh_train(args.root.resolve())))
+        return 0
+    if args.mode == "alloc":
+        print(json.dumps(alloc_summary(alloc_times(args.root.resolve()))))
         return 0
 
     if args.runs < 2:
@@ -265,7 +336,8 @@ def main(argv=None) -> int:
                   + f" gemm_us={before['gemm_us']:.3g}/{run['probe_after']['gemm_us']:.3g}",
                   flush=True)
     fresh = self_command("train", "--root", str(root))
-    report = record(runs, fresh, run_defaults(root))
+    alloc = self_command("alloc", "--root", str(root))
+    report = record(runs, fresh, alloc, run_defaults(root))
     report["settings"] = {"runs": args.runs, "first_seed": args.first_seed,
                           "seconds": spec["run_seconds"]}
     out = args.out_dir / f"BENCH_{report['environment']['commit'][:7]}.json"
