@@ -17,7 +17,7 @@ import numpy as np
 
 from .delay import (LOCAL, SlotContext, SlotDecision, SlotMetrics, check_assignment,
                     check_shares, slot_dor)
-from .errors import (POSITIVE, CapExceededError, ConfigError, ConvergenceError, check_number,
+from .errors import (POSITIVE, CapExceededError, ConvergenceError, check_array, check_number,
                      float_array)
 
 BRUTE_FORCE_CAP = 2 ** 20
@@ -166,16 +166,14 @@ def minimize_inverse_on_simplex(weights, capacity: float) -> np.ndarray:
     them. Works on the scale-free unit-simplex problem in extended precision
     and stops when the first-order multipliers w_i / x_i^2 agree to a relative
     spread below SIMPLEX_TOL (the budget binds at any optimum, so sum(x) = capacity).
-    `weights` go through `errors.float_array`, and `capacity` must be a
-    finite number > 0 (`errors.check_number`).
+    `weights` must be a vector of finite numbers > 0 (`errors.check_array`),
+    and `capacity` a finite number > 0 (`errors.check_number`).
     """
-    w64 = float_array(weights, "weights")
+    w64 = check_array(float_array(weights, "weights"), (None,), POSITIVE, "weights")
     check_number(capacity, POSITIVE, "capacity")
     capacity = float(capacity)
     if w64.size == 0:
         return np.empty(0)
-    if np.any(w64 <= 0):
-        raise ConfigError("simplex solver needs strictly positive weights")
     if w64.size == 1:
         return np.array([capacity])
 

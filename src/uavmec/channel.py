@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, ConfigError, check_numbers, float_array
+from .errors import FINITE, POSITIVE, ConfigError, check_array, check_numbers, float_array
 
 
 _RULES = {"a": POSITIVE, "b": POSITIVE, "eta_los_db": FINITE, "eta_nlos_db": FINITE,
@@ -55,11 +55,9 @@ def los_probability_from_angle(theta_deg, params: ChannelParams):
 
 
 def free_space_loss_db(dist_m, carrier_mhz):
-    """Free-space term, distance in meters, carrier in MHz."""
-    d = float_array(dist_m, "dist_m")
+    """Free-space term, distance in meters (finite and > 0), carrier in MHz."""
+    d = check_array(float_array(dist_m, "dist_m"), None, POSITIVE, "dist_m")
     carrier = float_array(carrier_mhz, "carrier_mhz")
-    if (d <= 0).any():
-        raise ConfigError("free-space path loss undefined at zero distance")
     return 20.0 * np.log10(d) + 20.0 * np.log10(carrier) - 27.56
 
 

@@ -9,9 +9,10 @@ ingress) included; a `SlotDecision` holds only who offloads where, and the share
 
 `check_assignment` checks an assignment, read through `errors.int_array`, and
 `check_shares` a decision's bandwidth_hz and cpu_hz, read through
-`errors.float_array`, given its checked assignment; each raises its reader's
-refusal as a ValidationError. `validate_decision` runs both, and
-`slot_dor(validate=True)` scores the arrays it returns. A validated
+`errors.float_array`, given its checked assignment; each then calls
+`errors.check_array`, and raises a refusal as a ValidationError.
+`validate_decision` runs both, and `slot_dor(validate=True)` scores the
+arrays it returns. A validated
 `allocator.evaluate_assignment` runs each once: its assignment, then its
 shares. `allocator.numeric_convex_oracle` runs `check_assignment` too.
 """
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .errors import ConfigError, InfeasibleError, ValidationError, float_array, int_array
+from .errors import (NON_NEGATIVE, ConfigError, InfeasibleError, ValidationError, check_array,
+                     float_array, int_array)
 from .model import TaskArrays, UavArrays, UserArrays, coverage_radius, pair_geometry
 
 LOCAL = -1  # assignment value for "compute on the user's own device"
@@ -127,19 +129,15 @@ def check_assignment(assignment, ctx: SlotContext) -> tuple[np.ndarray, np.ndarr
     """A fresh int copy of `assignment` and the indices of its offloaded users.
     ValidationError unless `errors.int_array` reads it (integers, not bools,
     floats or strings), it has shape (num_users,) and each entry is LOCAL or a
-    UAV index, naming the first bad user; InfeasibleError naming the first
-    offloaded user without an ingress."""
+    UAV index (`errors.check_array`), naming the first bad user;
+    InfeasibleError naming the first offloaded user without an ingress."""
+    n = ctx.num_uavs
     try:
-        raw = int_array(assignment, "assignment")
+        raw = check_array(int_array(assignment, "assignment"), (ctx.num_users,),
+                          ("int", LOCAL, n - 1, f"be LOCAL ({LOCAL}) or a UAV index in [0, {n})"),
+                          "user {} assignment")
     except ConfigError as exc:   # a decision's fault, not a config's
         raise ValidationError(str(exc)) from None
-    m, n = ctx.num_users, ctx.num_uavs
-    if raw.shape != (m,):
-        raise ValidationError(f"assignment must have shape ({m},), got {raw.shape}")
-    if raw.min() < LOCAL or raw.max() >= n:
-        user = ((raw < LOCAL) | (raw >= n)).argmax()
-        raise ValidationError(f"one-hot choice: assignment of user {user} must be LOCAL "
-                              f"({LOCAL}) or a UAV index in [0, {n}), got {raw[user]}")
     a = raw.astype(int)
     off = (a != LOCAL).nonzero()[0]
     stranded = ctx.default_ingress[off] == LOCAL
@@ -162,22 +160,16 @@ def check_shares(decision: SlotDecision, a: np.ndarray,
     """`decision`'s bandwidth and cpu shares as float arrays, given `a` from
     `check_assignment`. ValidationError naming the first violated constraint
     unless `errors.float_array` reads both, they have shape (num_users,), are
-    >= 0, are zero for local users and fit every UAV's capacities. Each
-    constraint is one or two whole-array tests; the index a message names is
-    looked up only after a test has failed."""
+    finite and >= 0 (`errors.check_array`), are zero for local users and fit
+    every UAV's capacities. Each constraint is one or two whole-array tests;
+    the index a message names is looked up only after a test has failed."""
+    shape, n = (ctx.num_users,), ctx.num_uavs
     try:
-        bw = float_array(decision.bandwidth_hz, "bandwidth_hz")
-        cpu = float_array(decision.cpu_hz, "cpu_hz")
+        bw, cpu = (check_array(float_array(share, name), shape, NON_NEGATIVE, f"user {{}} {name}")
+                   for share, name in ((decision.bandwidth_hz, "bandwidth_hz"),
+                                       (decision.cpu_hz, "cpu_hz")))
     except ConfigError as exc:   # a decision's fault, not a config's
         raise ValidationError(str(exc)) from None
-    m, n = ctx.num_users, ctx.num_uavs
-    if not bw.shape == cpu.shape == (m,):
-        raise ValidationError(f"bandwidth_hz and cpu_hz must have shape ({m},), "
-                              f"got {bw.shape}, {cpu.shape}")
-    if not bw.min() >= 0:       # a NaN fails too
-        raise ValidationError("bandwidth shares must be >= 0")
-    if not cpu.min() >= 0:
-        raise ValidationError("cpu shares must be >= 0")
     local = a == LOCAL
     if local.any() and (bw[local].any() or cpu[local].any()):
         raise ValidationError("local users must hold zero bandwidth and cpu shares")

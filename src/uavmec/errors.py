@@ -1,23 +1,12 @@
 """Exception types shared across the package, the readers of outside numbers,
 the two checks of a config, and the one way saved state is written.
 
-Every number that enters the package from outside passes one of three
-readers, and each refusal is a ConfigError naming the argument:
-- `check_number` holds one scalar to one rule tuple (FINITE, POSITIVE, UNIT,
-  ...): every config field, through `check_numbers`, and `generate_tasks`'
-  slot, `EdgeComputeEnv`'s penalty, `nets.soft_update`'s tau, the capacity of
-  `ReplayBuffer` and of `allocator.minimize_inverse_on_simplex`,
-  `MaddpgTrainer.joint_actions`' noise_sigma, and `baselines.rt_actions`'
-  num_uavs and max_step.
-- `float_array` returns an array of numbers as float64: snapshot rows and
-  records, UAV starts, motion deltas, the arrays of the public numeric
-  helpers and of `MaddpgTrainer.joint_actions` and `remember`, and a
-  decision's shares (in `delay.check_shares`).
-- `int_array` returns an array of integers as numpy reads it: an assignment
-  (in `delay.check_assignment`).
-The array readers share one core: numpy must read the value as their dtype
-kind, and a list or tuple must hold no bool, which numpy would read as 0 or 1
-among numbers. `delay` raises their refusals as ValidationErrors.
+Every number from outside the package passes one rule: an array goes through
+a reader, `float_array` (numbers, as float64) or `int_array` (integers), then
+`check_array` (its shape and range); a scalar through `check_number` (its type
+and range). A rule tuple (FINITE, POSITIVE, UNIT, ...) gives a range and its
+wording. Each refusal is a ConfigError naming the argument, which `delay`
+raises as a ValidationError.
 
 `config_from_dict` is the one reader of a saved config (a scenario
 snapshot's or a checkpoint's), `config_to_dict` its inverse, and
@@ -131,6 +120,29 @@ def int_array(value, what: str) -> np.ndarray:
     dtype; ConfigError naming `what` unless numpy reads it as integers, with
     no bool among them. Floats, integral ones too, are refused."""
     return _number_array(value, "iu", "integers", "an integer type", what)
+
+
+def check_array(array: np.ndarray, shape, rule, what: str) -> np.ndarray:
+    """`array`, as a reader returned it; ConfigError naming `what` unless it has
+    `shape`, a tuple whose None entries match any length, and every entry lies
+    in `rule`'s closed range [low, high], where a NaN never lies. None in place
+    of `shape` or `rule` checks nothing. A "{}" in `what` stands for a row
+    index: a range refusal fills it with the first bad row (of axis 0), a
+    shape refusal leaves it out. A good array is cleared by its values at
+    `argmin` and `argmax` (a NaN is both, if there is one), a third of the cost
+    of `min` and `max`; only a bad one is searched."""
+    if shape is not None and array.shape != shape and (array.ndim != len(shape) or any(
+            want not in (None, have) for have, want in zip(array.shape, shape))):
+        raise ConfigError(f"{' '.join(what.format('').split())} must have shape "
+                          f"{str(shape).replace('None', 'K')}, got {array.shape}")
+    if rule is not None and array.size:
+        _, low, high, wording = rule
+        if not (low <= array.item(array.argmin()) and array.item(array.argmax()) <= high):
+            rows = array.reshape(len(array) if array.ndim else 1, -1)
+            bad = ((rows >= low) & (rows <= high)).all(axis=1).argmin()
+            raise ConfigError(f"{what.format(bad)} must {wording}, "
+                              f"got {array[bad] if array.ndim else array}")
+    return array
 
 
 def _number_array(value, kinds: str, noun: str, need: str, what: str) -> np.ndarray:

@@ -47,14 +47,13 @@ import numpy as np
 
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
-from .errors import (COUNT, NON_NEGATIVE, SEED, UNIT, ConfigError, NumericError,
-                     check_number, check_numbers, config_from_dict, config_to_dict,
-                     float_array, replace_file, require)
+from .errors import (COUNT, FINITE, NON_NEGATIVE, SEED, UNIT, ConfigError, NumericError,
+                     check_array, check_number, check_numbers, config_from_dict,
+                     config_to_dict, float_array, replace_file, require)
 from .model import Scenario, stream
 
 CHECKPOINT_SCHEMA_VERSION = 5
-META_KEYS = {"schema_version": int, "config": dict, "buffer_size": int, "buffer_cursor": int,
-             "rng_state": dict}   # each meta key and the JSON type of its value
+META_KEYS = ("schema_version", "config", "buffer_size", "buffer_cursor", "rng_state")
 ROLES = ("actor", "critic", "target_actor", "target_critic")
 REPLAY_FIELDS = ("x", "rew", "next_obs")
 
@@ -194,11 +193,12 @@ class MaddpgTrainer:
 
         Each row is the agent's policy output plus Gaussian noise, clipped to
         the per-axis step budget; the environment's motion enforcement still
-        applies on top. `obs` goes through `errors.float_array`, and
-        `noise_sigma` must be finite and >= 0 (`errors.check_number`).
+        applies on top. `obs` must be a finite (num_agents, 3) array
+        (`errors.check_array`), and `noise_sigma` finite and >= 0.
         """
         check_number(noise_sigma, NON_NEGATIVE, "noise_sigma")
-        obs_norm = float_array(obs, "obs") / self.obs_scale
+        obs_norm = check_array(float_array(obs, "obs"), (self.num_agents, 3), FINITE,
+                               "obs") / self.obs_scale
         u = nets.mlp_activations(self.nets["actor"], obs_norm[:, None, :])[-1][:, 0]
         if noise_sigma > 0:
             u = u + self.rng.normal(scale=noise_sigma, size=u.shape)
@@ -209,10 +209,12 @@ class MaddpgTrainer:
     def remember(self, obs, actions, reward: float, next_obs):
         """Store one transition in network units: the critic input
         [obs, actions] / input_scale, the reward, and next_obs divided by the
-        box extents. obs, actions and next_obs are (num_agents, 3). Every
-        argument goes through `errors.float_array`."""
-        obs, actions, reward, next_obs = (float_array(value, name) for value, name in (
-            (obs, "obs"), (actions, "actions"), (reward, "reward"), (next_obs, "next_obs")))
+        box extents. obs, actions and next_obs must be finite (num_agents, 3)
+        arrays (`errors.check_array`), and the reward a finite number."""
+        check_number(reward, FINITE, "reward")
+        obs, actions, next_obs = (
+            check_array(float_array(value, name), (self.num_agents, 3), FINITE, name)
+            for value, name in ((obs, "obs"), (actions, "actions"), (next_obs, "next_obs")))
         x = np.concatenate([np.ravel(obs), np.ravel(actions)]) / self.input_scale
         self.buffer.push(x, reward, np.ravel(next_obs) / self.joint_obs_scale)
 
@@ -305,9 +307,10 @@ class MaddpgTrainer:
         with a non-finite parameter, before anything is changed."""
         meta = checkpoint_meta(state)
         size, cursor, capacity = meta["buffer_size"], meta["buffer_cursor"], self.buffer.capacity
-        require(0 <= size <= capacity and 0 <= cursor < capacity,
-                f"{size} replay rows at cursor {cursor} do not fit "
-                f"a buffer of capacity {capacity}")
+        check_number(size, ("int", 0, capacity, f"lie in [0, {capacity}]"),
+                     "checkpoint buffer_size")
+        check_number(cursor, ("int", 0, capacity - 1, f"lie in [0, {capacity})"),
+                     "checkpoint buffer_cursor")
         layout = self.checkpoint_layout(size)
         for name, (label, target) in layout.items():
             require(name in state, f"checkpoint is missing array {name}")
@@ -373,20 +376,21 @@ def check_finite_stacks(stacks: dict, where: str):
 
 def checkpoint_meta(state: dict) -> dict:
     """A checkpoint state's parsed `meta`; ConfigError, naming what is wrong,
-    unless meta is current-schema JSON holding every key in META_KEYS with its type.
-    `load_state_dict` checks the arrays."""
+    unless meta is current-schema JSON holding every key in META_KEYS, config
+    and rng_state as objects. `load_state_dict` checks the rest."""
     require("meta" in state, "checkpoint is missing array meta")
     try:
         meta = json.loads(str(state["meta"]))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"checkpoint meta is not JSON: {exc}") from None
     version = meta.get("schema_version") if isinstance(meta, dict) else None
-    require(version == CHECKPOINT_SCHEMA_VERSION,
-            f"unsupported checkpoint schema_version: {version!r}")
-    for key, kind in META_KEYS.items():
+    check_number(version, ("int", CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_SCHEMA_VERSION,
+                           f"be {CHECKPOINT_SCHEMA_VERSION}"), "checkpoint schema_version")
+    for key in META_KEYS:
         require(key in meta, f"checkpoint meta is missing key {key}")
-        require(type(meta[key]) is kind, f"checkpoint meta {key} must be "
-                f"{'an integer' if kind is int else 'a JSON object'}, got {meta[key]!r}")
+    for key in ("config", "rng_state"):
+        require(isinstance(meta[key], dict),
+                f"checkpoint meta {key} must be a JSON object, got {meta[key]!r}")
     return meta
 
 
@@ -411,6 +415,9 @@ def train(scenario: Scenario, config: TrainConfig,
         for _ in range(scenario.config.horizon):
             actions = trainer.joint_actions(obs, sigma)
             next_obs, reward, info = env.step(actions)
+            total_reward += reward
+            if not np.isfinite(total_reward):   # before `remember` refuses it as a ConfigError
+                raise NumericError(f"non-finite episode reward at episode {episode}")
             trainer.remember(obs, actions, reward, next_obs)
             if trainer.buffer.size >= config.min_fill:
                 batches = trainer.buffer.sample(trainer.num_agents, config.batch_size,
@@ -420,14 +427,11 @@ def train(scenario: Scenario, config: TrainConfig,
                     trainer.critic_update(n, batch)
                     trainer.actor_update(n, batch)
                     trainer.soft_update_agent(n)
-            total_reward += reward
             total_dor += info.dor
             violations += np.count_nonzero(info.violators)
             if slot_callback is not None:
                 slot_callback(episode, info)
             obs = next_obs
-        if not np.isfinite(total_reward):
-            raise NumericError(f"non-finite episode reward at episode {episode}")
         trainer.check_finite(f"episode {episode}")
         history.episode_reward.append(total_reward)
         history.episode_mean_dor.append(total_dor / scenario.config.horizon)

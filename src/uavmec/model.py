@@ -40,8 +40,8 @@ import numpy as np
 
 from .channel import ChannelParams
 from .errors import (COUNT, FINITE, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
-                     check_number, check_numbers, config_from_dict, config_to_dict,
-                     float_array, replace_file, require)
+                     check_array, check_number, check_numbers, config_from_dict,
+                     config_to_dict, float_array, replace_file, require)
 
 SCHEMA_VERSION = 1
 
@@ -110,11 +110,8 @@ class ScenarioConfig:
         low, high = (0.0, 0.0, self.z_min), (self.area_x, self.area_y, self.z_max)
         starts = []
         for n, position in enumerate(positions):
-            row = float_array(position, f"initial position of UAV {n}")
-            require(row.shape == (3,),
-                    f"initial position of UAV {n} must be 3 numbers, got {position!r}")
-            require(np.isfinite(row).all(),
-                    f"initial position of UAV {n} must be finite, got {position}")
+            what = f"initial position of UAV {n}"
+            row = check_array(float_array(position, what), (3,), FINITE, what)
             require(((row >= low) & (row <= high)).all(),
                     f"initial position of UAV {n} {position} lies outside the flight box "
                     f"[0, {self.area_x}] x [0, {self.area_y}] x [{self.z_min}, {self.z_max}]")
@@ -178,37 +175,38 @@ class _Columns:
 
     entity = ""   # names the entity in messages: "user 1 cpu_freq must ..."
 
+    def __init_subclass__(cls):
+        # per field, in order: its name, `FIELD_RULES` entry and message template
+        cls.rules = [(name, *FIELD_RULES[name], f"{cls.entity} {{}} {name}")
+                     for name in cls.__annotations__]
+
     def check(self):
         """ConfigError unless every field is a float64 ndarray of K rows, shaped
-        as its `FIELD_RULES` row, whose values all lie in its range; it names the
-        field, or for a bad value the entity and its index. A good column is
-        cleared by its values at `argmin` and `argmax` (a NaN is both, if there
-        is one), a third of the cost of `min` and `max`; only a bad one is searched."""
+        as its `FIELD_RULES` row, whose values all lie in its range
+        (`errors.check_array`); it names the field, or for a bad value the
+        entity and its index. The first field with rows sets K."""
         rows = None
-        for name in self.__dataclass_fields__:
+        for name, tail, rule, what in self.rules:
             values = getattr(self, name)
-            tail, (_, low, high, wording) = FIELD_RULES[name]
             if not isinstance(values, np.ndarray) or values.dtype != _FLOAT64:
                 raise ConfigError(f"{self.entity} field {name!r} must be a float64 array, "
                                   f"got {getattr(values, 'dtype', type(values).__name__)}")
             if rows is None and values.ndim == 1 + len(tail):
                 rows = len(values)
-            if values.shape != (rows, *tail):
-                raise ConfigError(f"{self.entity} field {name!r} has shape {values.shape}, "
-                                  f"expected {('K' if rows is None else rows, *tail)}")
-            if rows and not (low <= values.item(values.argmin())
-                             and values.item(values.argmax()) <= high):
-                bad = ((values >= low) & (values <= high)).reshape(rows, -1).all(axis=1).argmin()
-                raise ConfigError(f"{self.entity} {bad} {name} must {wording}, "
-                                  f"got {values[bad]}")
+            check_array(values, (rows, *tail), rule, what)
 
     @classmethod
     def from_rows(cls, rows, where: str):
         """Stack a list of mappings that carry every field name (snapshot rows,
         or the `vars` of records) into arrays, each column through
-        `errors.float_array`. Rows that are not mappings raise TypeError."""
-        return cls(*(float_array([row[f.name] for row in rows], f"{where} field {f.name!r}")
-                     for f in fields(cls)))
+        `errors.float_array`. Rows that are not mappings raise TypeError; a key
+        that is no field name is a ConfigError naming `where`."""
+        names = [f.name for f in fields(cls)]
+        bundle = cls(*(float_array([row[name] for row in rows], f"{where} field {name!r}")
+                       for name in names))
+        unknown = set().union(*rows).difference(names)
+        require(not unknown, f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+        return bundle
 
     def to_rows(self) -> list[dict]:
         names = [f.name for f in fields(self)]
@@ -356,10 +354,9 @@ class Scenario:
             raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc
         except TypeError as exc:   # a section that is not a list of row objects
             raise ConfigError(f"scenario snapshot is malformed: {exc}") from exc
-        for key, rows, need in (("users", users.position, config.num_users),
-                                ("uavs", uavs.position, config.num_uavs)):
-            require(np.shape(rows) == (need, 3), f"scenario snapshot {key} has shape "
-                    f"{np.shape(rows)}, its config needs ({need}, 3)")
+        for key, bundle, need in (("users", users, config.num_users),
+                                  ("uavs", uavs, config.num_uavs)):
+            check_array(bundle.position, (need, 3), None, f"scenario snapshot {key} position")
         initial = config._check_initial_uav_positions(initial)
         for n, (start, own) in enumerate(zip(initial, config.initial_uav_positions or ())):
             if start != own:   # a config with starts has them written twice in a snapshot
@@ -417,15 +414,10 @@ def apply_motion(positions: np.ndarray, deltas,
     Enforcement never rejects, it flags. Returns the new (N, 3) positions and
     the (N,) box and speed violation masks; neither input is written. Deltas
     that are not an array of numbers (`errors.float_array`) shaped as the
-    positions, or not finite, are a ConfigError.
+    positions, or not finite (`errors.check_array`), are a ConfigError.
     """
-    deltas = float_array(deltas, "motion deltas")
-    if deltas.shape != positions.shape:
-        raise ConfigError(f"motion deltas must have the shape of the UAV positions "
-                          f"{positions.shape}, got {deltas.shape}")
-    if not np.isfinite(deltas).all():
-        bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))[0]
-        raise ConfigError(f"motion delta of UAV {bad} must be finite, got {deltas[bad]}")
+    deltas = check_array(float_array(deltas, "motion deltas"), positions.shape, FINITE,
+                         "UAV {} motion delta")
 
     norm = _row_norms(deltas)
     max_step = config.max_step
@@ -479,9 +471,9 @@ def pairwise_distances(positions) -> np.ndarray:
 
     The diagonal is +inf, so a UAV is never its own nearest neighbour and the
     minimum over the array is +inf for fewer than two UAVs. `positions` goes
-    through `errors.float_array`.
+    through `errors.float_array` and must be (N, 3) (`errors.check_array`).
     """
-    pos = float_array(positions, "positions")
+    pos = check_array(float_array(positions, "positions"), (None, 3), None, "positions")
     dist = pair_geometry(pos, pos)[1]
     np.fill_diagonal(dist, np.inf)
     return dist

@@ -13,7 +13,7 @@ from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment
 from uavmec.baselines import al_allocate, ao_allocate
 from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext, SlotDecision, validate_decision
-from uavmec.errors import CapExceededError, InfeasibleError, ValidationError
+from uavmec.errors import CapExceededError, ConvergenceError, InfeasibleError, ValidationError
 from uavmec.model import (ScenarioConfig, Task, UavState, UserState, build_scenario,
                           generate_tasks)
 
@@ -99,6 +99,15 @@ class TestProjectedGradientOracle:
     def test_single_entry_full_capacity(self):
         assert minimize_inverse_on_simplex([2.0], 7.0) == pytest.approx([7.0])
 
+    def test_no_entries_no_shares(self):
+        shares = minimize_inverse_on_simplex([], 7.0)
+        assert shares.shape == (0,) and shares.dtype == np.float64
+
+    def test_stall_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(allocator, "SIMPLEX_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="projected gradient stalled"):
+            minimize_inverse_on_simplex([1.0, 4.0], 7.0)
+
     def test_matches_sqrt_law_on_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -127,7 +136,7 @@ class TestProjectedGradientOracle:
 
     @pytest.mark.parametrize("assignment, message", [
         ([0.7, LOCAL, 2, 1], "^assignment must be an array of integers, .*dtype float64"),
-        ([0, LOCAL, 2, 7], r"assignment of user 3 must be LOCAL \(-1\)"),
+        ([0, LOCAL, 2, 7], r"user 3 assignment must be LOCAL \(-1\)"),
         (["0", "-1", "2", "1"], "assignment must be an array of integers"),
     ], ids=["fraction", "no-such-uav", "str"])
     def test_bad_assignment_rejected(self, assignment, message):
@@ -318,7 +327,7 @@ class TestBruteForce:
 
 class TestEvaluateAssignment:
     @pytest.mark.parametrize("entry, message", [
-        *((entry, r"one-hot choice: assignment of user 1 must be LOCAL \(-1\) "
+        *((entry, r"^user 1 assignment must be LOCAL \(-1\) "
                   rf"or a UAV index in \[0, 3\), got {entry}$") for entry in (-2, 3, 7, 2 ** 40)),
         *((entry, r"^assignment must be an array of integers, .*: dtype float64 is not an "
                   "integer type$")

@@ -87,12 +87,13 @@ class TestScalarDelays:
 
     @pytest.mark.parametrize("kind, field, value, rows, message", [
         ("user", "position", [1.0, 2.0], "all",
-         r"user field 'position' has shape \(2, 2\), expected \(2, 3\)"),
+         r"user position must have shape \(2, 3\), got \(2, 2\)"),
         ("user", "position", [1.0, 2.0], "last",
          "user records field 'position' must be an array of numbers"),
         ("user", "cpu_freq", "fast", "last",
          "user records field 'cpu_freq' must be an array of numbers"),
-        ("UAV", "tx_power", [5.0, 5.0], "all", r"UAV field 'tx_power' has shape \(2, 2\)"),
+        ("UAV", "tx_power", [5.0, 5.0], "all",
+         r"UAV tx_power must have shape \(2,\), got \(2, 2\)"),
         ("task", "bits", "many", "last", "task records field 'bits' must be an array of numbers"),
         ("user", "cpu_freq", "1e9", "last",
          "user records field 'cpu_freq' must be an array of numbers"),
@@ -135,6 +136,11 @@ class TestScalarDelays:
             SlotContext(nobody, uav, [], ChannelParams())
         with pytest.raises(ConfigError, match="got 1 users and 0 UAVs"):
             SlotContext(user, no_uav, task, ChannelParams())
+
+    def test_needs_a_task_per_user(self):
+        with pytest.raises(ConfigError, match="^1 tasks for 2 users$"):
+            SlotContext([make_user(0, 0), make_user(5, 5)], [make_uav(0, 0)],
+                        [Task(bits=1e5, cycles_per_bit=1000.0)], ChannelParams())
 
     def test_offload_delay(self):
         task = Task(bits=1e5, cycles_per_bit=500.0)
@@ -282,9 +288,9 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"must have shape \(1,\)"):
             validate_decision(decision, single_user_context())
 
-    @pytest.mark.parametrize("field, kind", [("bandwidth_hz", "bandwidth"), ("cpu_hz", "cpu")])
-    def test_nan_share_rejected(self, field, kind):
-        with pytest.raises(ValidationError, match=f"{kind} shares must be >= 0"):
+    @pytest.mark.parametrize("field", ["bandwidth_hz", "cpu_hz"])
+    def test_nan_share_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"^user 0 {field} must be finite and >= 0"):
             validate_decision(self._decision(**{field: np.array([np.nan])}),
                               single_user_context())
 
@@ -316,7 +322,7 @@ class TestValidation:
         assert again.per_user_delay.tobytes() == metrics.per_user_delay.tobytes()
 
     def test_bad_assignment_index(self):
-        with pytest.raises(ValidationError, match="one-hot"):
+        with pytest.raises(ValidationError, match="^user 0 assignment must be LOCAL"):
             validate_decision(self._decision(assignment=np.array([3])),
                               single_user_context())
 

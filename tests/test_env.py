@@ -103,7 +103,8 @@ class TestPenalties:
 class TestEpisode:
     def test_bad_action_shape_rejected(self):
         env = make_env([(10, 10, 12), (40, 40, 12)])
-        with pytest.raises(ConfigError, match=r"positions \(2, 3\), got \(3, 3\)"):
+        with pytest.raises(ConfigError,
+                           match=r"UAV motion delta must have shape \(2, 3\), got \(3, 3\)"):
             env.step(np.zeros((3, 3)))
         assert env.slot == 0
 

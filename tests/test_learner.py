@@ -113,12 +113,16 @@ class TestCheckpointInput:
         ({"buffer_size": "0"}, ConfigError, "buffer_size must be an integer"),
         ({"buffer_size": True}, ConfigError, "buffer_size must be an integer"),
         ({"buffer_cursor": 1.5}, ConfigError, "buffer_cursor must be an integer"),
+        ({"buffer_size": -5}, ConfigError, r"^checkpoint buffer_size must lie in \[0, 64\]"),
+        ({"buffer_size": 2 ** 70}, ConfigError, r"^checkpoint buffer_size must lie in \[0, 64\]"),
+        ({"buffer_cursor": 64}, ConfigError, r"^checkpoint buffer_cursor must lie in \[0, 64\)"),
         ({"config": []}, ConfigError, "config must be a JSON object"),
         ({"rng_state": "PCG64"}, ConfigError, "rng_state must be a JSON object"),
         (("actor", 1, np.nan), NumericError, "agent 1 actor in the checkpoint"),
         (("target_critic", 3, -np.inf), NumericError, "agent 3 target_critic in the checkpoint"),
     ], ids=["rng_state", "buffer_size", "buffer_size-str", "buffer_size-bool",
-            "buffer_cursor-float", "config-list", "rng_state-str",
+            "buffer_cursor-float", "buffer_size-negative", "buffer_size-huge",
+            "buffer_cursor-capacity", "config-list", "rng_state-str",
             "actor-nan", "target_critic-inf"])
     def test_rejected_state_changes_nothing(self, edit, error, message):
         state = train(scenario(), SMALL)[0].state_dict()   # 24 replay rows
@@ -155,8 +159,8 @@ class TestCheckpointInput:
 
     @pytest.mark.parametrize("meta, message", [
         ('{"schema_version": 2', "not JSON"),
-        ("[3]", "schema_version: None"),
-        ('{"schema_version": 2}', "schema_version: 2"),
+        ("[3]", "schema_version must be an integer, got None"),
+        ('{"schema_version": 2}', "schema_version must be 5, got 2"),
         ('{"schema_version": 5}', "missing key.*config"),
     ], ids=["not-json", "not-an-object", "schema-2", "missing-keys"])
     def test_bad_meta_rejected(self, tmp_path, meta, message):
@@ -173,7 +177,7 @@ class TestCheckpointInput:
         rows = trainer.buffer.size
         rewrite(path, drop=["x"], obs=np.zeros((rows, 12)), act=np.zeros((rows, 12)),
                 meta=edit_meta(trainer.state_dict(), schema_version=3, obs_dim=3))
-        with pytest.raises(ConfigError, match=r"^unsupported checkpoint schema_version: 3$"):
+        with pytest.raises(ConfigError, match=r"^checkpoint schema_version must be 5, got 3$"):
             MaddpgTrainer.load_checkpoint(scenario(), path)
 
     @pytest.mark.parametrize("change", [{"area_x": 500.0}, {"z_max": 25.0}, {"v_max": 5.0}],
@@ -465,6 +469,17 @@ class TestTraining:
         _, history = train(scenario(), SMALL, slot_callback=on_slot)
         assert history.episode_violations == counts
         assert sum(counts) > 0
+
+    def test_non_finite_reward_is_a_numeric_error(self, monkeypatch):
+        step = learner.EdgeComputeEnv.step
+
+        def nan_reward(self, actions):
+            next_obs, _, info = step(self, actions)
+            return next_obs, np.nan, info
+
+        monkeypatch.setattr(learner.EdgeComputeEnv, "step", nan_reward)
+        with pytest.raises(NumericError, match="^non-finite episode reward at episode 0$"):
+            train(scenario(), SMALL)
 
     @pytest.mark.parametrize("callback", [5, "print"])
     def test_non_callable_slot_callback_rejected(self, callback):

@@ -64,8 +64,8 @@ class TestScenarioConstruction:
         ((5.0, 50.5, 12.0), "outside the flight box"),
         ((5.0, 5.0, 9.0), "outside the flight box"),
         ((5.0, 5.0, 21.0), "outside the flight box"),
-        ((5.0, 5.0), "must be 3 numbers"),
-        ((5.0, 5.0, 12.0, 1.0), "must be 3 numbers"),
+        ((5.0, 5.0), r"must have shape \(3,\), got \(2,\)"),
+        ((5.0, 5.0, 12.0, 1.0), r"must have shape \(3,\), got \(4,\)"),
         ((5.0, "high", 12.0), "must be an array of numbers"),
         ((5.0, "5.0", 12.0), "must be an array of numbers"),
         ((True, True, True), "must be an array of numbers"),
@@ -126,8 +126,8 @@ class TestScenarioConstruction:
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize("key, count, message", [
-        ("users", 5, r"users has shape \(5, 3\).*\(4, 3\)"),
-        ("uavs", 5, r"uavs has shape \(5, 3\).*\(4, 3\)"),
+        ("users", 5, r"users position must have shape \(4, 3\), got \(5, 3\)"),
+        ("uavs", 5, r"uavs position must have shape \(4, 3\), got \(5, 3\)"),
         ("initial_uav_positions", 3, "initial_uav_positions has 3 entries, expected num_uavs=4"),
     ], ids=["users-5", "uavs-5", "initial_uav_positions-3"])
     def test_snapshot_row_count_names_it(self, key, count, message):
@@ -139,7 +139,7 @@ class TestScenarioConstruction:
     @pytest.mark.parametrize("start, message", [
         ([np.nan, 1.0, 1e6], "must be finite"),
         ([500.0, 1.0, 15.0], "outside the flight box"),
-        ([1.0, 1.0], "must be 3 numbers"),
+        ([1.0, 1.0], r"must have shape \(3,\), got \(2,\)"),
         (["30", "5", "15"], "must be an array of numbers"),
     ], ids=["nan", "outside-box", "two-coords", "numeric-str"])
     def test_snapshot_bad_initial_uav_position_names_the_uav(self, start, message):
@@ -164,22 +164,23 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigError, match="must be a list of positions, got 5.0"):
             Scenario.from_dict(data)
 
-    @pytest.mark.parametrize("key, field, value", [
-        ("users", "position", [1.0, 2.0]),
-        ("users", "cpu_freq", "fast"),
-        ("uavs", "position", [1.0, 2.0, "high"]),
-        ("uavs", "cpu_freq", "fast"),
-        ("users", "tx_power", [1.0, 1.1]),
+    @pytest.mark.parametrize("key, field, value, every_row", [
+        ("users", "position", [1.0, 2.0], r"users position must have shape \(4, 3\), got \(4, 2\)"),
+        ("users", "cpu_freq", "fast", "users field 'cpu_freq' must be an array of numbers"),
+        ("uavs", "position", [1.0, 2.0, "high"],
+         "uavs field 'position' must be an array of numbers"),
+        ("uavs", "cpu_freq", "fast", "uavs field 'cpu_freq' must be an array of numbers"),
+        ("users", "tx_power", [1.0, 1.1], r"user tx_power must have shape \(4,\), got \(4, 2\)"),
     ], ids=["user-position-2d", "user-cpu_freq-str", "uav-position-str", "uav-cpu_freq-str",
             "user-tx_power-vector"])
-    def test_snapshot_bad_row_names_key_and_field(self, key, field, value):
+    def test_snapshot_bad_row_names_key_and_field(self, key, field, value, every_row):
         data = build_scenario(small_config()).to_dict()
         data[key][1][field] = value
         with pytest.raises(ConfigError, match=f"{key} field '{field}'"):
             Scenario.from_dict(data)
         for row in data[key]:          # the same value in every row
             row[field] = value
-        with pytest.raises(ConfigError, match=f"{key} has shape|field '{field}'"):
+        with pytest.raises(ConfigError, match=every_row):
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize("key, field, value", [
@@ -205,6 +206,14 @@ class TestScenarioConstruction:
         data = build_scenario(small_config()).to_dict()
         data["uavs"][1]["cpu_freq"] = -5.0
         with pytest.raises(ConfigError, match="UAV 1 cpu_freq must be finite and > 0"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["users", "uavs"])
+    def test_snapshot_row_with_unknown_key_rejected(self, key):
+        data = build_scenario(small_config()).to_dict()
+        data[key][1]["typo"] = 1.0
+        with pytest.raises(ConfigError,
+                           match=rf"^scenario snapshot {key}: unknown key\(s\) typo$"):
             Scenario.from_dict(data)
 
     def test_snapshot_missing_key_names_it(self):
@@ -255,7 +264,8 @@ class TestMotion:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6,)], ids=["2x2", "3x3", "flat"])
     def test_misshapen_deltas_name_both_shapes(self, shape):
         position = np.array([[25.0, 25.0, 15.0], [10.0, 10.0, 12.0]])
-        with pytest.raises(ConfigError, match=rf"positions \(2, 3\), got {re.escape(str(shape))}"):
+        with pytest.raises(ConfigError, match=rf"UAV motion delta must have shape \(2, 3\), "
+                           rf"got {re.escape(str(shape))}"):
             apply_motion(position, np.zeros(shape), small_config())
 
     @pytest.mark.parametrize("deltas", [[[0, 0], [0, 0, 0]], [["a", "b", "c"], [0, 0, 0]]],
@@ -416,14 +426,14 @@ class TestEntityCheck:
     def test_one_value_for_two_uavs_rejected(self, field, value):
         uavs = two_uavs(**{field: np.array([value])})     # would broadcast
         with pytest.raises(ConfigError,
-                           match=rf"UAV field '{field}' has shape \(1,\), expected \(2,\)"):
+                           match=rf"UAV {field} must have shape \(2,\), got \(1,\)"):
             self.slot(uavs=uavs)
 
     def test_two_coordinate_position_rejected(self):
         users = UserArrays(position=np.zeros((2, 2)), cpu_freq=np.full(2, 1e9),
                            tx_power=np.ones(2))
         with pytest.raises(ConfigError,
-                           match=r"user field 'position' has shape \(2, 2\), expected \(2, 3\)"):
+                           match=r"user position must have shape \(2, 3\), got \(2, 2\)"):
             self.slot(users=users)
 
     @pytest.mark.parametrize("value, kind", [([1e9, 1e9], "list"),
@@ -438,7 +448,7 @@ class TestEntityCheck:
 
     def test_first_field_of_wrong_rank_rejected(self):
         with pytest.raises(ConfigError,
-                           match=r"UAV field 'position' has shape \(3,\), expected \('K', 3\)"):
+                           match=r"UAV position must have shape \(K, 3\), got \(3,\)"):
             two_uavs(position=np.array([10.0, 10.0, 12.0])).check()
 
     def test_first_bad_entity_is_named(self):

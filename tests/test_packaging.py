@@ -102,15 +102,28 @@ def test_only_errors_tests_the_type_of_a_number():
     assert tests == []
 
 
-def test_only_model_stream_makes_a_generator():
-    """Every random stream comes from `model.stream`, the one key table."""
-    calls = []
+def owned_attribute_uses(attr: str):
+    """(file name, line, enclosing function name or None) of every use of an
+    attribute named `attr` in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owners = {id(node): function.name for function in ast.walk(tree)
                   if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
-        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "default_rng"
-                  and (path.name, owners.get(id(node))) != ("model.py", "stream")]
+        yield from ((path.name, node.lineno, owners.get(id(node))) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_only_model_stream_makes_a_generator():
+    """Every random stream comes from `model.stream`, the one key table."""
+    calls = [f"{filename}:{line}" for filename, line, owner in owned_attribute_uses("default_rng")
+             if (filename, owner) != ("model.py", "stream")]
+    assert calls == []
+
+
+def test_only_learner_numeric_checks_test_finiteness():
+    """An outside array is held to a finite range by `errors.check_array`:
+    outside `errors`, only the learner's NumericError checks call `isfinite`."""
+    allowed = {("learner.py", "check_finite_stacks"), ("learner.py", "train")}
+    calls = [f"{filename}:{line}" for filename, line, owner in owned_attribute_uses("isfinite")
+             if filename != "errors.py" and (filename, owner) not in allowed]
     assert calls == []

@@ -5,12 +5,13 @@ on, the inputs of a slot step, and the readers of outside numbers.
 Whatever a snapshot or a checkpoint holds, reading it gives the saved object
 or raises a type from `uavmec.errors`, with no warning; and every config
 field a writer saves comes back equal. The same holds for the actions given
-to `EdgeComputeEnv.step`, its penalty and the slot of `generate_tasks`; and
-each argument of a public numeric helper that is not an array of numbers is a
-ConfigError naming it. `READERS` holds every entry point of an outside scalar
-or integer array, and of an array that may mix a bool among its numbers: each
-refuses a numeric string, a bool, a NaN (where its rule excludes it), a
-ragged list and a list that mixes in a bool, naming the argument.
+to `EdgeComputeEnv.step`, its penalty and the slot of `generate_tasks`.
+`READERS` holds every entry point of an outside scalar or array: each
+argument of a public numeric helper, of `MaddpgTrainer.remember` and
+`joint_actions`, a decision's assignment, and the scalars in rule tuples.
+Each refuses a numeric string, a bool, a ragged list, a list that mixes in a
+bool, a NaN (where its rule excludes it) and a value of the wrong shape
+(where it has one), naming the argument.
 """
 
 import copy
@@ -18,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -28,7 +30,7 @@ from uavmec import allocator, baselines, channel, errors, learner, model, nets
 from uavmec.channel import ChannelParams
 from uavmec.delay import SlotDecision, slot_dor, validate_decision
 from uavmec.env import EdgeComputeEnv
-from uavmec.errors import ConfigError, ValidationError, float_array, int_array
+from uavmec.errors import ConfigError, ValidationError, check_array, float_array, int_array
 from uavmec.learner import MaddpgTrainer, TrainConfig, train
 from uavmec.model import Scenario, ScenarioConfig, apply_motion, build_scenario, generate_tasks
 
@@ -246,6 +248,42 @@ class TestIntArray:
             int_array(value, "x")
 
 
+class TestCheckArray:
+    @pytest.mark.parametrize("shape", [(2, 3), (None, 3), (2, None), (None, None), None])
+    def test_good_array_is_returned_itself(self, shape):
+        values = np.arange(6.0).reshape(2, 3)
+        assert check_array(values, shape, errors.NON_NEGATIVE, "x") is values
+
+    @pytest.mark.parametrize("values, rule", [(np.empty((0, 3)), errors.NON_NEGATIVE),
+                                              (np.full(2, -1.0), None)], ids=["empty", "no-rule"])
+    def test_no_entries_or_no_rule_checks_no_range(self, values, rule):
+        assert check_array(values, None, rule, "x") is values
+
+    @pytest.mark.parametrize("values, shape", [(np.zeros(3), (3, 1)), (np.zeros((2, 3)), (3, 3)),
+                                               (np.zeros((2, 3)), (None, 2)), (np.zeros(()), (1,))])
+    def test_wrong_shape_refused_without_the_row(self, values, shape):
+        expected = str(shape).replace("None", "K")
+        with pytest.raises(ConfigError, match=rf"^UAV x must have shape {re.escape(expected)}, "
+                                               rf"got {re.escape(str(values.shape))}$"):
+            check_array(values, shape, None, "UAV {} x")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 91.0])
+    def test_first_bad_row_named(self, bad):
+        values = np.full((4, 2), 45.0)
+        values[2, 1] = values[3, 0] = bad
+        with pytest.raises(ConfigError, match=r"^UAV 2 x must lie in \[0, 90\], got \[45\. "):
+            check_array(values, (4, 2), ("float", 0.0, 90.0, "lie in [0, 90]"), "UAV {} x")
+
+    def test_scalar_named_without_a_row(self):
+        with pytest.raises(ConfigError, match="^reward must be finite, got nan$"):
+            check_array(np.asarray(math.nan), (), errors.FINITE, "reward")
+
+    def test_integer_bounds_held_exactly(self):
+        values = np.array([2 ** 63 - 1], dtype=np.int64)
+        with pytest.raises(ConfigError, match=f"^user 0 a must be small, got {2 ** 63 - 1}$"):
+            check_array(values, (1,), ("int", -1, 2 ** 63 - 2, "be small"), "user {} a")
+
+
 class TestSnapshotReader:
     @pytest.mark.parametrize("key, value", [
         ("initial_uav_positions", [5, 5]),
@@ -387,6 +425,15 @@ class TestWriters:
         loaded = MaddpgTrainer.load_checkpoint(trainer_scenario(), tmp_path / "ckpt.npz")
         assert loaded.config == train_config
 
+    def test_field_that_is_not_json_refused(self):
+        @dataclasses.dataclass
+        class Holder:
+            value: object
+
+        assert errors.config_to_dict(Holder(np.arange(2))) == {"value": [0, 1]}
+        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+            errors.config_to_dict(Holder({1.0}))
+
     def test_failed_snapshot_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "scenario.json"
         build_scenario(SNAPSHOT_CONFIG).save(path)
@@ -432,52 +479,6 @@ class TestStepInputs:
         assert [line for line in escaped if line] == []
 
 
-# Each public numeric helper, with valid arguments by name: every argument
-# except `params` and the simplex `capacity` (a scalar, in `READERS`) goes
-# through `errors.float_array`.
-HELPERS = [
-    (channel.elevation_deg_from_geometry, {"altitude_m": 10.0, "reference_dist_m": 5.0}),
-    (channel.los_probability_from_angle, {"theta_deg": 30.0, "params": ChannelParams()}),
-    (channel.free_space_loss_db, {"dist_m": 20.0, "carrier_mhz": 2000.0}),
-    (channel.spectral_efficiency, {"tx_power_watts": 1.0, "path_loss_db": 80.0,
-                                   "noise_watts": 1e-10}),
-    (model.coverage_radius, {"altitude_m": 10.0, "half_angle_deg": 45.0}),
-    (model.pairwise_distances, {"positions": [[0.0, 0.0, 10.0], [3.0, 4.0, 10.0]]}),
-    (allocator.minimize_inverse_on_simplex, {"weights": [1.0, 2.0], "capacity": 3.0}),
-]
-
-
-class TestNumericHelperInputs:
-    @pytest.mark.parametrize("bad", ["10", True], ids=["str", "bool"])
-    @pytest.mark.parametrize("helper, name", [(helper, name) for helper, kwargs in HELPERS
-                                              for name in kwargs
-                                              if name not in ("params", "capacity")],
-                             ids=lambda v: v if isinstance(v, str) else v.__name__)
-    def test_non_number_argument_named(self, helper, name, bad):
-        kwargs = dict(dict(HELPERS)[helper])
-        helper(**kwargs)
-        with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers"):
-            helper(**{**kwargs, name: bad})
-
-    @pytest.mark.parametrize("name, bad", [("obs", "str"), ("actions", "bool"),
-                                           ("reward", "str"), ("next_obs", "bool")])
-    def test_remember_refuses_non_numbers(self, name, bad):
-        trainer = MaddpgTrainer(trainer_scenario(), SMALL)
-        obs = np.ones((3, 3))
-        args = {"obs": obs, "actions": obs, "reward": 1.5, "next_obs": obs}
-        args[name] = np.asarray(args[name]).astype(bad).tolist()
-        with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers"):
-            trainer.remember(**args)
-        assert trainer.buffer.size == 0
-
-    @pytest.mark.parametrize("bad", ["str", "bool"])
-    def test_joint_actions_refuses_non_numbers(self, bad):
-        trainer = MaddpgTrainer(trainer_scenario(), SMALL)
-        obs = np.full((3, 3), 5.0).astype(bad)
-        with pytest.raises(ConfigError, match="^obs must be an array of numbers"):
-            trainer.joint_actions(obs, 0.1)
-
-
 # ---- one reader per kind of outside number ----
 
 def four_user_slot():
@@ -506,6 +507,21 @@ def noisy_actions(noise_sigma):
                                                                   noise_sigma)
 
 
+def remembered(name):
+    """A call that stores one transition with `name` set to its argument, and
+    checks that a refused one leaves the replay buffer empty."""
+    def run(value):
+        trainer = MaddpgTrainer(trainer_scenario(), SMALL)
+        rows = np.ones((3, 3))
+        try:
+            trainer.remember(**{"obs": rows, "actions": rows, "reward": 1.5, "next_obs": rows,
+                                name: value})
+        except ConfigError:
+            assert trainer.buffer.size == 0
+            raise
+    return run
+
+
 def check_assignment_through(entry):
     def run(assignment):
         ctx = four_user_slot()
@@ -518,71 +534,167 @@ def check_assignment_through(entry):
     return run
 
 
-RAGGED = [[0], [0, 0]]
-INTEGERS = ValidationError, "assignment must be an array of integers"
+def with_bool(value):
+    """A list like `value` (a number, or a list of them at any depth) whose
+    last number is True."""
+    if np.ndim(value) == 0:
+        return [value, True]
+    return [*value[:-1], True if np.ndim(value[-1]) == 0 else with_bool(value[-1])]
 
-# Each row: the entry point, a call that passes one value to the argument
-# under test, a valid value, the error and the start of its message, a list
-# that mixes in a bool, whether its rule refuses NaN, and more values it
-# refuses. Every value must raise that error with that message.
+
+@dataclasses.dataclass(frozen=True)
+class Reader:
+    """A `READERS` row: the entry point of one outside argument.
+
+    `call` passes one value to the argument; `valid` is a value it takes.
+    The reader refuses, as `error` with a message starting `prefix`: a
+    numeric string, a bool, a ragged list, `mixed` (a list that mixes in a
+    bool), a NaN where `nan_refused`, and each value in `more`. The values
+    the reader takes but the shape or range check after it refuses come as
+    (value, message start) pairs: `misshaped` (None where every shape is
+    taken) and each pair in `checked`."""
+    call: object
+    valid: object
+    error: type
+    prefix: str
+    mixed: object
+    nan_refused: bool = False
+    misshaped: tuple | None = None
+    more: tuple = ()
+    checked: tuple = ()
+
+
+def helper(function, name, valid, misshaped=None, more=(), checked=(), **others):
+    """The `READERS` row of argument `name` of a public numeric helper, called
+    with the valid arguments `others`."""
+    return Reader(lambda value: function(**others, **{name: value}), valid, ConfigError,
+                  f"{name} must be an array of numbers", with_bool(valid), False, misshaped,
+                  tuple(more), tuple(checked))
+
+
+def scalar(call, valid, name, more=()):
+    """The `READERS` row of a scalar argument `name`, read by `check_number`:
+    NaN and a one-entry list are refused with the reader's message."""
+    return Reader(call, valid, ConfigError, f"{name} must ", [valid, True], True,
+                  ([valid], f"{name} must "), tuple(more))
+
+
+def remember_row(name):
+    """The `READERS` row of `remember`'s array argument `name`."""
+    must = f"{name} must "
+    return Reader(remembered(name), ROWS, ConfigError, must + "be an array of numbers",
+                  [[5.0, 5.0, 5.0], [5.0, 5.0, True], [5.0, 5.0, 5.0]], False,
+                  (np.ones(9) if name == "next_obs" else np.ones((2, 3)),
+                   must + "have shape (3, 3)"),
+                  NON_NUMBER_ROWS,
+                  [(np.where(np.eye(3, dtype=bool), math.inf, ROWS), must + "be finite")])
+
+
+RAGGED = [[0], [0, 0]]
+ROWS = np.full((3, 3), 5.0)   # a valid obs, actions or next_obs of a 3-UAV trainer
+NON_NUMBER_ROWS = (ROWS.astype(str), ROWS.astype(bool))
+
 READERS = {
-    **{f"{entry} assignment": (check_assignment_through(entry), [0, 1, 2, 1], *INTEGERS,
-                               [0, 1, 2, True], True, [[0.0, 1.0, 2.0, 1.0], [0, 1, 2, np.True_]])
+    **{f"{entry} assignment": Reader(
+        check_assignment_through(entry), [0, 1, 2, 1], ValidationError,
+        "assignment must be an array of integers", [0, 1, 2, True], True,
+        ([0, 1, 2], "user assignment must have shape (4,)"),
+        ([0.0, 1.0, 2.0, 1.0], [0, 1, 2, np.True_]),
+        [([0, 1, 2, 3], "user 3 assignment must be LOCAL (-1) or a UAV index in [0, 3)")])
        for entry in ("validate_decision", "slot_dor", "evaluate_assignment",
                      "numeric_convex_oracle")},
-    "generate_tasks slot": (lambda slot: generate_tasks(build_scenario(ScenarioConfig(
-        num_users=2, horizon=5)), slot), 4, ConfigError, "slot must ", [0, True], True,
+    "generate_tasks slot": scalar(lambda slot: generate_tasks(build_scenario(ScenarioConfig(
+        num_users=2, horizon=5)), slot), 4, "slot",
         [5, -1, 1.0, np.float64(2.0), np.bool_(True), None]),
-    "soft_update tau": (lambda tau: nets.soft_update(tiny_net(), tiny_net(), tau), 0.5,
-                        ConfigError, "tau must ", [0.5, True], True, ["0.5", 0.0, 1.5, None]),
-    "ReplayBuffer capacity": (lambda capacity: learner.ReplayBuffer(capacity, 4, 2), 8,
-                              ConfigError, "capacity must ", [8, True], True,
-                              [0, -1, 8.0, np.bool_(True), None]),
-    "minimize_inverse_on_simplex capacity": (
+    "soft_update tau": scalar(lambda tau: nets.soft_update(tiny_net(), tiny_net(), tau), 0.5,
+                              "tau", ["0.5", 0.0, 1.5, None]),
+    "ReplayBuffer capacity": scalar(lambda capacity: learner.ReplayBuffer(capacity, 4, 2), 8,
+                                    "capacity", [0, -1, 8.0, np.bool_(True), None]),
+    "minimize_inverse_on_simplex capacity": scalar(
         lambda capacity: allocator.minimize_inverse_on_simplex([1.0, 2.0], capacity), 3.0,
-        ConfigError, "capacity must ", [3.0, True], True,
-        [[3.0, 3.0], 0.0, -3.0, math.inf, np.array(3.0), None]),
-    "minimize_inverse_on_simplex weights": (
-        lambda weights: allocator.minimize_inverse_on_simplex(weights, 3.0), [1.0, 2.0],
-        ConfigError, "weights must be an array of numbers", [1.0, True], False, [(2.0, False)]),
-    "joint_actions noise_sigma": (noisy_actions, 0.1, ConfigError, "noise_sigma must ",
-                                  [0.1, True], True, ["0.1", -1.0, math.inf, None]),
-    "rt_actions num_uavs": (lambda n: baselines.rt_actions(np.random.default_rng(0), n, 1.0), 4,
-                            ConfigError, "num_uavs must ", [4, True], True,
-                            ["4", 0, 4.0, np.bool_(True), None]),
-    "rt_actions max_step": (lambda step: baselines.rt_actions(np.random.default_rng(0), 4, step),
-                            1.0, ConfigError, "max_step must ", [1.0, True], True,
-                            [-1.0, math.inf, None]),
-    "ScenarioConfig UAV start": (
+        "capacity", [[3.0, 3.0], 0.0, -3.0, math.inf, np.array(3.0), None]),
+    "minimize_inverse_on_simplex weights": helper(
+        allocator.minimize_inverse_on_simplex, "weights", [1.0, 2.0],
+        ([[1.0, 2.0]], "weights must have shape (K,)"), [(2.0, False)],
+        [(bad, "weights must be finite and > 0")
+         for bad in ([math.nan, 1.0], [math.inf, 1.0], [0.0, 1.0], [-1.0, 2.0])], capacity=3.0),
+    "joint_actions noise_sigma": scalar(noisy_actions, 0.1, "noise_sigma",
+                                        ["0.1", -1.0, math.inf, None]),
+    "rt_actions num_uavs": scalar(lambda n: baselines.rt_actions(np.random.default_rng(0), n, 1.0),
+                                  4, "num_uavs", ["4", 0, 4.0, np.bool_(True), None]),
+    "rt_actions max_step": scalar(
+        lambda step: baselines.rt_actions(np.random.default_rng(0), 4, step), 1.0, "max_step",
+        [-1.0, math.inf, None]),
+    "ScenarioConfig UAV start": Reader(
         lambda start: ScenarioConfig(num_uavs=1, initial_uav_positions=(start,)),
         (10.0, 10.0, 15.0), ConfigError, "initial position of UAV 0 must be an array of numbers",
-        [True, False, 15.0], False, [(10.0, np.False_, 15.0)]),
-    "Scenario.from_dict user tx_power": (
+        [True, False, 15.0], False,
+        ((10.0, 10.0), "initial position of UAV 0 must have shape (3,)"),
+        [(10.0, np.False_, 15.0)],
+        [((math.nan, 10.0, 15.0), "initial position of UAV 0 must be finite")]),
+    "Scenario.from_dict user tx_power": Reader(
         snapshot_tx_power, 1.1, ConfigError,
         "scenario snapshot users field 'tx_power' must be an array of numbers", True, False,
-        [False, [1.0, True]]),
-    "apply_motion deltas": (motion, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], ConfigError,
-                            "motion deltas must be an array of numbers",
-                            [[0.0, 0.0, 0.0], [1.0, True, 1.0]], False,
-                            [[[0, 0, 0], [1, 1, 1.0j]]]),
-    "joint_actions obs": (
+        ([1.1, 1.1], "scenario snapshot users field 'tx_power' must be an array of numbers"),
+        [False, [1.0, True]],
+        [(bad, "user 1 tx_power must be finite and >= 0") for bad in (math.nan, -1.0, math.inf)]),
+    "apply_motion deltas": Reader(
+        motion, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], ConfigError,
+        "motion deltas must be an array of numbers", [[0.0, 0.0, 0.0], [1.0, True, 1.0]], False,
+        ([[0.0, 0.0, 0.0]], "UAV motion delta must have shape (2, 3)"),
+        [[[0, 0, 0], [1, 1, 1.0j]]],
+        [([[0.0, 0.0, 0.0], [1.0, math.inf, 1.0]], "UAV 1 motion delta must be finite")]),
+    "joint_actions obs": Reader(
         lambda obs: MaddpgTrainer(trainer_scenario(), SMALL).joint_actions(obs, 0.1),
-        np.full((3, 3), 5.0), ConfigError, "obs must be an array of numbers",
-        [[5.0, 5.0, 5.0], [5.0, 5.0, False], [5.0, 5.0, 5.0]], False, []),
+        ROWS, ConfigError, "obs must be an array of numbers",
+        [[5.0, 5.0, 5.0], [5.0, 5.0, False], [5.0, 5.0, 5.0]], False,
+        (np.ones(9), "obs must have shape (3, 3)"), NON_NUMBER_ROWS,
+        [(np.full((3, 3), math.nan), "obs must be finite")]),
+    **{f"remember {name}": remember_row(name) for name in ("obs", "actions", "next_obs")},
+    "remember reward": scalar(remembered("reward"), 1.5, "reward", ["1.5", math.inf, [1.0, 2.0]]),
+    # the public numeric helpers: every argument but `params`
+    "elevation_deg_from_geometry altitude_m": helper(
+        channel.elevation_deg_from_geometry, "altitude_m", 10.0, reference_dist_m=5.0),
+    "elevation_deg_from_geometry reference_dist_m": helper(
+        channel.elevation_deg_from_geometry, "reference_dist_m", 5.0, altitude_m=10.0),
+    "los_probability_from_angle theta_deg": helper(
+        channel.los_probability_from_angle, "theta_deg", 30.0, params=ChannelParams()),
+    "free_space_loss_db dist_m": helper(
+        channel.free_space_loss_db, "dist_m", 20.0,
+        checked=[(bad, "dist_m must be finite and > 0")
+                 for bad in (math.nan, -1.0, 0.0, [20.0, math.inf])], carrier_mhz=2000.0),
+    "free_space_loss_db carrier_mhz": helper(
+        channel.free_space_loss_db, "carrier_mhz", 2000.0, dist_m=20.0),
+    "spectral_efficiency tx_power_watts": helper(
+        channel.spectral_efficiency, "tx_power_watts", 1.0, path_loss_db=80.0, noise_watts=1e-10),
+    "spectral_efficiency path_loss_db": helper(
+        channel.spectral_efficiency, "path_loss_db", 80.0, tx_power_watts=1.0, noise_watts=1e-10),
+    "spectral_efficiency noise_watts": helper(
+        channel.spectral_efficiency, "noise_watts", 1e-10, tx_power_watts=1.0, path_loss_db=80.0),
+    "coverage_radius altitude_m": helper(
+        model.coverage_radius, "altitude_m", 10.0, half_angle_deg=45.0),
+    "coverage_radius half_angle_deg": helper(
+        model.coverage_radius, "half_angle_deg", 45.0, altitude_m=10.0),
+    "pairwise_distances positions": helper(
+        model.pairwise_distances, "positions", [[0.0, 0.0, 10.0], [3.0, 4.0, 10.0]],
+        ([1.0, 2.0, 3.0], "positions must have shape (K, 3)"),
+        checked=[([[0.0, 0.0], [3.0, 4.0]], "positions must have shape (K, 3)")]),
 }
 
 
 class TestReaders:
     @pytest.mark.parametrize("entry", list(READERS))
     def test_every_bad_value_refused_with_the_argument_named(self, entry):
-        call, valid, error, prefix, mixed, nan_refused, more = READERS[entry]
-        call(valid)
-        bad = ["1", True, RAGGED, mixed, *([math.nan] if nan_refused else []), *more]
+        row = READERS[entry]
+        row.call(row.valid)
+        read = ["1", True, RAGGED, row.mixed, *([math.nan] if row.nan_refused else []), *row.more]
+        bad = [(value, row.prefix) for value in read]
+        bad += [*([] if row.misshaped is None else [row.misshaped]), *row.checked]
         escaped = []
-        for value in bad:
+        for value, prefix in bad:
             try:
-                call(value)
-            except error as exc:
+                row.call(value)
+            except row.error as exc:
                 if not str(exc).startswith(prefix):
                     escaped.append(f"{value!r}: {type(exc).__name__}: {exc}")
             except Exception as exc:   # anything else escaped the reader: report it
