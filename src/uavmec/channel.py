@@ -2,8 +2,9 @@
 
 All helpers accept scalars or arrays of numbers and broadcast; each numeric
 argument goes through `errors.float_array`, so any other input is a
-ConfigError naming the argument. Path losses are in dB, spectral efficiencies
-in bits/second/Hz. The carrier is stored in MHz: the -27.56 constant in the
+ConfigError naming the argument, and shapes that do not broadcast are one
+naming each argument (`errors.broadcast_error`). Path losses are in dB,
+spectral efficiencies in bits/second/Hz. The carrier is stored in MHz: the -27.56 constant in the
 free-space term assumes a MHz carrier.
 """
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, ConfigError, check_array, check_numbers, float_array
+from .errors import (FINITE, POSITIVE, ConfigError, broadcast_error, check_array,
+                     check_numbers, float_array)
 
 
 _RULES = {"a": POSITIVE, "b": POSITIVE, "eta_los_db": FINITE, "eta_nlos_db": FINITE,
@@ -44,8 +46,10 @@ def elevation_deg_from_geometry(altitude_m, reference_dist_m):
     """
     alt = float_array(altitude_m, "altitude_m")
     ref = float_array(reference_dist_m, "reference_dist_m")
-    # max(ref, 1e-300) > 0 keeps the division finite; coincident points get +inf
-    ratio = np.where(ref > 0, alt / np.maximum(ref, 1e-300), np.inf)
+    try:   # max(ref, 1e-300) > 0 keeps the division finite; coincident points get +inf
+        ratio = np.where(ref > 0, alt / np.maximum(ref, 1e-300), np.inf)
+    except ValueError:
+        raise broadcast_error(altitude_m=alt, reference_dist_m=ref) from None
     return np.degrees(np.arctan(ratio))
 
 
@@ -58,19 +62,30 @@ def free_space_loss_db(dist_m, carrier_mhz):
     """Free-space term, distance in meters (finite and > 0), carrier in MHz."""
     d = check_array(float_array(dist_m, "dist_m"), None, POSITIVE, "dist_m")
     carrier = float_array(carrier_mhz, "carrier_mhz")
-    return 20.0 * np.log10(d) + 20.0 * np.log10(carrier) - 27.56
+    try:
+        return 20.0 * np.log10(d) + 20.0 * np.log10(carrier) - 27.56
+    except ValueError:
+        raise broadcast_error(dist_m=d, carrier_mhz=carrier) from None
 
 
 def mean_path_loss_db(dist_m, theta_deg, params: ChannelParams):
     """LoS/NLoS mixture of the free-space term plus the two excess losses."""
-    fspl = free_space_loss_db(dist_m, params.carrier_mhz)
-    p_los = los_probability_from_angle(theta_deg, params)
-    return (p_los * (fspl + params.eta_los_db)
-            + (1.0 - p_los) * (fspl + params.eta_nlos_db))
+    fspl = free_space_loss_db(dist_m, params.carrier_mhz)    # dist_m's shape
+    p_los = los_probability_from_angle(theta_deg, params)     # theta_deg's shape
+    try:
+        return (p_los * (fspl + params.eta_los_db)
+                + (1.0 - p_los) * (fspl + params.eta_nlos_db))
+    except ValueError:
+        raise broadcast_error(dist_m=fspl, theta_deg=p_los) from None
 
 
 def spectral_efficiency(tx_power_watts, path_loss_db, noise_watts):
     """Per-Hz uplink rate log2(1 + SNR); the rate is bandwidth times this."""
     power = float_array(tx_power_watts, "tx_power_watts")
-    pl_linear = np.power(10.0, float_array(path_loss_db, "path_loss_db") / 10.0)
-    return np.log2(1.0 + power / (pl_linear * float_array(noise_watts, "noise_watts")))
+    loss = float_array(path_loss_db, "path_loss_db")
+    noise = float_array(noise_watts, "noise_watts")
+    try:
+        return np.log2(1.0 + power / (np.power(10.0, loss / 10.0) * noise))
+    except ValueError:
+        raise broadcast_error(tx_power_watts=power, path_loss_db=loss,
+                              noise_watts=noise) from None

@@ -6,7 +6,8 @@ a reader, `float_array` (numbers, as float64) or `int_array` (integers), then
 `check_array` (its shape and range); a scalar through `check_number` (its type
 and range). A rule tuple (FINITE, POSITIVE, UNIT, ...) gives a range and its
 wording. Each refusal is a ConfigError naming the argument, which `delay`
-raises as a ValidationError.
+raises as a ValidationError; arrays a helper cannot broadcast together, as
+`broadcast_error`.
 
 `config_from_dict` is the one reader of a saved config (a scenario
 snapshot's or a checkpoint's), `config_to_dict` its inverse, and
@@ -145,6 +146,14 @@ def check_array(array: np.ndarray, shape, rule, what: str) -> np.ndarray:
     return array
 
 
+def broadcast_error(**arrays) -> ConfigError:
+    """The refusal of `arrays` (argument name -> array read), whose shapes
+    numpy could not broadcast together: a ConfigError naming each with its
+    shape. A helper builds it only on failure, so broadcasting costs nothing."""
+    shapes = " and ".join(f"{name} of shape {array.shape}" for name, array in arrays.items())
+    return ConfigError(f"{shapes} do not broadcast together")
+
+
 def _number_array(value, kinds: str, noun: str, need: str, what: str) -> np.ndarray:
     """The two array readers' core: `np.asarray(value)`, whose dtype kind must
     be in `kinds`, and, for a list or tuple, a scan for a bool among numbers.
@@ -184,8 +193,7 @@ def config_from_dict(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
     names = {f.name: f for f in fields(cls)}
-    for problem, keys in (("unknown", set(data) - set(names)), ("missing", set(names) - set(data))):
-        require(not keys, f"{where}: {problem} key(s) {', '.join(sorted(keys))}")
+    check_keys(data, names, where)
     values = {name: config_from_dict(f.default_factory, data[name], f"{where} {name}")
               if is_dataclass(f.default_factory) else _tuples(data[name])
               for name, f in names.items()}
@@ -193,6 +201,12 @@ def config_from_dict(cls, data, where: str):
         return cls(**values)
     except (TypeError, ValueError) as exc:   # a ConfigError too: name `where`
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def check_keys(data: dict, names, where: str):
+    """ConfigError naming `where` and the unknown, then the missing, keys of `data`."""
+    for problem, keys in (("unknown", set(data) - set(names)), ("missing", set(names) - set(data))):
+        require(not keys, f"{where}: {problem} key(s) {', '.join(sorted(keys))}")
 
 
 def _tuples(value):

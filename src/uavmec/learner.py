@@ -412,8 +412,10 @@ def train(scenario: Scenario, config: TrainConfig,
         total_reward = 0.0
         total_dor = 0.0
         violations = 0
-        for _ in range(scenario.config.horizon):
+        for slot in range(scenario.config.horizon):
             actions = trainer.joint_actions(obs, sigma)
+            if not np.isfinite(actions).all():   # before `step` refuses them as a ConfigError
+                raise NumericError(f"non-finite actions at episode {episode} slot {slot}")
             next_obs, reward, info = env.step(actions)
             total_reward += reward
             if not np.isfinite(total_reward):   # before `remember` refuses it as a ConfigError

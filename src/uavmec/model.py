@@ -19,11 +19,14 @@ one entity each; `SlotContext` stacks a list of them into a bundle through
 `from_rows`. Only the benchmark's workloads and the tests build them.
 
 Building a bundle checks nothing. `_Columns.check` applies every rule in
-`FIELD_RULES`: `SlotContext` calls it once per slot, `Scenario.from_dict` at load.
-Each field's rule there is one of the rule tuples of `errors` (or the angle rule
-`_SCENARIO_RULES` shares), so a range and its wording are written once.
-`ScenarioConfig` holds its numbers to `_SCENARIO_RULES` (`errors.check_numbers`),
-and `Scenario.from_dict` reads a snapshot's config with `errors.config_from_dict`.
+`FIELD_RULES`, and `SlotContext` calls it once per slot. Each field's rule there
+is one of the rule tuples of `errors` (or the angle rule `_SCENARIO_RULES`
+shares), so a range and its wording are written once. `ScenarioConfig` holds
+its numbers to `_SCENARIO_RULES` (`errors.check_numbers`).
+
+`Scenario(config)` is the one constructor of the world, and every array but
+the two positions follows from the config: a snapshot (schema 2) is the config
+and those two arrays, read by `errors.config_from_dict` and `float_array`.
 
 Every random generator of the package comes from `stream(seed, role, *keys)`,
 whose one table `STREAMS` keys each role: the scenario build, each slot's
@@ -40,10 +43,11 @@ import numpy as np
 
 from .channel import ChannelParams
 from .errors import (COUNT, FINITE, HUGE, NON_NEGATIVE, POSITIVE, SEED, TINY, ConfigError,
-                     check_array, check_number, check_numbers, config_from_dict,
-                     config_to_dict, float_array, replace_file, require)
+                     broadcast_error, check_array, check_keys, check_number, check_numbers,
+                     config_from_dict, config_to_dict, float_array, replace_file, require)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+SNAPSHOT_KEYS = ("schema_version", "config", "user_positions", "uav_positions")
 
 
 _RANGE = ("pair", TINY, HUGE, "be two finite numbers with 0 < low <= high")
@@ -95,14 +99,8 @@ class ScenarioConfig:
         if self.user_mobility not in ("static", "random_waypoint"):
             raise ConfigError(f"user_mobility must be 'static' or 'random_waypoint', "
                               f"got {self.user_mobility!r}")
-        if self.initial_uav_positions is not None:   # stored as float triples: hashable
-            object.__setattr__(self, "initial_uav_positions",
-                               self._check_initial_uav_positions(self.initial_uav_positions))
-
-    def _check_initial_uav_positions(self, positions) -> tuple[tuple[float, float, float], ...]:
-        """`positions` as a tuple of float triples; ConfigError unless it holds
-        num_uavs starts, each 3 finite coordinates inside this config's flight
-        box. A bad start names its UAV."""
+        if (positions := self.initial_uav_positions) is None:
+            return
         require(hasattr(positions, "__len__"),
                 f"initial_uav_positions must be a list of positions, got {positions!r}")
         require(len(positions) == self.num_uavs, f"initial_uav_positions has "
@@ -116,7 +114,7 @@ class ScenarioConfig:
                     f"initial position of UAV {n} {position} lies outside the flight box "
                     f"[0, {self.area_x}] x [0, {self.area_y}] x [{self.z_min}, {self.z_max}]")
             starts.append(tuple(row.tolist()))
-        return tuple(starts)
+        object.__setattr__(self, "initial_uav_positions", tuple(starts))   # hashable
 
     @property
     def max_step(self) -> float:
@@ -197,21 +195,15 @@ class _Columns:
 
     @classmethod
     def from_rows(cls, rows, where: str):
-        """Stack a list of mappings that carry every field name (snapshot rows,
-        or the `vars` of records) into arrays, each column through
-        `errors.float_array`. Rows that are not mappings raise TypeError; a key
-        that is no field name is a ConfigError naming `where`."""
+        """Stack the `vars` of a list of records, mappings that carry every
+        field name, into arrays, each column through `errors.float_array`. A
+        key that is no field name is a ConfigError naming `where`."""
         names = [f.name for f in fields(cls)]
         bundle = cls(*(float_array([row[name] for row in rows], f"{where} field {name!r}")
                        for name in names))
         unknown = set().union(*rows).difference(names)
         require(not unknown, f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
         return bundle
-
-    def to_rows(self) -> list[dict]:
-        names = [f.name for f in fields(self)]
-        columns = [getattr(self, name).tolist() for name in names]
-        return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 @dataclass
@@ -246,46 +238,47 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
 
-def _default_uav_positions(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """First four UAVs at the area corners at z_min; extras seeded-uniform at z_min."""
-    corners = np.array([
-        [0.0, 0.0, config.z_min],
-        [0.0, config.area_y, config.z_min],
-        [config.area_x, 0.0, config.z_min],
-        [config.area_x, config.area_y, config.z_min],
-    ])
-    n = config.num_uavs
-    if n <= 4:
-        return corners[:n].copy()
-    extra_xy = rng.uniform([0.0, 0.0], [config.area_x, config.area_y], size=(n - 4, 2))
-    extras = np.column_stack([extra_xy, np.full(n - 4, config.z_min)])
-    return np.vstack([corners, extras])
-
-
 class Scenario:
     """Users, UAVs, and the configuration that produced them.
 
     `users` is a `UserArrays` and `uavs` a `UavArrays` (shapes in the module
-    docstring). Single-writer rule: only two arrays are ever written after
-    construction, both in place. `reset` writes both; otherwise
-    `advance_users` writes `users.position` and the environment's step
-    writes `uavs.position`. `initial_uav_positions` and
-    `initial_user_positions` are never written; `user_positions` and
+    docstring), both drawn from the config's seed. Single-writer rule: only
+    two arrays are ever written after construction or load, both in place.
+    `reset` writes both; otherwise `advance_users` writes `users.position`
+    and the environment's step writes `uavs.position`. `user_positions` and
     `uav_positions` return copies. Independent scenarios share no state, so
     many can run in parallel.
 
     An episode starts from the UAV starts and from the users where the
-    scenario was built or loaded. A snapshot stores the UAV starts but not
-    the users' start, so a loaded scenario walks from its loaded positions.
+    scenario was built or loaded. A snapshot is the config plus the two
+    position arrays, so a loaded scenario rebuilds every other array, the
+    UAV starts included, and walks from its loaded positions.
     """
 
-    def __init__(self, config: ScenarioConfig, users: UserArrays,
-                 uavs: UavArrays, initial_uav_positions: np.ndarray):
+    def __init__(self, config: ScenarioConfig):
+        """Seeded construction: users uniform on the ground, UAVs at their starts
+        (the config's, else the area's corners and then seeded-uniform extras)."""
+        rng = stream(config.rng_seed, "build")
+        m, n, area = config.num_users, config.num_uavs, [config.area_x, config.area_y]
+        xy = rng.uniform([0.0, 0.0], area, size=(m, 2))
+        freqs = rng.uniform(*config.user_freq_range, size=m)
+        powers = rng.uniform(*config.user_power_range, size=m)
+        if config.initial_uav_positions is not None:   # checked by ScenarioConfig
+            initial = np.array(config.initial_uav_positions, dtype=float)
+        else:   # all at z_min
+            starts = np.array([[0.0, 0.0], [0.0, area[1]], [area[0], 0.0], area])[:n]
+            if n > 4:
+                starts = np.vstack([starts, rng.uniform([0.0, 0.0], area, size=(n - 4, 2))])
+            initial = np.column_stack([starts, np.full(n, config.z_min)])
         self.config = config
-        self.users = users
-        self.uavs = uavs
-        self.initial_uav_positions = initial_uav_positions
-        self.initial_user_positions = users.position.copy()
+        self.users = UserArrays(position=np.column_stack([xy, np.zeros(m)]),
+                                cpu_freq=freqs, tx_power=powers)
+        self.uavs = UavArrays(
+            position=initial.copy(), cpu_freq=np.full(n, config.uav_freq, dtype=float),
+            tx_power=np.full(n, config.uav_power, dtype=float),
+            half_angle_deg=np.full(n, config.coverage_half_angle_deg, dtype=float))
+        self.initial_uav_positions = initial
+        self.initial_user_positions = self.users.position.copy()
         self._walk: tuple[np.random.Generator, np.ndarray] | None = None  # (rng, waypoints)
 
     @property
@@ -329,42 +322,30 @@ class Scenario:
         if reached.any():
             waypoints[reached] = rng.uniform([0, 0], area, size=(np.count_nonzero(reached), 2))
 
-    # ---- JSON snapshot (schema v1) ----
+    # ---- JSON snapshot (schema v2) ----
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_to_dict(self.config),
-            "users": self.users.to_rows(),
-            "uavs": self.uavs.to_rows(),
-            "initial_uav_positions": self.initial_uav_positions.tolist(),
-        }
+        return {"schema_version": SCHEMA_VERSION, "config": config_to_dict(self.config),
+                "user_positions": self.users.position.tolist(),
+                "uav_positions": self.uavs.position.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """`Scenario(config)` with `data`'s positions, each array held to a finite
+        (count, 3) from its config before anything is built."""
         version = data.get("schema_version") if isinstance(data, dict) else None
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported scenario schema_version: {version!r}")
-        try:
-            config = config_from_dict(ScenarioConfig, data["config"], "scenario config")
-            users = UserArrays.from_rows(data["users"], "scenario snapshot users")
-            uavs = UavArrays.from_rows(data["uavs"], "scenario snapshot uavs")
-            initial = data["initial_uav_positions"]
-        except KeyError as exc:
-            raise ConfigError(f"scenario snapshot is missing key {exc.args[0]!r}") from exc
-        except TypeError as exc:   # a section that is not a list of row objects
-            raise ConfigError(f"scenario snapshot is malformed: {exc}") from exc
-        for key, bundle, need in (("users", users, config.num_users),
-                                  ("uavs", uavs, config.num_uavs)):
-            check_array(bundle.position, (need, 3), None, f"scenario snapshot {key} position")
-        initial = config._check_initial_uav_positions(initial)
-        for n, (start, own) in enumerate(zip(initial, config.initial_uav_positions or ())):
-            if start != own:   # a config with starts has them written twice in a snapshot
-                raise ConfigError(f"scenario snapshot initial position of UAV {n} {list(start)} "
-                                  f"differs from its config's {list(own)}")
-        users.check()
-        uavs.check()
-        return cls(config, users, uavs, np.array(initial, dtype=float))
+        check_keys(data, SNAPSHOT_KEYS, "scenario snapshot")
+        config = config_from_dict(ScenarioConfig, data["config"], "scenario config")
+        users, uavs = (check_array(float_array(data[key], f"scenario snapshot {key}"),
+                                   (count, 3), FINITE, f"scenario snapshot {key}")
+                       for key, count in (("user_positions", config.num_users),
+                                          ("uav_positions", config.num_uavs)))
+        scenario = cls(config)
+        scenario.users.position[...] = scenario.initial_user_positions[...] = users
+        scenario.uavs.position[...] = uavs
+        return scenario
 
     def save(self, path: str | os.PathLike):
         """Write `to_dict()` as JSON at `path` through `errors.replace_file`."""
@@ -383,26 +364,8 @@ class Scenario:
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
-    """Seeded construction: users uniform on the ground, UAVs at their start corners."""
-    rng = stream(config.rng_seed, "build")
-    xy = rng.uniform([0.0, 0.0], [config.area_x, config.area_y],
-                     size=(config.num_users, 2))
-    freqs = rng.uniform(*config.user_freq_range, size=config.num_users)
-    powers = rng.uniform(*config.user_power_range, size=config.num_users)
-    users = UserArrays(position=np.column_stack([xy, np.zeros(config.num_users)]),
-                       cpu_freq=freqs, tx_power=powers)
-
-    if config.initial_uav_positions is not None:   # checked by ScenarioConfig
-        initial = np.array(config.initial_uav_positions, dtype=float)
-    else:
-        initial = _default_uav_positions(config, rng)
-
-    n = config.num_uavs
-    uavs = UavArrays(position=initial.copy(),
-                     cpu_freq=np.full(n, config.uav_freq, dtype=float),
-                     tx_power=np.full(n, config.uav_power, dtype=float),
-                     half_angle_deg=np.full(n, config.coverage_half_angle_deg, dtype=float))
-    return Scenario(config, users, uavs, initial)
+    """`Scenario(config)`."""
+    return Scenario(config)
 
 
 def apply_motion(positions: np.ndarray, deltas,
@@ -434,10 +397,14 @@ def apply_motion(positions: np.ndarray, deltas,
 
 def coverage_radius(altitude_m, half_angle_deg):
     """Max horizontal service radius per UAV; +inf for a 90-degree half-angle.
-    Both arguments go through `errors.float_array`."""
+    Both arguments go through `errors.float_array` and must broadcast
+    (`errors.broadcast_error`)."""
     alt = float_array(altitude_m, "altitude_m")
     angle = float_array(half_angle_deg, "half_angle_deg")
-    return np.where(angle < 90.0, alt * np.tan(np.radians(angle)), np.inf)
+    try:
+        return np.where(angle < 90.0, alt * np.tan(np.radians(angle)), np.inf)
+    except ValueError:
+        raise broadcast_error(altitude_m=alt, half_angle_deg=angle) from None
 
 
 def pair_geometry(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

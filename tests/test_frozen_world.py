@@ -48,6 +48,7 @@ class TestFrozenSnapshots:
                 assert got.dtype == array.dtype and got.shape == array.shape, (bundle, name)
                 assert got.tobytes() == array.tobytes(), (bundle, name)
         assert loaded.initial_uav_positions.tobytes() == live.initial_uav_positions.tobytes()
+        assert loaded.initial_user_positions.tobytes() == live.users.position.tobytes()
 
 
 TRAINED = json.loads(_frozen.TRAINING.read_text())

@@ -481,6 +481,13 @@ class TestTraining:
         with pytest.raises(NumericError, match="^non-finite episode reward at episode 0$"):
             train(scenario(), SMALL)
 
+    def test_diverging_learner_is_a_numeric_error(self):
+        # the first updates run at slot 7; they send every actor output to NaN
+        config = dataclasses.replace(SMALL, lr_actor=1e200, lr_critic=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^non-finite actions at episode 0 slot 8$"):
+                train(scenario(num_uavs=3), config)
+
     @pytest.mark.parametrize("callback", [5, "print"])
     def test_non_callable_slot_callback_rejected(self, callback):
         with pytest.raises(ConfigError, match="slot_callback must be callable"):

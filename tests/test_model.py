@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from uavmec import model
 from uavmec.channel import ChannelParams
 from uavmec.delay import SlotContext
 from uavmec.errors import FINITE, NON_NEGATIVE, POSITIVE, ConfigError
@@ -126,100 +127,98 @@ class TestScenarioConstruction:
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize("key, count, message", [
-        ("users", 5, r"users position must have shape \(4, 3\), got \(5, 3\)"),
-        ("uavs", 5, r"uavs position must have shape \(4, 3\), got \(5, 3\)"),
-        ("initial_uav_positions", 3, "initial_uav_positions has 3 entries, expected num_uavs=4"),
-    ], ids=["users-5", "uavs-5", "initial_uav_positions-3"])
+        ("user_positions", 5, r"user_positions must have shape \(4, 3\), got \(5, 3\)"),
+        ("uav_positions", 3, r"uav_positions must have shape \(4, 3\), got \(3, 3\)"),
+    ], ids=["user_positions-5", "uav_positions-3"])
     def test_snapshot_row_count_names_it(self, key, count, message):
         data = build_scenario(small_config()).to_dict()
         data[key] = (data[key] * 2)[:count]     # 4 rows in the config
         with pytest.raises(ConfigError, match=message):
             Scenario.from_dict(data)
 
-    @pytest.mark.parametrize("start, message", [
-        ([np.nan, 1.0, 1e6], "must be finite"),
-        ([500.0, 1.0, 15.0], "outside the flight box"),
-        ([1.0, 1.0], r"must have shape \(3,\), got \(2,\)"),
+    @pytest.mark.parametrize("key", ["user_positions", "uav_positions"])
+    def test_snapshot_positions_checked_before_the_build(self, key, monkeypatch):
+        data = build_scenario(small_config()).to_dict()
+        data["config"]["num_users" if key == "user_positions" else "num_uavs"] = 10 ** 9
+
+        def no_build(*args):
+            raise AssertionError("the scenario was built")
+
+        monkeypatch.setattr(model, "stream", no_build)
+        with pytest.raises(ConfigError, match=rf"^scenario snapshot {key} must have shape "
+                                              rf"\(1000000000, 3\), got \(4, 3\)$"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("row, message", [
+        ([np.nan, 1.0, 12.0], "must be finite"),
+        ([1.0, np.inf, 12.0], "must be finite"),
+        ([1.0, 1.0], "must be an array of numbers"),
+        ([1.0, 1.0, 12.0, 1.0], "must be an array of numbers"),
         (["30", "5", "15"], "must be an array of numbers"),
-    ], ids=["nan", "outside-box", "two-coords", "numeric-str"])
-    def test_snapshot_bad_initial_uav_position_names_the_uav(self, start, message):
-        # the config's own initial_uav_positions is None: only the snapshot array holds starts
+        ([1.0, True, 12.0], "must be an array of numbers"),
+    ], ids=["nan", "inf", "two-coords", "four-coords", "numeric-str", "bool-in-row"])
+    @pytest.mark.parametrize("key", ["user_positions", "uav_positions"])
+    def test_snapshot_bad_position_names_the_key(self, key, row, message):
         data = build_scenario(small_config()).to_dict()
-        data["initial_uav_positions"][0] = start
-        with pytest.raises(ConfigError, match=f"initial position of UAV 0 .*{message}"):
+        data[key][1] = row
+        with pytest.raises(ConfigError, match=f"^scenario snapshot {key} {message}"):
             Scenario.from_dict(data)
 
-    def test_snapshot_starts_must_match_its_config_starts(self):
+    @pytest.mark.parametrize("section, message", [
+        (5.0, r"must have shape \(4, 3\), got \(\)"),
+        ([5.0, 6.0], r"must have shape \(4, 3\), got \(2,\)"),
+        ([[1.0, 2.0, 12.0, 1.0]] * 4, r"must have shape \(4, 3\), got \(4, 4\)"),
+        ("rows", "must be an array of numbers"), ({}, "must be an array of numbers"),
+        (True, "must be an array of numbers"), (None, "must be an array of numbers"),
+    ], ids=["number", "list", "four-coords", "str", "object", "bool", "null"])
+    def test_snapshot_positions_not_rows_rejected(self, section, message):
+        data = build_scenario(small_config()).to_dict()
+        data["user_positions"] = section
+        with pytest.raises(ConfigError, match=f"^scenario snapshot user_positions {message}"):
+            Scenario.from_dict(data)
+
+    def test_loaded_starts_come_from_the_config(self):
         starts = ((1.0, 1.0, 12.0), (0.0, 50.0, 10.0), (50.0, 0.0, 20.0), (50.0, 50.0, 15.0))
-        data = build_scenario(small_config(initial_uav_positions=starts)).to_dict()
-        assert Scenario.from_dict(data).initial_uav_positions.tolist() == list(map(list, starts))
-        data["initial_uav_positions"][2] = [30.0, 5.0, 15.0]   # inside the box, unlike the config
-        with pytest.raises(ConfigError, match=r"initial position of UAV 2 \[30.0, 5.0, 15.0\] "
-                                              r"differs from its config's \[50.0, 0.0, 20.0\]"):
+        for config in (small_config(initial_uav_positions=starts), small_config(num_uavs=6)):
+            scenario = build_scenario(config)
+            scenario.uavs.position[:, 2] = 18.0        # the UAVs have flown
+            loaded = Scenario.from_dict(scenario.to_dict())
+            assert loaded.initial_uav_positions.tobytes() == \
+                scenario.initial_uav_positions.tobytes()
+            assert loaded.uavs.position.tobytes() == scenario.uavs.position.tobytes()
+            loaded.reset()
+            assert loaded.uavs.position.tobytes() == scenario.initial_uav_positions.tobytes()
+
+    def test_snapshot_holds_the_config_and_two_position_arrays(self):
+        data = build_scenario(small_config()).to_dict()
+        assert list(data) == list(model.SNAPSHOT_KEYS)
+        assert np.shape(data["user_positions"]) == np.shape(data["uav_positions"]) == (4, 3)
+
+    def test_schema_1_snapshot_rejected(self):
+        # the old format: every array row by row, the starts at top level; here
+        # its rows contradict the config (a 5 GHz UAV, a 30-degree cone, a mute user)
+        scenario = build_scenario(small_config())
+        data = {"schema_version": 1, "config": scenario.to_dict()["config"],
+                "users": [{"position": p, "cpu_freq": 9e8, "tx_power": 0.0}
+                          for p in scenario.users.position.tolist()],
+                "uavs": [{"position": p, "cpu_freq": 5e9, "tx_power": 5.0, "half_angle_deg": 30.0}
+                         for p in scenario.uavs.position.tolist()],
+                "initial_uav_positions": scenario.initial_uav_positions.tolist()}
+        with pytest.raises(ConfigError, match="^unsupported scenario schema_version: 1$"):
             Scenario.from_dict(data)
 
-    def test_snapshot_initial_uav_positions_not_a_list_rejected(self):
+    @pytest.mark.parametrize("key", ["typo_key", "users", "initial_uav_positions"])
+    def test_snapshot_with_unknown_key_rejected(self, key):
         data = build_scenario(small_config()).to_dict()
-        data["initial_uav_positions"] = 5.0
-        with pytest.raises(ConfigError, match="must be a list of positions, got 5.0"):
+        data[key] = []
+        with pytest.raises(ConfigError, match=rf"^scenario snapshot: unknown key\(s\) {key}$"):
             Scenario.from_dict(data)
 
-    @pytest.mark.parametrize("key, field, value, every_row", [
-        ("users", "position", [1.0, 2.0], r"users position must have shape \(4, 3\), got \(4, 2\)"),
-        ("users", "cpu_freq", "fast", "users field 'cpu_freq' must be an array of numbers"),
-        ("uavs", "position", [1.0, 2.0, "high"],
-         "uavs field 'position' must be an array of numbers"),
-        ("uavs", "cpu_freq", "fast", "uavs field 'cpu_freq' must be an array of numbers"),
-        ("users", "tx_power", [1.0, 1.1], r"user tx_power must have shape \(4,\), got \(4, 2\)"),
-    ], ids=["user-position-2d", "user-cpu_freq-str", "uav-position-str", "uav-cpu_freq-str",
-            "user-tx_power-vector"])
-    def test_snapshot_bad_row_names_key_and_field(self, key, field, value, every_row):
+    @pytest.mark.parametrize("key", ["config", "user_positions", "uav_positions"])
+    def test_snapshot_missing_key_names_it(self, key):
         data = build_scenario(small_config()).to_dict()
-        data[key][1][field] = value
-        with pytest.raises(ConfigError, match=f"{key} field '{field}'"):
-            Scenario.from_dict(data)
-        for row in data[key]:          # the same value in every row
-            row[field] = value
-        with pytest.raises(ConfigError, match=every_row):
-            Scenario.from_dict(data)
-
-    @pytest.mark.parametrize("key, field, value", [
-        ("users", "cpu_freq", "9e8"), ("uavs", "position", ["30", "5", "15"]),
-        ("users", "tx_power", True),
-    ], ids=["user-cpu_freq-numeric-str", "uav-position-numeric-str", "user-tx_power-all-bool"])
-    def test_snapshot_column_of_non_numbers_refused(self, key, field, value):
-        data = build_scenario(small_config()).to_dict()
-        for row in data[key]:          # one numeric string is enough, bools must fill the column
-            row[field] = value
-        with pytest.raises(ConfigError, match=f"snapshot {key} field '{field}' must be an "
-                                              f"array of numbers"):
-            Scenario.from_dict(data)
-
-    @pytest.mark.parametrize("section", [5.0, [5.0, 6.0], "rows"], ids=["number", "list", "str"])
-    def test_snapshot_section_not_rows_rejected(self, section):
-        data = build_scenario(small_config()).to_dict()
-        data["users"] = section
-        with pytest.raises(ConfigError, match="scenario snapshot is malformed"):
-            Scenario.from_dict(data)
-
-    def test_snapshot_with_bad_value_rejected_at_load(self):
-        data = build_scenario(small_config()).to_dict()
-        data["uavs"][1]["cpu_freq"] = -5.0
-        with pytest.raises(ConfigError, match="UAV 1 cpu_freq must be finite and > 0"):
-            Scenario.from_dict(data)
-
-    @pytest.mark.parametrize("key", ["users", "uavs"])
-    def test_snapshot_row_with_unknown_key_rejected(self, key):
-        data = build_scenario(small_config()).to_dict()
-        data[key][1]["typo"] = 1.0
-        with pytest.raises(ConfigError,
-                           match=rf"^scenario snapshot {key}: unknown key\(s\) typo$"):
-            Scenario.from_dict(data)
-
-    def test_snapshot_missing_key_names_it(self):
-        data = build_scenario(small_config()).to_dict()
-        del data["uavs"][0]["half_angle_deg"]
-        with pytest.raises(ConfigError, match="half_angle_deg"):
+        del data[key]
+        with pytest.raises(ConfigError, match=rf"^scenario snapshot: missing key\(s\) {key}$"):
             Scenario.from_dict(data)
 
 

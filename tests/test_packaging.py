@@ -127,3 +127,31 @@ def test_only_learner_numeric_checks_test_finiteness():
     calls = [f"{filename}:{line}" for filename, line, owner in owned_attribute_uses("isfinite")
              if filename != "errors.py" and (filename, owner) not in allowed]
     assert calls == []
+
+
+def callers(name: str):
+    """(file name, qualified name of the enclosing function or None) of every
+    call of `name` by its bare name in the package; a method is named
+    `Class.method`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owners = {}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owners.update((id(node), function.name) for node in ast.walk(function))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for function in cls.body:
+                    if isinstance(function, ast.FunctionDef):
+                        owners.update((id(node), f"{cls.name}.{function.name}")
+                                      for node in ast.walk(function))
+        yield from ((path.name, owners.get(id(node))) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == name)
+
+
+def test_only_scenario_init_builds_the_world():
+    """`Scenario(config)` is the one constructor of the world: no other code in
+    the package builds a `UserArrays` or `UavArrays` by name."""
+    builders = {caller for name in ("UserArrays", "UavArrays") for caller in callers(name)}
+    assert builders == {("model.py", "Scenario.__init__")}

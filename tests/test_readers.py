@@ -327,8 +327,8 @@ class TestSnapshotReader:
     def test_mutated_snapshots_load_or_raise_typed_errors(self):
         rng = np.random.default_rng(1917)
         data = build_scenario(SNAPSHOT_CONFIG).to_dict()
-        sections = [("config",), ("config", "channel"), ("users",), ("uavs",),
-                    ("initial_uav_positions",)]
+        sections = [("schema_version",), ("config",), ("config", "channel"),
+                    ("user_positions",), ("uav_positions",)]
         escaped = []
         for trial in range(600):
             mutated, change = mutate_json(data, rng, sections)
@@ -496,10 +496,13 @@ def motion(deltas):
     return apply_motion(positions, deltas, ScenarioConfig(num_uavs=2))
 
 
-def snapshot_tx_power(value):
+def snapshot_user_positions(value):
     data = build_scenario(SNAPSHOT_CONFIG).to_dict()
-    data["users"][1]["tx_power"] = value
+    data["user_positions"] = value
     return Scenario.from_dict(data)
+
+
+USER_POSITIONS = build_scenario(SNAPSHOT_CONFIG).to_dict()["user_positions"]   # 4 x 3
 
 
 def noisy_actions(noise_sigma):
@@ -590,6 +593,13 @@ def remember_row(name):
                   [(np.where(np.eye(3, dtype=bool), math.inf, ROWS), must + "be finite")])
 
 
+def clash(**shapes):
+    """The refusal of arguments whose shapes (name -> shape, in argument
+    order) do not broadcast together."""
+    return " and ".join(f"{name} of shape {shape}" for name, shape in shapes.items()) + \
+        " do not broadcast together"
+
+
 RAGGED = [[0], [0, 0]]
 ROWS = np.full((3, 3), 5.0)   # a valid obs, actions or next_obs of a 3-UAV trainer
 NON_NUMBER_ROWS = (ROWS.astype(str), ROWS.astype(bool))
@@ -632,12 +642,14 @@ READERS = {
         ((10.0, 10.0), "initial position of UAV 0 must have shape (3,)"),
         [(10.0, np.False_, 15.0)],
         [((math.nan, 10.0, 15.0), "initial position of UAV 0 must be finite")]),
-    "Scenario.from_dict user tx_power": Reader(
-        snapshot_tx_power, 1.1, ConfigError,
-        "scenario snapshot users field 'tx_power' must be an array of numbers", True, False,
-        ([1.1, 1.1], "scenario snapshot users field 'tx_power' must be an array of numbers"),
-        [False, [1.0, True]],
-        [(bad, "user 1 tx_power must be finite and >= 0") for bad in (math.nan, -1.0, math.inf)]),
+    "Scenario.from_dict user_positions": Reader(
+        snapshot_user_positions, USER_POSITIONS, ConfigError,
+        "scenario snapshot user_positions must be an array of numbers",
+        with_bool(USER_POSITIONS), False,
+        (USER_POSITIONS[:3], "scenario snapshot user_positions must have shape (4, 3)"),
+        [np.array(USER_POSITIONS, dtype=str), np.ones((4, 3), dtype=bool), None],
+        [(np.where(np.eye(4, 3, dtype=bool), bad, USER_POSITIONS),
+          "scenario snapshot user_positions must be finite") for bad in (math.nan, math.inf)]),
     "apply_motion deltas": Reader(
         motion, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], ConfigError,
         "motion deltas must be an array of numbers", [[0.0, 0.0, 0.0], [1.0, True, 1.0]], False,
@@ -652,29 +664,56 @@ READERS = {
         [(np.full((3, 3), math.nan), "obs must be finite")]),
     **{f"remember {name}": remember_row(name) for name in ("obs", "actions", "next_obs")},
     "remember reward": scalar(remembered("reward"), 1.5, "reward", ["1.5", math.inf, [1.0, 2.0]]),
-    # the public numeric helpers: every argument but `params`
+    # the public numeric helpers: every argument but `params`; a helper of two
+    # or more arrays refuses shapes that do not broadcast, naming each argument
     "elevation_deg_from_geometry altitude_m": helper(
-        channel.elevation_deg_from_geometry, "altitude_m", 10.0, reference_dist_m=5.0),
+        channel.elevation_deg_from_geometry, "altitude_m", 10.0,
+        ([10.0, 12.0], clash(altitude_m=(2,), reference_dist_m=(3,))),
+        reference_dist_m=[5.0, 6.0, 7.0]),
     "elevation_deg_from_geometry reference_dist_m": helper(
-        channel.elevation_deg_from_geometry, "reference_dist_m", 5.0, altitude_m=10.0),
+        channel.elevation_deg_from_geometry, "reference_dist_m", 5.0,
+        ([5.0, 6.0], clash(altitude_m=(3,), reference_dist_m=(2,))),
+        altitude_m=[10.0, 12.0, 14.0]),
     "los_probability_from_angle theta_deg": helper(
         channel.los_probability_from_angle, "theta_deg", 30.0, params=ChannelParams()),
     "free_space_loss_db dist_m": helper(
         channel.free_space_loss_db, "dist_m", 20.0,
+        ([20.0, 30.0], clash(dist_m=(2,), carrier_mhz=(3,))),
         checked=[(bad, "dist_m must be finite and > 0")
-                 for bad in (math.nan, -1.0, 0.0, [20.0, math.inf])], carrier_mhz=2000.0),
+                 for bad in (math.nan, -1.0, 0.0, [20.0, math.inf])],
+        carrier_mhz=[2000.0, 2400.0, 5800.0]),
     "free_space_loss_db carrier_mhz": helper(
-        channel.free_space_loss_db, "carrier_mhz", 2000.0, dist_m=20.0),
+        channel.free_space_loss_db, "carrier_mhz", 2000.0,
+        ([2000.0, 2400.0], clash(dist_m=(3,), carrier_mhz=(2,))),
+        dist_m=[20.0, 30.0, 40.0]),
+    "mean_path_loss_db dist_m": helper(
+        channel.mean_path_loss_db, "dist_m", 20.0,
+        ([20.0, 30.0], clash(dist_m=(2,), theta_deg=(3,))),
+        theta_deg=[30.0, 45.0, 60.0], params=ChannelParams()),
+    "mean_path_loss_db theta_deg": helper(
+        channel.mean_path_loss_db, "theta_deg", 30.0,
+        ([30.0, 45.0], clash(dist_m=(3,), theta_deg=(2,))),
+        dist_m=[20.0, 30.0, 40.0], params=ChannelParams()),
     "spectral_efficiency tx_power_watts": helper(
-        channel.spectral_efficiency, "tx_power_watts", 1.0, path_loss_db=80.0, noise_watts=1e-10),
+        channel.spectral_efficiency, "tx_power_watts", 1.0,
+        ([1.0, 1.2], clash(tx_power_watts=(2,), path_loss_db=(3,), noise_watts=())),
+        path_loss_db=[80.0, 90.0, 100.0], noise_watts=1e-10),
     "spectral_efficiency path_loss_db": helper(
-        channel.spectral_efficiency, "path_loss_db", 80.0, tx_power_watts=1.0, noise_watts=1e-10),
+        channel.spectral_efficiency, "path_loss_db", 80.0,
+        ([80.0, 90.0], clash(tx_power_watts=(3,), path_loss_db=(2,), noise_watts=())),
+        tx_power_watts=[1.0, 1.1, 1.2], noise_watts=1e-10),
     "spectral_efficiency noise_watts": helper(
-        channel.spectral_efficiency, "noise_watts", 1e-10, tx_power_watts=1.0, path_loss_db=80.0),
+        channel.spectral_efficiency, "noise_watts", 1e-10,
+        ([1e-10, 2e-10], clash(tx_power_watts=(3,), path_loss_db=(), noise_watts=(2,))),
+        tx_power_watts=[1.0, 1.1, 1.2], path_loss_db=80.0),
     "coverage_radius altitude_m": helper(
-        model.coverage_radius, "altitude_m", 10.0, half_angle_deg=45.0),
+        model.coverage_radius, "altitude_m", 10.0,
+        ([10.0, 12.0], clash(altitude_m=(2,), half_angle_deg=(3,))),
+        half_angle_deg=[30.0, 45.0, 60.0]),
     "coverage_radius half_angle_deg": helper(
-        model.coverage_radius, "half_angle_deg", 45.0, altitude_m=10.0),
+        model.coverage_radius, "half_angle_deg", 45.0,
+        ([30.0, 45.0], clash(altitude_m=(3,), half_angle_deg=(2,))),
+        altitude_m=[10.0, 12.0, 14.0]),
     "pairwise_distances positions": helper(
         model.pairwise_distances, "positions", [[0.0, 0.0, 10.0], [3.0, 4.0, 10.0]],
         ([1.0, 2.0, 3.0], "positions must have shape (K, 3)"),
