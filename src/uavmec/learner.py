@@ -24,16 +24,16 @@ MADDPG (Lowe et al. 2017, arXiv:1706.02275): agent n + 1's TD target reads
 agent n's target actor as just blended, so the agents cannot be updated as one
 stacked step without changing the result.
 
-A checkpoint is one `.npz` archive of plain arrays (schema version 5): `meta`,
-a JSON string holding schema_version, config (the TrainConfig), buffer_size,
-buffer_cursor and rng_state; the four role stacks; the buffer_size filled
-replay rows as x, rew and next_obs; and input_scale, the network units those
-rows are in. Replay rows past buffer_size hold no data (see `ReplayBuffer`)
-and are neither saved nor restored. `load_checkpoint` reads the config with
-`errors.config_from_dict`. `checkpoint_layout` is the one layout table, entry
-name -> the float64 array it holds: `state_dict` copies from it, and
-`load_state_dict` checks every array against it, and input_scale against the
-trainer's own, before writing any.
+A checkpoint is one `.npz` archive of exactly these arrays (schema version
+5): `meta`, a JSON string holding exactly schema_version, config (the
+TrainConfig), buffer_size, buffer_cursor and rng_state; the four role stacks;
+the buffer_size filled replay rows as x, rew and next_obs, each row finite;
+and input_scale, the network units those rows are in. Replay rows past
+buffer_size hold no data (see `ReplayBuffer`) and are neither saved nor
+restored. `checkpoint_layout` is the one layout table, entry name -> the
+float64 array it holds: `state_dict` copies from it, and `load_state_dict`
+checks the archive against it, and input_scale against the trainer's own,
+with the readers of `errors` before writing any.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from . import nets
 from .env import EdgeComputeEnv, SlotInfo
 from .errors import (COUNT, FINITE, NON_NEGATIVE, SEED, UNIT, ConfigError, NumericError,
-                     check_array, check_number, check_numbers, config_from_dict,
+                     check_array, check_keys, check_number, check_numbers, config_from_dict,
                      config_to_dict, float_array, replace_file, require)
 from .model import Scenario, stream
 
@@ -299,12 +299,12 @@ class MaddpgTrainer:
         return layout
 
     def load_state_dict(self, state: dict):
-        """Restore from `state_dict()` output through `checkpoint_layout`: each
-        role stack, then the first buffer_size rows of each replay field. Unless every
-        entry is there, float64 and shaped as its target, the cursor is where
-        `push` would have left it, and input_scale is this trainer's, raise
-        ConfigError naming it, or NumericError naming the first agent and role
-        with a non-finite parameter, before anything is changed."""
+        """Restore `state_dict()` output through `checkpoint_layout`: the role
+        stacks, then buffer_size rows of each replay field. Unless the archive
+        holds exactly those entries, meta and input_scale, each float64 shaped as
+        its target with finite replay rows, the cursor where `push` leaves it and
+        input_scale this trainer's, change nothing and raise ConfigError naming it
+        (and the row), or NumericError naming the first bad agent and role."""
         meta = checkpoint_meta(state)
         size, cursor, capacity = meta["buffer_size"], meta["buffer_cursor"], self.buffer.capacity
         check_number(size, ("int", 0, capacity, f"lie in [0, {capacity}]"),
@@ -312,18 +312,19 @@ class MaddpgTrainer:
         check_number(cursor, ("int", 0, capacity - 1, f"lie in [0, {capacity})"),
                      "checkpoint buffer_cursor")
         layout = self.checkpoint_layout(size)
+        check_keys(state, ("meta", "input_scale", *layout), "checkpoint archive")
         for name, (label, target) in layout.items():
-            require(name in state, f"checkpoint is missing array {name}")
             array = state[name]
             dtype = getattr(array, "dtype", type(array).__name__)
             require(dtype == np.float64 and array.shape == target.shape,
                     f"checkpoint {label} has shape {np.shape(array)} and dtype {dtype}, this "
                     f"trainer needs float64 {target.shape} for (num_agents, buffer_size) = "
                     f"({self.num_agents}, {size})")
+            if name in REPLAY_FIELDS:   # `remember` stores only finite rows
+                check_array(array, None, FINITE, f"checkpoint {label} row {{}}")
         require(size == capacity or cursor == size,   # push's order, or unwritten rows get read
                 f"replay cursor {cursor} does not follow its {size} rows in a buffer of "
                 f"capacity {capacity}: a ring that is not full has its cursor at its size")
-        require("input_scale" in state, "checkpoint is missing array input_scale")
         scale = state["input_scale"]
         require(getattr(scale, "dtype", None) == np.float64
                 and np.array_equal(scale, self.input_scale),
@@ -375,9 +376,9 @@ def check_finite_stacks(stacks: dict, where: str):
 
 
 def checkpoint_meta(state: dict) -> dict:
-    """A checkpoint state's parsed `meta`; ConfigError, naming what is wrong,
-    unless meta is current-schema JSON holding every key in META_KEYS, config
-    and rng_state as objects. `load_state_dict` checks the rest."""
+    """A checkpoint state's parsed `meta`: JSON with exactly the META_KEYS, the
+    integer CHECKPOINT_SCHEMA_VERSION and object config and rng_state, or a
+    ConfigError naming what is wrong. `load_state_dict` checks the rest."""
     require("meta" in state, "checkpoint is missing array meta")
     try:
         meta = json.loads(str(state["meta"]))
@@ -386,8 +387,7 @@ def checkpoint_meta(state: dict) -> dict:
     version = meta.get("schema_version") if isinstance(meta, dict) else None
     check_number(version, ("int", CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_SCHEMA_VERSION,
                            f"be {CHECKPOINT_SCHEMA_VERSION}"), "checkpoint schema_version")
-    for key in META_KEYS:
-        require(key in meta, f"checkpoint meta is missing key {key}")
+    check_keys(meta, META_KEYS, "checkpoint meta")
     for key in ("config", "rng_state"):
         require(isinstance(meta[key], dict),
                 f"checkpoint meta {key} must be a JSON object, got {meta[key]!r}")

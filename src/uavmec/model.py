@@ -331,11 +331,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """`Scenario(config)` with `data`'s positions, each array held to a finite
-        (count, 3) from its config before anything is built."""
+        """`Scenario(config)` with `data`'s positions, built once its integer
+        version, exact keys and each array, a finite (count, 3), are checked."""
         version = data.get("schema_version") if isinstance(data, dict) else None
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported scenario schema_version: {version!r}")
+        check_number(version, ("int", SCHEMA_VERSION, SCHEMA_VERSION, f"be {SCHEMA_VERSION}"),
+                     "scenario snapshot schema_version")
         check_keys(data, SNAPSHOT_KEYS, "scenario snapshot")
         config = config_from_dict(ScenarioConfig, data["config"], "scenario config")
         users, uavs = (check_array(float_array(data[key], f"scenario snapshot {key}"),

@@ -36,6 +36,24 @@ def filled_replay_bytes(trainer: MaddpgTrainer) -> list[bytes]:
     return [state[name].tobytes() for name in learner.REPLAY_FIELDS]
 
 
+def drive(trainer: MaddpgTrainer, rng: np.random.Generator, slots: int):
+    """`slots` slots of the calls `train()` makes per slot, on transitions drawn
+    from `rng` in place of an environment's: act with noise, remember, and once
+    the buffer is warm one sample, then each agent's critic, actor and soft update."""
+    shape, config = (trainer.num_agents, 3), trainer.config
+    for _ in range(slots):
+        obs = rng.uniform(0.0, 50.0, shape)
+        actions = trainer.joint_actions(obs, 0.3)
+        trainer.remember(obs, actions, float(rng.normal()), rng.uniform(0.0, 50.0, shape))
+        if trainer.buffer.size >= config.min_fill:
+            batches = trainer.buffer.sample(trainer.num_agents, config.batch_size, trainer.rng)
+            for n in range(trainer.num_agents):
+                batch = tuple(part[n] for part in batches)
+                trainer.critic_update(n, batch)
+                trainer.actor_update(n, batch)
+                trainer.soft_update_agent(n)
+
+
 def edit_meta(state: dict, **changes) -> str:
     """`state`'s meta JSON with top-level keys replaced."""
     return json.dumps({**json.loads(state["meta"]), **changes})
@@ -120,17 +138,26 @@ class TestCheckpointInput:
         ({"rng_state": "PCG64"}, ConfigError, "rng_state must be a JSON object"),
         (("actor", 1, np.nan), NumericError, "agent 1 actor in the checkpoint"),
         (("target_critic", 3, -np.inf), NumericError, "agent 3 target_critic in the checkpoint"),
+        (("x", 5, np.nan), ConfigError, r"^checkpoint replay field x row 5 must be finite"),
+        (("rew", 23, np.inf), ConfigError, r"^checkpoint replay field rew row 23 must be finite"),
+        (("next_obs", 0, np.nan), ConfigError,
+         r"^checkpoint replay field next_obs row 0 must be finite"),
+        ({"typo_key": 1}, ConfigError, r"^checkpoint meta: unknown key\(s\) typo_key$"),
+        ("obs", ConfigError, r"^checkpoint archive: unknown key\(s\) obs$"),
     ], ids=["rng_state", "buffer_size", "buffer_size-str", "buffer_size-bool",
             "buffer_cursor-float", "buffer_size-negative", "buffer_size-huge",
             "buffer_cursor-capacity", "config-list", "rng_state-str",
-            "actor-nan", "target_critic-inf"])
+            "actor-nan", "target_critic-inf", "x-nan", "rew-inf", "next_obs-nan",
+            "unknown-meta-key", "unknown-array"])
     def test_rejected_state_changes_nothing(self, edit, error, message):
         state = train(scenario(), SMALL)[0].state_dict()   # 24 replay rows
         if isinstance(edit, dict):
             state["meta"] = edit_meta(state, **edit)
-        else:
-            role, agent, value = edit
-            state[role][agent, -1] = value
+        elif isinstance(edit, str):   # an entry the format does not have
+            state[edit] = np.zeros((24, 12))
+        else:   # the last entry of a stack's or replay field's row (a rew row is one entry)
+            name, row, value = edit
+            state[name].reshape(len(state[name]), -1)[row, -1] = value
         trainer = MaddpgTrainer(scenario(), SMALL)
         before = network_bytes(trainer), replay_bytes(trainer), trainer.rng.bit_generator.state
         with pytest.raises(error, match=message):
@@ -161,8 +188,9 @@ class TestCheckpointInput:
         ('{"schema_version": 2', "not JSON"),
         ("[3]", "schema_version must be an integer, got None"),
         ('{"schema_version": 2}', "schema_version must be 5, got 2"),
+        ('{"schema_version": 5.0}', r"^checkpoint schema_version must be an integer, got 5\.0$"),
         ('{"schema_version": 5}', "missing key.*config"),
-    ], ids=["not-json", "not-an-object", "schema-2", "missing-keys"])
+    ], ids=["not-json", "not-an-object", "schema-2", "schema-float", "missing-keys"])
     def test_bad_meta_rejected(self, tmp_path, meta, message):
         path = tmp_path / "ckpt.npz"
         MaddpgTrainer(scenario(), SMALL).save_checkpoint(path)
@@ -254,12 +282,28 @@ class TestCheckpointInput:
         for a, b in zip(draw, again):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("capacity", [64, 16])  # 40 slots: partly filled, wrapped
+    def test_resumed_run_equals_uninterrupted_one(self, tmp_path, capacity):
+        config = dataclasses.replace(SMALL, buffer_capacity=capacity)
+        trainer = MaddpgTrainer(scenario(), config)
+        drive(trainer, np.random.default_rng(40), 40)
+        trainer.save_checkpoint(tmp_path / "ckpt.npz")
+        resumed = MaddpgTrainer.load_checkpoint(scenario(), tmp_path / "ckpt.npz")
+        for run in (trainer, resumed):
+            drive(run, np.random.default_rng(41), 20)
+        assert network_bytes(trainer) != network_bytes(MaddpgTrainer(scenario(), config))
+        assert network_bytes(resumed) == network_bytes(trainer)
+        assert filled_replay_bytes(resumed) == filled_replay_bytes(trainer)
+        assert (resumed.buffer.size, resumed.buffer.cursor) == (trainer.buffer.size,
+                                                                trainer.buffer.cursor)
+        assert resumed.rng.bit_generator.state == trainer.rng.bit_generator.state
+
     @pytest.mark.parametrize("name", ["critic", "next_obs"])
     def test_missing_array_rejected(self, tmp_path, name):
         path = tmp_path / "ckpt.npz"
         train(scenario(), SMALL)[0].save_checkpoint(path)
         rewrite(path, drop=[name])
-        with pytest.raises(ConfigError, match=f"missing array.*{name}"):
+        with pytest.raises(ConfigError, match=rf"^checkpoint archive: missing key\(s\) {name}$"):
             MaddpgTrainer.load_checkpoint(scenario(), path)
 
     def test_mismatched_replay_file_rejected(self, tmp_path):

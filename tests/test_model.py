@@ -204,7 +204,16 @@ class TestScenarioConstruction:
                 "uavs": [{"position": p, "cpu_freq": 5e9, "tx_power": 5.0, "half_angle_deg": 30.0}
                          for p in scenario.uavs.position.tolist()],
                 "initial_uav_positions": scenario.initial_uav_positions.tolist()}
-        with pytest.raises(ConfigError, match="^unsupported scenario schema_version: 1$"):
+        with pytest.raises(ConfigError, match="^scenario snapshot schema_version must be 2, got 1$"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("version", [2.0, True, "2"])
+    def test_schema_version_must_be_the_integer(self, version):
+        # as a checkpoint's: `check_number` refuses a float, bool or string version
+        data = build_scenario(small_config()).to_dict()
+        data["schema_version"] = version
+        with pytest.raises(ConfigError, match=rf"^scenario snapshot schema_version must be an "
+                                              rf"integer, got {re.escape(repr(version))}$"):
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize("key", ["typo_key", "users", "initial_uav_positions"])

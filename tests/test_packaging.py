@@ -102,6 +102,18 @@ def test_only_errors_tests_the_type_of_a_number():
     assert tests == []
 
 
+SCHEMA_VERSIONS = {"SCHEMA_VERSION", "CHECKPOINT_SCHEMA_VERSION"}
+
+
+def test_only_check_number_reads_a_schema_version():
+    """A saved file's schema_version is read by `errors.check_number` alone:
+    neither version constant is an operand of a comparison in the package."""
+    compares = [f"{filename}:{node.lineno}" for filename, node in package_nodes()
+                if isinstance(node, ast.Compare) for side in (node.left, *node.comparators)
+                if getattr(side, "id", getattr(side, "attr", None)) in SCHEMA_VERSIONS]
+    assert compares == []
+
+
 def owned_attribute_uses(attr: str):
     """(file name, line, enclosing function name or None) of every use of an
     attribute named `attr` in the package."""
