@@ -9,17 +9,15 @@ multi-agent actor-critic trajectory learner (`learner`), reference policies
 """
 
 from .model import (ScenarioConfig, Scenario, UserArrays, UavArrays, TaskArrays,
-                    UserState, UavState, Task, build_scenario, apply_motion,
-                    coverage_radius, pairwise_distances, generate_tasks)
+                    apply_motion, coverage_radius, pairwise_distances, generate_tasks)
 from .channel import ChannelParams
 from .delay import LOCAL, SlotContext, SlotDecision, SlotMetrics, slot_dor
 from .allocator import (AllocationResult, evaluate_assignment, cd_search,
                         brute_force_oracle, numeric_convex_oracle)
 
 __all__ = ["ScenarioConfig", "Scenario", "UserArrays", "UavArrays", "TaskArrays",
-           "UserState", "UavState", "Task", "build_scenario", "apply_motion",
-           "coverage_radius", "pairwise_distances", "generate_tasks", "ChannelParams",
-           "LOCAL", "SlotContext", "SlotDecision", "SlotMetrics", "slot_dor",
+           "apply_motion", "coverage_radius", "pairwise_distances", "generate_tasks",
+           "ChannelParams", "LOCAL", "SlotContext", "SlotDecision", "SlotMetrics", "slot_dor",
            "AllocationResult", "evaluate_assignment", "cd_search",
            "brute_force_oracle", "numeric_convex_oracle"]
 

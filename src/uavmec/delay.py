@@ -11,8 +11,8 @@ ingress) included; a `SlotDecision` holds only who offloads where, and the share
 `check_shares` a decision's bandwidth_hz and cpu_hz, read through
 `errors.float_array`, given its checked assignment; each then calls
 `errors.check_array`, and raises a refusal as a ValidationError.
-`validate_decision` runs both, and `slot_dor(validate=True)` scores the
-arrays it returns. A validated
+`slot_dor(validate=True)` is the one check of a whole decision: it runs both,
+in that order, and scores the arrays they return. A validated
 `allocator.evaluate_assignment` runs each once: its assignment, then its
 shares. `allocator.numeric_convex_oracle` runs `check_assignment` too.
 """
@@ -146,15 +146,6 @@ def check_assignment(assignment, ctx: SlotContext) -> tuple[np.ndarray, np.ndarr
     return a, off
 
 
-def validate_decision(decision: SlotDecision,
-                      ctx: SlotContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`decision`'s assignment (`check_assignment`) and shares (`check_shares`),
-    checked in that order, as arrays; ValidationError naming the first violated
-    constraint."""
-    a, _ = check_assignment(decision.assignment, ctx)
-    return (a, *check_shares(decision, a, ctx))
-
-
 def check_shares(decision: SlotDecision, a: np.ndarray,
                  ctx: SlotContext) -> tuple[np.ndarray, np.ndarray]:
     """`decision`'s bandwidth and cpu shares as float arrays, given `a` from
@@ -187,10 +178,12 @@ def check_shares(decision: SlotDecision, a: np.ndarray,
 
 
 def slot_dor(decision: SlotDecision, ctx: SlotContext, validate: bool = True) -> SlotMetrics:
-    """Per-slot objective value and its per-user breakdown; with `validate`, of
-    the arrays `validate_decision` returns."""
+    """Per-slot objective value and its per-user breakdown. With `validate`, of
+    the arrays `check_assignment` and then `check_shares` return, so a decision
+    either check refuses raises its ValidationError (or InfeasibleError) here."""
     if validate:
-        a, bw, cpu = validate_decision(decision, ctx)
+        a, _ = check_assignment(decision.assignment, ctx)
+        bw, cpu = check_shares(decision, a, ctx)
     else:
         a, bw, cpu = decision.assignment, decision.bandwidth_hz, decision.cpu_hz
     off = (np.asarray(a) != LOCAL).nonzero()[0]

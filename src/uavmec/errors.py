@@ -13,7 +13,7 @@ raises as a ValidationError; arrays a helper cannot broadcast together, as
 snapshot's or a checkpoint's), `config_to_dict` its inverse, and
 `replace_file` the one write path of a snapshot or a checkpoint.
 InfeasibleError is a ValidationError: `except ValidationError` catches every
-decision that `delay.validate_decision` refuses.
+decision that `delay.slot_dor` refuses.
 """
 
 import contextlib

@@ -17,12 +17,9 @@ in one.
 
 The replay buffer holds each transition in network units, normalised once
 when `remember` stores it: the critic input x = [obs, act] / input_scale, the
-reward, and next_obs divided by the box extents. A warm slot draws every
-agent's batch at once, (num_agents, batch_size) indices in one call. The
-critic, actor and soft updates then run agent by agent, as in sequential
-MADDPG (Lowe et al. 2017, arXiv:1706.02275): agent n + 1's TD target reads
-agent n's target actor as just blended, so the agents cannot be updated as one
-stacked step without changing the result.
+reward, and next_obs divided by the box extents. `MaddpgTrainer.update` is
+the one warm-slot update: one draw of every agent's batch, then the critic,
+actor and soft updates agent by agent (its docstring says why in sequence).
 
 A checkpoint is one `.npz` archive of exactly these arrays (schema version
 5): `meta`, a JSON string holding exactly schema_version, config (the
@@ -270,6 +267,22 @@ class MaddpgTrainer:
         nets.soft_update(a["target_actor"], a["actor"], self.config.tau)
         nets.soft_update(a["target_critic"], a["critic"], self.config.tau)
 
+    def update(self):
+        """Once the buffer holds min_fill transitions, one `ReplayBuffer.sample`
+        of every agent's batch, then each agent's critic, actor and soft update
+        in agent order, as in sequential MADDPG (Lowe et al. 2017,
+        arXiv:1706.02275): agent n + 1's TD target reads agent n's target actor
+        as just blended, so the agents cannot be updated as one stacked step
+        without changing the result."""
+        if self.buffer.size < self.config.min_fill:
+            return
+        batches = self.buffer.sample(self.num_agents, self.config.batch_size, self.rng)
+        for n in range(self.num_agents):
+            batch = tuple(part[n] for part in batches)
+            self.critic_update(n, batch)
+            self.actor_update(n, batch)
+            self.soft_update_agent(n)
+
     def check_finite(self, where: str):
         """NumericError naming the first agent, then role, with a non-finite parameter."""
         check_finite_stacks({role: net.theta for role, net in self.nets.items()},
@@ -397,6 +410,7 @@ def checkpoint_meta(state: dict) -> dict:
 def train(scenario: Scenario, config: TrainConfig,
           slot_callback=None) -> tuple[MaddpgTrainer, TrainingHistory]:
     """Full training run: episodes x horizon slots, deterministic under the seed.
+    Each slot acts with noise, steps the env, `remember`s, then runs `update`.
 
     slot_callback(episode, info: SlotInfo), when given, observes every slot.
     """
@@ -421,14 +435,7 @@ def train(scenario: Scenario, config: TrainConfig,
             if not np.isfinite(total_reward):   # before `remember` refuses it as a ConfigError
                 raise NumericError(f"non-finite episode reward at episode {episode}")
             trainer.remember(obs, actions, reward, next_obs)
-            if trainer.buffer.size >= config.min_fill:
-                batches = trainer.buffer.sample(trainer.num_agents, config.batch_size,
-                                                trainer.rng)
-                for n in range(trainer.num_agents):
-                    batch = tuple(part[n] for part in batches)
-                    trainer.critic_update(n, batch)
-                    trainer.actor_update(n, batch)
-                    trainer.soft_update_agent(n)
+            trainer.update()
             total_dor += info.dor
             violations += np.count_nonzero(info.violators)
             if slot_callback is not None:

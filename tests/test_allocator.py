@@ -12,7 +12,7 @@ from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment
                               minimize_inverse_on_simplex, numeric_convex_oracle)
 from uavmec.baselines import al_allocate, ao_allocate
 from uavmec.channel import ChannelParams
-from uavmec.delay import LOCAL, SlotContext, SlotDecision, validate_decision
+from uavmec.delay import LOCAL, SlotContext, SlotDecision, slot_dor
 from uavmec.errors import CapExceededError, ConvergenceError, InfeasibleError, ValidationError
 from uavmec.model import (ScenarioConfig, Task, UavState, UserState, build_scenario,
                           generate_tasks)
@@ -321,8 +321,7 @@ class TestBruteForce:
         rng = np.random.default_rng(14)
         ctx = random_slot_context(rng, num_users=4, num_uavs=2)
         result = brute_force_oracle(ctx)
-        from uavmec.delay import validate_decision
-        validate_decision(result.decision, ctx)  # must not raise
+        slot_dor(result.decision, ctx)  # must not raise
 
 
 class TestEvaluateAssignment:
@@ -372,7 +371,7 @@ class TestEvaluateAssignment:
         errors = []
         for check in (lambda: evaluate_assignment(assignment, ctx),
                       lambda: numeric_convex_oracle(assignment, ctx),
-                      lambda: validate_decision(SlotDecision(assignment, zeros, zeros), ctx)):
+                      lambda: slot_dor(SlotDecision(assignment, zeros, zeros), ctx)):
             with pytest.raises(ValidationError) as info:
                 check()
             errors.append((type(info.value), str(info.value)))
@@ -391,7 +390,7 @@ class TestEvaluateAssignment:
             calls.append(args[0])
             return original(*args)
 
-        for module in (delay, allocator):   # `validate_decision`'s name and the allocator's
+        for module in (delay, allocator):   # `slot_dor`'s name and the allocator's
             monkeypatch.setattr(module, "check_assignment", counted)
         ctx = random_slot_context(np.random.default_rng(17), num_users=4, num_uavs=2,
                                   narrow_coverage_prob=0.0)
@@ -418,7 +417,6 @@ class TestEvaluateAssignment:
             evaluate_assignment(np.array([0]), ctx)
 
     def test_every_feasible_assignment_validates(self):
-        from uavmec.delay import validate_decision
         rng = np.random.default_rng(16)
         for _ in range(20):
             ctx = random_slot_context(rng, max_users=4, max_uavs=2)
@@ -428,7 +426,7 @@ class TestEvaluateAssignment:
                 for u in range(ctx.num_users)
             ])
             decision, _ = evaluate_assignment(assignment, ctx)
-            validate_decision(decision, ctx)
+            slot_dor(decision, ctx)
 
     def test_relay_executor_differs_from_ingress(self):
         # executor without coverage is reachable through the covering UAV

@@ -2,7 +2,7 @@ import numpy as np
 
 from tests._instances import random_slot_context
 from uavmec.baselines import al_allocate, ao_allocate, rt_actions
-from uavmec.delay import LOCAL, validate_decision
+from uavmec.delay import LOCAL, slot_dor
 
 
 class TestAllocators:
@@ -13,7 +13,7 @@ class TestAllocators:
             result = al_allocate(ctx)
             assert result.dor == 0.0
             assert (result.decision.assignment == LOCAL).all()
-            validate_decision(result.decision, ctx)
+            slot_dor(result.decision, ctx)
 
     def test_all_offload_follows_default_ingress(self):
         rng = np.random.default_rng(32)
@@ -21,7 +21,7 @@ class TestAllocators:
             ctx = random_slot_context(rng)
             result = ao_allocate(ctx)
             assert np.array_equal(result.decision.assignment, ctx.default_ingress)
-            validate_decision(result.decision, ctx)
+            slot_dor(result.decision, ctx)
 
 
 class TestRandomTrajectory:

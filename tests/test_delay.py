@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uavmec.channel import ChannelParams
-from uavmec.delay import LOCAL, SlotContext, SlotDecision, slot_dor, validate_decision
+from uavmec.delay import LOCAL, SlotContext, SlotDecision, slot_dor
 from uavmec.errors import ConfigError, ValidationError
 from uavmec.model import Task, UavArrays, UavState, UserArrays, UserState
 from tests._instances import random_slot_context
@@ -280,35 +280,31 @@ class TestValidation:
         return SlotDecision(**base)
 
     def test_valid_decision_passes(self):
-        validate_decision(self._decision(), single_user_context())
+        slot_dor(self._decision(), single_user_context())
 
     @pytest.mark.parametrize("field", ["assignment", "bandwidth_hz", "cpu_hz"])
     def test_misshapen_arrays_rejected(self, field):
         decision = self._decision(**{field: np.zeros(2, dtype=int)})
         with pytest.raises(ValidationError, match=r"must have shape \(1,\)"):
-            validate_decision(decision, single_user_context())
+            slot_dor(decision, single_user_context())
 
     @pytest.mark.parametrize("field", ["bandwidth_hz", "cpu_hz"])
     def test_nan_share_rejected(self, field):
         with pytest.raises(ValidationError, match=f"^user 0 {field} must be finite and >= 0"):
-            validate_decision(self._decision(**{field: np.array([np.nan])}),
-                              single_user_context())
+            slot_dor(self._decision(**{field: np.array([np.nan])}), single_user_context())
 
     @pytest.mark.parametrize("assignment", [[0.5], [0.0], ["0"], [True]],
                              ids=["fraction", "integral-float", "str", "bool"])
     def test_non_integer_assignment_rejected(self, assignment):
         with pytest.raises(ValidationError, match="^assignment must be an array of integers"):
-            validate_decision(self._decision(assignment=np.array(assignment)),
-                              single_user_context())
+            slot_dor(self._decision(assignment=np.array(assignment)), single_user_context())
 
     @pytest.mark.parametrize("share", [[True], ["1e6"], [None], [[0.0], [0.0, 0.0]]],
                              ids=["bool", "str", "object", "ragged"])
     @pytest.mark.parametrize("field", ["bandwidth_hz", "cpu_hz"])
     def test_non_number_shares_rejected(self, field, share):
-        decision = self._decision(**{field: share})
-        for check in (validate_decision, slot_dor):
-            with pytest.raises(ValidationError, match=f"^{field} must be an array of numbers"):
-                check(decision, single_user_context())
+        with pytest.raises(ValidationError, match=f"^{field} must be an array of numbers"):
+            slot_dor(self._decision(**{field: share}), single_user_context())
 
     def test_list_shares_score_as_arrays(self):
         from uavmec.allocator import evaluate_assignment
@@ -323,29 +319,27 @@ class TestValidation:
 
     def test_bad_assignment_index(self):
         with pytest.raises(ValidationError, match="^user 0 assignment must be LOCAL"):
-            validate_decision(self._decision(assignment=np.array([3])),
-                              single_user_context())
+            slot_dor(self._decision(assignment=np.array([3])), single_user_context())
 
     def test_negative_share(self):
         with pytest.raises(ValidationError, match="bandwidth"):
-            validate_decision(self._decision(bandwidth_hz=np.array([-1.0])),
-                              single_user_context())
+            slot_dor(self._decision(bandwidth_hz=np.array([-1.0])), single_user_context())
 
     def test_bandwidth_oversubscription(self):
         ctx = single_user_context()
         with pytest.raises(ValidationError, match="oversubscribed"):
-            validate_decision(self._decision(bandwidth_hz=np.array([30e6])), ctx)
+            slot_dor(self._decision(bandwidth_hz=np.array([30e6])), ctx)
 
     def test_cpu_oversubscription(self):
         ctx = single_user_context()
         with pytest.raises(ValidationError, match="cpu oversubscribed"):
-            validate_decision(self._decision(cpu_hz=np.array([20e9])), ctx)
+            slot_dor(self._decision(cpu_hz=np.array([20e9])), ctx)
 
     def test_local_user_with_shares(self):
         ctx = single_user_context()
         bad = self._decision(assignment=np.array([LOCAL]))
         with pytest.raises(ValidationError, match="local users"):
-            validate_decision(bad, ctx)
+            slot_dor(bad, ctx)
 
     @pytest.mark.parametrize("user", [0, 1], ids=["uncovered", "zero-rate"])
     def test_offloaded_user_without_ingress_rejected(self, user):
@@ -357,7 +351,7 @@ class TestValidation:
                                 cpu_hz=1e9 * shares)
         with pytest.raises(ValidationError,
                            match=f"user {user} is offloaded but has no ingress UAV"):
-            validate_decision(decision, ctx)
+            slot_dor(decision, ctx)
 
 
 class TestShareWeights:

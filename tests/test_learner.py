@@ -38,20 +38,13 @@ def filled_replay_bytes(trainer: MaddpgTrainer) -> list[bytes]:
 
 def drive(trainer: MaddpgTrainer, rng: np.random.Generator, slots: int):
     """`slots` slots of the calls `train()` makes per slot, on transitions drawn
-    from `rng` in place of an environment's: act with noise, remember, and once
-    the buffer is warm one sample, then each agent's critic, actor and soft update."""
-    shape, config = (trainer.num_agents, 3), trainer.config
+    from `rng` in place of an environment's: act with noise, remember, update."""
+    shape = (trainer.num_agents, 3)
     for _ in range(slots):
         obs = rng.uniform(0.0, 50.0, shape)
         actions = trainer.joint_actions(obs, 0.3)
         trainer.remember(obs, actions, float(rng.normal()), rng.uniform(0.0, 50.0, shape))
-        if trainer.buffer.size >= config.min_fill:
-            batches = trainer.buffer.sample(trainer.num_agents, config.batch_size, trainer.rng)
-            for n in range(trainer.num_agents):
-                batch = tuple(part[n] for part in batches)
-                trainer.critic_update(n, batch)
-                trainer.actor_update(n, batch)
-                trainer.soft_update_agent(n)
+        trainer.update()
 
 
 def edit_meta(state: dict, **changes) -> str:
@@ -433,6 +426,25 @@ class TestReplayBuffer:
         assert network_bytes(again) == network_bytes(trainer)
         assert again_history == history
         assert filled_replay_bytes(again) == filled_replay_bytes(trainer)
+
+
+class TestUpdate:
+    def test_update_waits_for_min_fill(self):
+        trainer = MaddpgTrainer(scenario(), SMALL)
+        rng = np.random.default_rng(64)
+
+        def state():   # role stacks, replay arrays, rng state
+            return ([trainer.nets[role].theta.tobytes() for role in learner.ROLES],
+                    replay_bytes(trainer), trainer.rng.bit_generator.state)
+
+        for pushes in range(1, SMALL.min_fill + 1):
+            obs, actions, next_obs = rng.uniform(0.0, 50.0, size=(3, 4, 3))
+            trainer.remember(obs, actions, float(rng.normal()), next_obs)
+            before = state()
+            trainer.update()
+            moved = [now != then for now, then in zip(state(), before)]
+            warm = pushes == SMALL.min_fill
+            assert moved == [warm, False, warm], f"push {pushes}"
 
 
 class TestParameterStacks:

@@ -114,14 +114,30 @@ def test_only_check_number_reads_a_schema_version():
     assert compares == []
 
 
-def owned_attribute_uses(attr: str):
-    """(file name, line, enclosing function name or None) of every use of an
-    attribute named `attr` in the package."""
+def owned_trees():
+    """(file name, tree, owners) of every package module, where owners maps the
+    id of each node inside a function to the function's qualified name (a
+    method is named `Class.method`)."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        owners = {id(node): function.name for function in ast.walk(tree)
-                  if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
-        yield from ((path.name, node.lineno, owners.get(id(node))) for node in ast.walk(tree)
+        owners = {}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owners.update((id(node), function.name) for node in ast.walk(function))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for function in cls.body:
+                    if isinstance(function, ast.FunctionDef):
+                        owners.update((id(node), f"{cls.name}.{function.name}")
+                                      for node in ast.walk(function))
+        yield path.name, tree, owners
+
+
+def owned_attribute_uses(attr: str):
+    """(file name, line, qualified name of the enclosing function or None) of
+    every use of an attribute named `attr` in the package."""
+    for filename, tree, owners in owned_trees():
+        yield from ((filename, node.lineno, owners.get(id(node))) for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == attr)
 
 
@@ -143,21 +159,9 @@ def test_only_learner_numeric_checks_test_finiteness():
 
 def callers(name: str):
     """(file name, qualified name of the enclosing function or None) of every
-    call of `name` by its bare name in the package; a method is named
-    `Class.method`."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        owners = {}
-        for function in ast.walk(tree):
-            if isinstance(function, ast.FunctionDef):
-                owners.update((id(node), function.name) for node in ast.walk(function))
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef):
-                for function in cls.body:
-                    if isinstance(function, ast.FunctionDef):
-                        owners.update((id(node), f"{cls.name}.{function.name}")
-                                      for node in ast.walk(function))
-        yield from ((path.name, owners.get(id(node))) for node in ast.walk(tree)
+    call of `name` by its bare name in the package."""
+    for filename, tree, owners in owned_trees():
+        yield from ((filename, owners.get(id(node))) for node in ast.walk(tree)
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == name)
 
@@ -167,3 +171,30 @@ def test_only_scenario_init_builds_the_world():
     the package builds a `UserArrays` or `UavArrays` by name."""
     builders = {caller for name in ("UserArrays", "UavArrays") for caller in callers(name)}
     assert builders == {("model.py", "Scenario.__init__")}
+
+
+def test_only_update_steps_the_agents():
+    """`MaddpgTrainer.update` is the one warm-slot update: nothing else in the
+    package samples the replay buffer or runs an agent's critic, actor or soft
+    update."""
+    uses = [f"{filename}:{line} in {owner}"
+            for attr in ("sample", "critic_update", "actor_update", "soft_update_agent")
+            for filename, line, owner in owned_attribute_uses(attr)
+            if (filename, owner) != ("learner.py", "MaddpgTrainer.update")]
+    assert uses == []
+
+
+# Kept only because `bench/` looks them up; they go with this list.
+KEPT_FOR_BENCH = {"mlp_forward", "mlp_gradients", "build_scenario", "UserState", "UavState",
+                  "Task"}
+
+
+def test_package_calls_no_name_kept_for_the_benchmark():
+    """No package code calls a name of KEPT_FOR_BENCH, bare or as an
+    attribute, and `_Columns.from_rows` serves only `SlotContext`'s record
+    lists: deleting them all changes no other code in the package."""
+    calls = [f"{filename}:{node.lineno}" for filename, node in package_nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in KEPT_FOR_BENCH]
+    from_rows = {(filename, owner) for filename, _, owner in owned_attribute_uses("from_rows")}
+    assert calls == [] and from_rows == {("delay.py", "SlotContext.__init__")}

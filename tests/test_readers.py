@@ -28,7 +28,7 @@ import pytest
 from tests._instances import scenario_range_context
 from uavmec import allocator, baselines, channel, errors, learner, model, nets
 from uavmec.channel import ChannelParams
-from uavmec.delay import SlotDecision, slot_dor, validate_decision
+from uavmec.delay import SlotDecision, slot_dor
 from uavmec.env import EdgeComputeEnv
 from uavmec.errors import ConfigError, ValidationError, check_array, float_array, int_array
 from uavmec.learner import MaddpgTrainer, TrainConfig, train
@@ -529,8 +529,7 @@ def check_assignment_through(entry):
     def run(assignment):
         ctx = four_user_slot()
         decision = SlotDecision(assignment, np.zeros(4), np.zeros(4))
-        return {"validate_decision": lambda: validate_decision(decision, ctx),
-                "slot_dor": lambda: slot_dor(decision, ctx),
+        return {"slot_dor": lambda: slot_dor(decision, ctx),
                 "evaluate_assignment": lambda: allocator.evaluate_assignment(assignment, ctx),
                 "numeric_convex_oracle": lambda: allocator.numeric_convex_oracle(assignment, ctx),
                 }[entry]()
@@ -611,8 +610,7 @@ READERS = {
         ([0, 1, 2], "user assignment must have shape (4,)"),
         ([0.0, 1.0, 2.0, 1.0], [0, 1, 2, np.True_]),
         [([0, 1, 2, 3], "user 3 assignment must be LOCAL (-1) or a UAV index in [0, 3)")])
-       for entry in ("validate_decision", "slot_dor", "evaluate_assignment",
-                     "numeric_convex_oracle")},
+       for entry in ("slot_dor", "evaluate_assignment", "numeric_convex_oracle")},
     "generate_tasks slot": scalar(lambda slot: generate_tasks(build_scenario(ScenarioConfig(
         num_users=2, horizon=5)), slot), 4, "slot",
         [5, -1, 1.0, np.float64(2.0), np.bool_(True), None]),
