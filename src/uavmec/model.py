@@ -14,9 +14,9 @@ Each part of a slot's world step (`Scenario.advance_users`, `apply_motion`,
 `pair_geometry` gives every pairwise horizontal and 3D distance from per-axis
 differences, summed as (dx*dx + dy*dy) + dz*dz: the order `np.linalg.norm`
 uses, so the distances, and everything computed from them, are bitwise
-those of the norms. The records `UserState`, `UavState` and `Task` describe
-one entity each; `SlotContext` stacks a list of them into a bundle through
-`from_rows`. Only the benchmark's workloads and the tests build them.
+those of the norms. The records `UserState`, `UavState` and `Task` describe one
+entity each, and `SlotContext` stacks a list of them into a bundle (`from_rows`).
+Only the benchmark builds them; tests/test_kept_for_bench.py alone tests them.
 
 Building a bundle checks nothing. `_Columns.check` applies every rule in
 `FIELD_RULES`, and `SlotContext` calls it once per slot. Each field's rule there

@@ -15,7 +15,7 @@ that cache and computes only the products asked for: the parameter gradient,
 the input gradient, or both. Every forward and backward pass of the learner
 goes through these two. `mlp_forward`, `_as_batch` and `mlp_gradients` remain
 only because the benchmark's tracer (`bench/tracing.PATCHES`) looks them up by
-name and their own tests use them; they go once the tracer stops doing so.
+name; they and tests/test_kept_for_bench.py go once the tracer stops doing so.
 
 The same type views an (N, P) `theta` as N networks of one shape, weights
 (N, fan_out, fan_in) and biases (N, fan_out), and `mlp_activations` then runs

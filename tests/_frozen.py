@@ -1,6 +1,6 @@
 """Seeded rollouts, scenario snapshots and training runs frozen in tests/data/.
 
-The runs use only the public surface (build_scenario, EdgeComputeEnv, the
+The runs use only the public surface (Scenario, EdgeComputeEnv, the
 allocators, uav_positions/user_positions, Scenario.save, learner.train and
 each network's logical (fan_out, fan_in) `weights` and `biases`), so the same
 file checks any implementation of the world state or of the learner's
@@ -21,7 +21,7 @@ from uavmec.allocator import cd_search
 from uavmec.baselines import ao_allocate, rt_actions
 from uavmec.env import EdgeComputeEnv
 from uavmec.learner import ROLES, TrainConfig, train
-from uavmec.model import ScenarioConfig, build_scenario
+from uavmec.model import Scenario, ScenarioConfig
 
 DATA = Path(__file__).parent / "data"
 ROLLOUTS = DATA / "rollouts.json"
@@ -62,7 +62,7 @@ def rollout(spec: dict) -> list[dict]:
     """One record per slot: reward, the violating UAVs of each kind as index
     lists, assignment, position hash."""
     config = ScenarioConfig(**spec["config"])
-    env = EdgeComputeEnv(build_scenario(config), allocate=ALLOCATORS[spec["allocate"]])
+    env = EdgeComputeEnv(Scenario(config), allocate=ALLOCATORS[spec["allocate"]])
     rng = np.random.default_rng([config.rng_seed, 11])
     slots = []
     for _ in range(spec["episodes"]):
@@ -86,7 +86,7 @@ def snapshot_path(walk_slots: int) -> Path:
 
 
 def walked_scenario(walk_slots: int):
-    scenario = build_scenario(ScenarioConfig(**SNAPSHOT_CONFIG))
+    scenario = Scenario(ScenarioConfig(**SNAPSHOT_CONFIG))
     for _ in range(walk_slots):
         scenario.advance_users()
     return scenario
@@ -119,7 +119,7 @@ def networks_sha256(trainer) -> str:
 
 def training_run(spec: dict) -> dict:
     """The seeded `train()` history as hex floats, plus the final networks' hash."""
-    scenario = build_scenario(ScenarioConfig(**spec["scenario"]))
+    scenario = Scenario(ScenarioConfig(**spec["scenario"]))
     trainer, history = train(scenario, TrainConfig(**spec["train"]))
     return {
         "episode_reward": [float(r).hex() for r in history.episode_reward],

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from tests._cd_gap import GAP_FILE, GAP_FILES, SEEDS, gap_instance
-from tests._instances import random_slot_context, scenario_range_context
+from tests._instances import (make_context, make_tasks, make_uavs, make_users,
+                              random_slot_context, scenario_range_context)
 from uavmec import allocator, delay
 from uavmec.allocator import (brute_force_oracle, cd_search, evaluate_assignment,
                               minimize_inverse_on_simplex, numeric_convex_oracle)
 from uavmec.baselines import al_allocate, ao_allocate
-from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext, SlotDecision, slot_dor
 from uavmec.errors import CapExceededError, ConvergenceError, InfeasibleError, ValidationError
-from uavmec.model import (ScenarioConfig, Task, UavState, UserState, build_scenario,
-                          generate_tasks)
+from uavmec.model import Scenario, ScenarioConfig, generate_tasks
 
 FROZEN_ASSIGNMENTS = Path(__file__).parent / "data" / "cd_assignments.json"
 FROZEN_DENSE = Path(__file__).parent / "data" / "cd_dense_assignments.json"
@@ -23,13 +22,10 @@ FROZEN_DENSE = Path(__file__).parent / "data" / "cd_dense_assignments.json"
 
 def one_uav_context(user_freqs, cycles, uav_cpu=10e9, powers=None):
     """Users stacked at one ground point under a single full-coverage UAV."""
-    powers = powers if powers is not None else [1.0] * len(user_freqs)
-    users = [UserState(position=np.array([20.0, 20.0, 0.0]), cpu_freq=f, tx_power=p)
-             for f, p in zip(user_freqs, powers)]
-    uavs = [UavState(position=np.array([25.0, 25.0, 12.0]), cpu_freq=uav_cpu,
-                     tx_power=5.0, half_angle_deg=90.0)]
-    tasks = [Task(bits=1e5, cycles_per_bit=c) for c in cycles]
-    return SlotContext(users, uavs, tasks, ChannelParams())
+    users = make_users(np.full((len(user_freqs), 2), 20.0), user_freqs,
+                       1.0 if powers is None else powers)
+    return make_context(users, make_uavs([(25.0, 25.0, 12.0)], uav_cpu),
+                        make_tasks(len(cycles), 1e5, cycles))
 
 
 def all_offloaded(ctx):
@@ -170,12 +166,8 @@ def deviation_gap(ctx, assignment, base_dor):
 
 class TestCdSearch:
     def test_single_user_single_uav_offloads_when_faster(self):
-        users = [UserState(position=np.array([10.0, 10.0, 0.0]), cpu_freq=0.9e9,
-                           tx_power=1.1)]
-        uavs = [UavState(position=np.array([10.0, 10.0, 12.0]), cpu_freq=10e9,
-                         tx_power=5.0, half_angle_deg=90.0)]
-        tasks = [Task(bits=1.2e5, cycles_per_bit=800.0)]
-        ctx = SlotContext(users, uavs, tasks, ChannelParams())
+        ctx = make_context(make_users([(10.0, 10.0)], 0.9e9, 1.1),
+                           make_uavs([(10.0, 10.0, 12.0)]), make_tasks(1, 1.2e5, 800.0))
         result = cd_search(ctx)
         # exhaustive over the two possible assignments
         oracle = brute_force_oracle(ctx)
@@ -192,12 +184,9 @@ class TestCdSearch:
         assert (result.converged, result.iterations) == (False, 1)
 
     def test_no_coverage_stays_local(self):
-        users = [UserState(position=np.array([0.0, 0.0, 0.0]), cpu_freq=1e9,
-                           tx_power=1.0) for _ in range(3)]
-        uavs = [UavState(position=np.array([49.0, 49.0, 10.0]), cpu_freq=10e9,
-                         tx_power=5.0, half_angle_deg=30.0)]
-        tasks = [Task(bits=1e5, cycles_per_bit=600.0)] * 3
-        ctx = SlotContext(users, uavs, tasks, ChannelParams())
+        ctx = make_context(make_users(np.zeros((3, 2))),
+                           make_uavs([(49.0, 49.0, 10.0)], half_angle_deg=30.0),
+                           make_tasks(3, 1e5, 600.0))
         result = cd_search(ctx)
         assert (result.decision.assignment == LOCAL).all()
         assert result.dor == 0.0
@@ -407,12 +396,9 @@ class TestEvaluateAssignment:
         assert metrics.dor == 0.0
 
     def test_offloading_uncovered_user_rejected(self):
-        users = [UserState(position=np.array([0.0, 0.0, 0.0]), cpu_freq=1e9,
-                           tx_power=1.0)]
-        uavs = [UavState(position=np.array([49.0, 49.0, 10.0]), cpu_freq=10e9,
-                         tx_power=5.0, half_angle_deg=30.0)]
-        tasks = [Task(bits=1e5, cycles_per_bit=600.0)]
-        ctx = SlotContext(users, uavs, tasks, ChannelParams())
+        ctx = make_context(make_users([(0.0, 0.0)]),
+                           make_uavs([(49.0, 49.0, 10.0)], half_angle_deg=30.0),
+                           make_tasks(1, 1e5, 600.0))
         with pytest.raises(InfeasibleError):
             evaluate_assignment(np.array([0]), ctx)
 
@@ -430,16 +416,10 @@ class TestEvaluateAssignment:
 
     def test_relay_executor_differs_from_ingress(self):
         # executor without coverage is reachable through the covering UAV
-        users = [UserState(position=np.array([5.0, 5.0, 0.0]), cpu_freq=1e9,
-                           tx_power=1.0)]
-        uavs = [
-            UavState(position=np.array([5.0, 5.0, 15.0]), cpu_freq=8e9,
-                     tx_power=5.0, half_angle_deg=90.0),
-            UavState(position=np.array([45.0, 45.0, 10.0]), cpu_freq=12e9,
-                     tx_power=5.0, half_angle_deg=30.0),
-        ]
-        tasks = [Task(bits=1e5, cycles_per_bit=700.0)]
-        ctx = SlotContext(users, uavs, tasks, ChannelParams())
+        ctx = make_context(make_users([(5.0, 5.0)]),
+                           make_uavs([(5.0, 5.0, 15.0), (45.0, 45.0, 10.0)], [8e9, 12e9],
+                                     half_angle_deg=[90.0, 30.0]),
+                           make_tasks(1, 1e5, 700.0))
         assert not ctx.coverage[0, 1]
         decision, metrics = evaluate_assignment(np.array([1]), ctx)
         assert ctx.default_ingress[0] == 0
@@ -457,7 +437,7 @@ def frozen_instances():
         rng = np.random.default_rng(seed)
         yield f"random-{seed}", random_slot_context(rng, max_users=10, max_uavs=4)
     for seed in range(3):
-        sc = build_scenario(ScenarioConfig(rng_seed=seed))
+        sc = Scenario(ScenarioConfig(rng_seed=seed))
         yield f"default-{seed}", SlotContext(sc.users, sc.uavs, generate_tasks(sc, 0),
                                              sc.config.channel)
 

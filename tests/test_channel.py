@@ -6,9 +6,9 @@ import pytest
 from uavmec.channel import (ChannelParams, elevation_deg_from_geometry,
                             free_space_loss_db, los_probability_from_angle,
                             mean_path_loss_db, spectral_efficiency)
-from uavmec.delay import SlotContext, SlotDecision, slot_dor
+from uavmec.delay import SlotDecision, slot_dor
 from uavmec.errors import ConfigError
-from uavmec.model import Task, UavState, UserState
+from tests._instances import make_context, make_uavs, make_users
 
 # High-precision scalar evaluations (mpmath, 40 digits), frozen before build.
 P_LOS_45 = 0.9676918999472423          # a=9.61, b=0.16
@@ -19,11 +19,8 @@ G2A_RATE_PL7846 = 7165517.649152558    # B=1 MHz, p=1 W, N=1e-10 W, PL=78.46 dB
 
 def link_context(uav_positions, params=None, power=1.0):
     """Slot context for one user at the origin and UAVs at the given positions."""
-    users = [UserState(position=np.zeros(3), cpu_freq=1e9, tx_power=power)]
-    uavs = [UavState(position=np.array(p, dtype=float), cpu_freq=10e9,
-                     tx_power=5.0, half_angle_deg=90.0) for p in uav_positions]
-    tasks = [Task(bits=1e5, cycles_per_bit=1000.0)]
-    return SlotContext(users, uavs, tasks, params or ChannelParams())
+    return make_context(make_users([(0.0, 0.0)], tx_power=power), make_uavs(uav_positions),
+                        params=params or ChannelParams())
 
 
 def path_loss(uav_positions, params=None):

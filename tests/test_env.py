@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from uavmec import allocator
-from uavmec import env as env_module
 from uavmec.allocator import cd_search
 from uavmec.baselines import al_allocate, ao_allocate, rt_actions
 from uavmec.delay import SlotContext
 from uavmec.env import EdgeComputeEnv
 from uavmec.errors import ConfigError
-from uavmec.model import Scenario, ScenarioConfig, build_scenario, generate_tasks
+from uavmec.model import Scenario, ScenarioConfig, generate_tasks
 
 DATA = Path(__file__).parent / "data"
 
 
 def make_env(positions, allocate=None, **overrides):
     cfg = dict(num_users=3, num_uavs=len(positions), horizon=50, rng_seed=2,
-               initial_uav_positions=tuple(map(tuple, positions)))
-    cfg.update(overrides)
-    env = EdgeComputeEnv(build_scenario(ScenarioConfig(**cfg)), penalty=10.0,
+               initial_uav_positions=positions)
+    env = EdgeComputeEnv(Scenario(ScenarioConfig(**{**cfg, **overrides})), penalty=10.0,
                          allocate=allocate)
     env.reset()
     return env
@@ -87,12 +85,9 @@ class TestPenalties:
 
     @pytest.mark.parametrize("allocate", [cd_search, ao_allocate])
     def test_one_slot_evaluation_per_step(self, monkeypatch, allocate):
-        calls = []
-        for owner in (allocator, env_module):
-            def counted(*args, _fn=owner.slot_dor, **kwargs):
-                calls.append(1)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(owner, "slot_dor", counted)
+        calls, slot_dor = [], allocator.slot_dor   # env calls none itself (test_packaging)
+        monkeypatch.setattr(allocator, "slot_dor",
+                            lambda *args, **kwargs: calls.append(1) or slot_dor(*args, **kwargs))
         env = make_env([(10, 10, 12), (40, 40, 12)], allocate=allocate)
         for steps in range(1, 6):
             _, reward, info = env.step(np.zeros((2, 3)))
@@ -174,14 +169,14 @@ class TestLifecycle:
     def test_reset_restores_the_built_scenario(self):
         cfg = ScenarioConfig(num_users=8, num_uavs=3, horizon=60, rng_seed=4,
                              user_mobility="random_waypoint", user_speed=2.0)
-        env = EdgeComputeEnv(build_scenario(cfg))
-        self.check_reset_replays(env, build_scenario(cfg).users.position)
+        env = EdgeComputeEnv(Scenario(cfg))
+        self.check_reset_replays(env, Scenario(cfg).users.position)
 
     def test_loaded_scenario_walks_from_its_loaded_positions(self):
         path = DATA / "scenario_100x10_walk25.json"
         scenario = Scenario.load(path)
         loaded = scenario.user_positions
-        built = build_scenario(scenario.config).users.position
+        built = Scenario(scenario.config).users.position
         assert not np.array_equal(loaded, built)   # the snapshot walked 25 slots
         self.check_reset_replays(EdgeComputeEnv(scenario, allocate=ao_allocate), loaded)
         assert Scenario.load(path).initial_user_positions.tobytes() == loaded.tobytes()
@@ -290,13 +285,13 @@ class TestAliasing:
 class TestBadInput:
     @pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0])
     def test_bad_penalty_rejected(self, penalty):
-        scenario = build_scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
+        scenario = Scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
         with pytest.raises(ConfigError, match="penalty must be finite and >= 0"):
             EdgeComputeEnv(scenario, penalty=penalty)
 
     @pytest.mark.parametrize("penalty", ["x", None, [1.0], True])
     def test_non_number_penalty_rejected(self, penalty):
-        scenario = build_scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
+        scenario = Scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
         with pytest.raises(ConfigError, match="penalty must be a number"):
             EdgeComputeEnv(scenario, penalty=penalty)
 
@@ -328,7 +323,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("allocate", [5, "cd_search"])
     def test_non_callable_allocate_rejected(self, allocate):
-        scenario = build_scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
+        scenario = Scenario(ScenarioConfig(num_users=3, num_uavs=2, horizon=5))
         with pytest.raises(ConfigError, match="allocate must be callable"):
             EdgeComputeEnv(scenario, allocate=allocate)
 

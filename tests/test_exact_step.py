@@ -12,8 +12,9 @@ import pytest
 
 from uavmec.channel import ChannelParams
 from uavmec.delay import LOCAL, SlotContext
-from uavmec.model import (ScenarioConfig, TaskArrays, UavArrays, UserArrays, apply_motion,
-                          build_scenario, pair_geometry, pairwise_distances)
+from uavmec.model import (Scenario, ScenarioConfig, UavArrays, UserArrays, apply_motion,
+                          pair_geometry, pairwise_distances)
+from tests._instances import make_tasks, make_uavs, make_users
 
 
 def reference_context_arrays(users: UserArrays, uavs: UavArrays, params: ChannelParams):
@@ -52,12 +53,11 @@ def random_world(rng, m, n, coincident=False, lifted_users=False):
     if coincident:
         vpos[:, :2] = upos[rng.integers(0, m, n), :2]
     half = rng.uniform(20.0, 70.0, n) if rng.random() < 0.5 else np.full(n, 90.0)
-    users = UserArrays(position=upos, cpu_freq=rng.uniform(*cfg.user_freq_range, m),
-                       tx_power=rng.uniform(*cfg.user_power_range, m))
-    uavs = UavArrays(position=vpos, cpu_freq=np.full(n, cfg.uav_freq),
-                     tx_power=np.full(n, cfg.uav_power), half_angle_deg=half)
-    tasks = TaskArrays(bits=rng.uniform(*cfg.task_bits_range, m),
-                       cycles_per_bit=rng.uniform(*cfg.task_cycles_per_bit_range, m))
+    users = make_users(upos, rng.uniform(*cfg.user_freq_range, m),
+                       rng.uniform(*cfg.user_power_range, m))
+    uavs = make_uavs(vpos, cfg.uav_freq, cfg.uav_power, half)
+    tasks = make_tasks(m, rng.uniform(*cfg.task_bits_range, m),
+                       rng.uniform(*cfg.task_cycles_per_bit_range, m))
     return users, uavs, tasks
 
 
@@ -155,7 +155,7 @@ class TestWorldStep:
     def test_500_waypoint_slots_match_the_masked_update(self, speed):
         cfg = ScenarioConfig(num_users=100, num_uavs=10, user_mobility="random_waypoint",
                              user_speed=speed, rng_seed=41)
-        scenario = build_scenario(cfg)
+        scenario = Scenario(cfg)
         reference = ReferenceWalk(cfg, scenario.users.position)
         for slot in range(500):
             scenario.advance_users()

@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 
 from tests import _maddpg_reference as reference
+from tests._instances import SMALL, edit_meta, trainer_scenario as scenario
 from uavmec import learner, nets
 from uavmec.errors import ConfigError, NumericError
 from uavmec.learner import MaddpgTrainer, TrainConfig, TrainingHistory, train
-from uavmec.model import ScenarioConfig, build_scenario
-
-SMALL = TrainConfig(episodes=2, batch_size=8, min_fill=8, buffer_capacity=64,
-                    hidden_actor=8, hidden_critic=8, seed=4)
-
-
-def scenario(num_uavs=4):
-    return build_scenario(ScenarioConfig(num_users=4, num_uavs=num_uavs, horizon=12))
+from uavmec.model import Scenario, ScenarioConfig
 
 
 def network_bytes(trainer: MaddpgTrainer) -> list[bytes]:
@@ -45,11 +39,6 @@ def drive(trainer: MaddpgTrainer, rng: np.random.Generator, slots: int):
         actions = trainer.joint_actions(obs, 0.3)
         trainer.remember(obs, actions, float(rng.normal()), rng.uniform(0.0, 50.0, shape))
         trainer.update()
-
-
-def edit_meta(state: dict, **changes) -> str:
-    """`state`'s meta JSON with top-level keys replaced."""
-    return json.dumps({**json.loads(state["meta"]), **changes})
 
 
 def rewrite(path, drop=(), **entries):
@@ -207,7 +196,7 @@ class TestCheckpointInput:
         # replay rows saved in one box's units must not mix with another box's rows
         path = tmp_path / "ckpt.npz"
         train(scenario(), SMALL)[0].save_checkpoint(path)
-        other = build_scenario(ScenarioConfig(num_users=4, num_uavs=4, horizon=12, **change))
+        other = scenario(**change)
         trainer = MaddpgTrainer(other, SMALL)
         before = network_bytes(trainer), replay_bytes(trainer), trainer.rng.bit_generator.state
         with np.load(path) as archive:
@@ -566,7 +555,7 @@ class TestReferenceUpdate:
 
         monkeypatch.setattr(learner, "MaddpgTrainer", Recording)
         ref_history = TrainingHistory()
-        ref = reference.training_slots(build_scenario(sc_config), config, ref_history)
+        ref = reference.training_slots(Scenario(sc_config), config, ref_history)
         slots = []
 
         def on_slot(episode, info):
@@ -574,7 +563,7 @@ class TestReferenceUpdate:
             assert network_bytes(made[0]) == network_bytes(ref_trainer), f"slot {len(slots)}"
             slots.append(info.slot)
 
-        _, history = train(build_scenario(sc_config), config, slot_callback=on_slot)
+        _, history = train(Scenario(sc_config), config, slot_callback=on_slot)
         assert next(ref, None) is None
         assert len(slots) == 330
         assert history == ref_history

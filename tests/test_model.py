@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from uavmec import model
-from uavmec.channel import ChannelParams
-from uavmec.delay import SlotContext
 from uavmec.errors import FINITE, NON_NEGATIVE, POSITIVE, ConfigError
-from uavmec.model import (_SCENARIO_RULES, FIELD_RULES, Scenario, ScenarioConfig, Task,
-                          TaskArrays, UavArrays, UavState, UserArrays, UserState, _Columns,
-                          apply_motion, build_scenario, coverage_radius, generate_tasks,
-                          pairwise_distances, stream)
+from uavmec.model import (_SCENARIO_RULES, FIELD_RULES, Scenario, ScenarioConfig, _Columns,
+                          apply_motion, coverage_radius, generate_tasks, pairwise_distances,
+                          stream)
+from tests._instances import make_context, make_tasks, make_uavs, make_users
 
 
 def small_config(**overrides):
@@ -23,23 +21,23 @@ def small_config(**overrides):
 
 class TestScenarioConstruction:
     def test_same_seed_byte_identical(self):
-        a = build_scenario(small_config())
-        b = build_scenario(small_config())
+        a = Scenario(small_config())
+        b = Scenario(small_config())
         assert a.to_dict() == b.to_dict()
 
     def test_users_inside_box_on_ground(self):
-        sc = build_scenario(small_config(num_users=4))
+        sc = Scenario(small_config(num_users=4))
         for x, y, z in sc.users.position:
             assert 0 <= x <= 50 and 0 <= y <= 50
             assert z == 0.0
 
     def test_default_uav_corners(self):
-        sc = build_scenario(small_config(num_uavs=4))
+        sc = Scenario(small_config(num_uavs=4))
         got = [tuple(p) for p in sc.uavs.position]
         assert got == [(0, 0, 10), (0, 50, 10), (50, 0, 10), (50, 50, 10)]
 
     def test_extra_uavs_at_z_min_inside_box(self):
-        sc = build_scenario(small_config(num_uavs=6))
+        sc = Scenario(small_config(num_uavs=6))
         for position in sc.uavs.position:
             assert position[2] == 10.0
             assert 0 <= position[0] <= 50 and 0 <= position[1] <= 50
@@ -101,7 +99,7 @@ class TestScenarioConstruction:
             small_config(num_uavs=3, initial_uav_positions=positions)
 
     def test_snapshot_round_trip(self, tmp_path):
-        sc = build_scenario(small_config())
+        sc = Scenario(small_config())
         path = tmp_path / "scenario.json"
         sc.save(path)
         loaded = Scenario.load(path)
@@ -109,19 +107,19 @@ class TestScenarioConstruction:
 
     @pytest.mark.parametrize("key", ["bw_a2a_hz", "elevation_uses_3d_distance"])
     def test_snapshot_with_removed_channel_key_names_it(self, key):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data["config"]["channel"][key] = 20e6
         with pytest.raises(ConfigError, match=key):
             Scenario.from_dict(data)
 
     def test_snapshot_with_unknown_config_key_names_it(self):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data["config"]["swarm_size"] = 3
         with pytest.raises(ConfigError, match="swarm_size"):
             Scenario.from_dict(data)
 
     def test_snapshot_missing_config_key_names_it(self):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         del data["config"]["d_min"]
         with pytest.raises(ConfigError, match="d_min"):
             Scenario.from_dict(data)
@@ -131,14 +129,14 @@ class TestScenarioConstruction:
         ("uav_positions", 3, r"uav_positions must have shape \(4, 3\), got \(3, 3\)"),
     ], ids=["user_positions-5", "uav_positions-3"])
     def test_snapshot_row_count_names_it(self, key, count, message):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data[key] = (data[key] * 2)[:count]     # 4 rows in the config
         with pytest.raises(ConfigError, match=message):
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize("key", ["user_positions", "uav_positions"])
     def test_snapshot_positions_checked_before_the_build(self, key, monkeypatch):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data["config"]["num_users" if key == "user_positions" else "num_uavs"] = 10 ** 9
 
         def no_build(*args):
@@ -159,7 +157,7 @@ class TestScenarioConstruction:
     ], ids=["nan", "inf", "two-coords", "four-coords", "numeric-str", "bool-in-row"])
     @pytest.mark.parametrize("key", ["user_positions", "uav_positions"])
     def test_snapshot_bad_position_names_the_key(self, key, row, message):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data[key][1] = row
         with pytest.raises(ConfigError, match=f"^scenario snapshot {key} {message}"):
             Scenario.from_dict(data)
@@ -172,7 +170,7 @@ class TestScenarioConstruction:
         (True, "must be an array of numbers"), (None, "must be an array of numbers"),
     ], ids=["number", "list", "four-coords", "str", "object", "bool", "null"])
     def test_snapshot_positions_not_rows_rejected(self, section, message):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data["user_positions"] = section
         with pytest.raises(ConfigError, match=f"^scenario snapshot user_positions {message}"):
             Scenario.from_dict(data)
@@ -180,7 +178,7 @@ class TestScenarioConstruction:
     def test_loaded_starts_come_from_the_config(self):
         starts = ((1.0, 1.0, 12.0), (0.0, 50.0, 10.0), (50.0, 0.0, 20.0), (50.0, 50.0, 15.0))
         for config in (small_config(initial_uav_positions=starts), small_config(num_uavs=6)):
-            scenario = build_scenario(config)
+            scenario = Scenario(config)
             scenario.uavs.position[:, 2] = 18.0        # the UAVs have flown
             loaded = Scenario.from_dict(scenario.to_dict())
             assert loaded.initial_uav_positions.tobytes() == \
@@ -190,14 +188,14 @@ class TestScenarioConstruction:
             assert loaded.uavs.position.tobytes() == scenario.initial_uav_positions.tobytes()
 
     def test_snapshot_holds_the_config_and_two_position_arrays(self):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         assert list(data) == list(model.SNAPSHOT_KEYS)
         assert np.shape(data["user_positions"]) == np.shape(data["uav_positions"]) == (4, 3)
 
     def test_schema_1_snapshot_rejected(self):
         # the old format: every array row by row, the starts at top level; here
         # its rows contradict the config (a 5 GHz UAV, a 30-degree cone, a mute user)
-        scenario = build_scenario(small_config())
+        scenario = Scenario(small_config())
         data = {"schema_version": 1, "config": scenario.to_dict()["config"],
                 "users": [{"position": p, "cpu_freq": 9e8, "tx_power": 0.0}
                           for p in scenario.users.position.tolist()],
@@ -210,7 +208,7 @@ class TestScenarioConstruction:
     @pytest.mark.parametrize("version", [2.0, True, "2"])
     def test_schema_version_must_be_the_integer(self, version):
         # as a checkpoint's: `check_number` refuses a float, bool or string version
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data["schema_version"] = version
         with pytest.raises(ConfigError, match=rf"^scenario snapshot schema_version must be an "
                                               rf"integer, got {re.escape(repr(version))}$"):
@@ -218,14 +216,14 @@ class TestScenarioConstruction:
 
     @pytest.mark.parametrize("key", ["typo_key", "users", "initial_uav_positions"])
     def test_snapshot_with_unknown_key_rejected(self, key):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         data[key] = []
         with pytest.raises(ConfigError, match=rf"^scenario snapshot: unknown key\(s\) {key}$"):
             Scenario.from_dict(data)
 
     @pytest.mark.parametrize("key", ["config", "user_positions", "uav_positions"])
     def test_snapshot_missing_key_names_it(self, key):
-        data = build_scenario(small_config()).to_dict()
+        data = Scenario(small_config()).to_dict()
         del data[key]
         with pytest.raises(ConfigError, match=rf"^scenario snapshot: missing key\(s\) {key}$"):
             Scenario.from_dict(data)
@@ -302,13 +300,9 @@ class TestCoverage:
         assert (np.diff(coverage_radius(15, [10, 30, 60, 89.9])) >= 0).all()
 
     def test_is_covered(self):
-        def uav(half_angle):
-            return UavState(position=np.array([10.0, 10.0, 10.0]), cpu_freq=1e9,
-                            tx_power=5.0, half_angle_deg=half_angle)
-        users = [UserState(position=np.array([x, 10.0, 0.0]), cpu_freq=1e9, tx_power=1.0)
-                 for x in (10.0, 21.0)]  # directly below, 11 m out
-        tasks = [Task(bits=1e5, cycles_per_bit=500.0)] * 2
-        ctx = SlotContext(users, [uav(45.0), uav(90.0)], tasks, ChannelParams())
+        users = make_users([(10.0, 10.0), (21.0, 10.0)])   # directly below, 11 m out
+        uavs = make_uavs([(10.0, 10.0, 10.0)] * 2, 1e9, half_angle_deg=[45.0, 90.0])
+        ctx = make_context(users, uavs, make_tasks(2, 1e5, 500.0))
         # the 45-degree cone at 10 m altitude has a 10 m radius
         assert ctx.coverage.tolist() == [[True, True], [False, True]]
 
@@ -329,7 +323,7 @@ class TestPairwiseDistance:
 
 class TestTasks:
     def test_draws_within_ranges(self):
-        sc = build_scenario(small_config(num_users=50))
+        sc = Scenario(small_config(num_users=50))
         tasks = generate_tasks(sc, 0)
         assert len(tasks.bits) == len(tasks.cycles_per_bit) == 50
         for bits, cycles_per_bit in zip(tasks.bits, tasks.cycles_per_bit):
@@ -337,8 +331,8 @@ class TestTasks:
             assert 500 <= cycles_per_bit <= 1000
 
     def test_seed_slot_determinism(self):
-        sc = build_scenario(small_config())
-        again = build_scenario(small_config())
+        sc = Scenario(small_config())
+        again = Scenario(small_config())
         def rows(tasks):
             return np.column_stack([tasks.bits, tasks.cycles_per_bit])
 
@@ -346,51 +340,35 @@ class TestTasks:
         assert not np.array_equal(rows(generate_tasks(sc, 3)), rows(generate_tasks(sc, 4)))
 
     def test_degenerate_range(self):
-        sc = build_scenario(small_config(task_bits_range=(100e3, 100e3)))
+        sc = Scenario(small_config(task_bits_range=(100e3, 100e3)))
         for bits in generate_tasks(sc, 1).bits:
             assert bits == 100e3
-
-    def test_task_invariants(self):
-        with pytest.raises(ConfigError):
-            TaskArrays.from_rows([vars(Task(bits=0.0, cycles_per_bit=500.0))],
-                                 "task records").check()
-        with pytest.raises(ConfigError):
-            TaskArrays.from_rows([vars(Task(bits=1e5, cycles_per_bit=0.0))],
-                                 "task records").check()
 
     @pytest.mark.parametrize("field", ["bits", "cycles_per_bit"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_bad_task_entry_names_the_user(self, field, value):
-        columns = {"bits": np.full(4, 1e5), "cycles_per_bit": np.full(4, 500.0)}
-        columns[field][2] = value
-        tasks = TaskArrays(**columns)          # building checks nothing
+        tasks = make_tasks(4, 1e5, 500.0)
+        getattr(tasks, field)[2] = value          # building checks nothing
         with pytest.raises(ConfigError, match=f"task 2 {field} must be finite and > 0"):
             tasks.check()
 
     @pytest.mark.parametrize("slot", [1.5, 1.0, "1", True, None, [1]])
     def test_non_integer_slot_rejected(self, slot):
-        sc = build_scenario(small_config(horizon=5))
+        sc = Scenario(small_config(horizon=5))
         with pytest.raises(ConfigError, match="slot must be an integer"):
             generate_tasks(sc, slot)
 
     def test_numpy_integer_slot_is_that_slot(self):
-        sc = build_scenario(small_config(horizon=5))
+        sc = Scenario(small_config(horizon=5))
         by_numpy, by_int = generate_tasks(sc, np.int64(3)), generate_tasks(sc, 3)
         assert by_numpy.bits.tobytes() == by_int.bits.tobytes()
         assert by_numpy.cycles_per_bit.tobytes() == by_int.cycles_per_bit.tobytes()
 
     def test_slot_outside_horizon(self):
-        sc = build_scenario(small_config(horizon=5))
+        sc = Scenario(small_config(horizon=5))
         for slot in (5, -1):
             with pytest.raises(ConfigError, match=rf"^slot must lie in \[0, 5\), got {slot}$"):
                 generate_tasks(sc, slot)
-
-
-def two_uavs(**columns) -> UavArrays:
-    """Two valid UAVs, with the given columns replaced."""
-    return UavArrays(**{"position": np.array([[10.0, 10.0, 12.0], [40.0, 40.0, 12.0]]),
-                        "cpu_freq": np.full(2, 10e9), "tx_power": np.full(2, 5.0),
-                        "half_angle_deg": np.full(2, 90.0), **columns})
 
 
 class TestStreams:
@@ -412,34 +390,42 @@ class TestStreams:
         with pytest.raises(ConfigError, match=f"stream '{role}' takes"):
             stream(9, role, *keys)
 
+    @pytest.mark.xfail(strict=True, reason="open: default_rng(seed) is default_rng([seed, 0]), "
+                       "so the build stream is slot 0's task stream (ROADMAP item 3)")
+    def test_build_and_slot_0_task_streams_differ(self):
+        for seed in (0, 5, 17):
+            assert (stream(seed, "build").random(4).tobytes()
+                    != stream(seed, "tasks", 0).random(4).tobytes()), seed
+
+
+TWO_UAVS = [(10.0, 10.0, 12.0), (40.0, 40.0, 12.0)]
+
 
 class TestEntityCheck:
     """`_Columns.check`, reached through `SlotContext` as each slot reaches it."""
 
     @staticmethod
     def slot(users=None, uavs=None):
-        sc = build_scenario(small_config(num_users=2, num_uavs=2))
-        return SlotContext(users if users is not None else sc.users,
-                           uavs if uavs is not None else sc.uavs,
-                           generate_tasks(sc, 0), ChannelParams())
+        return make_context(users or make_users([(0, 0), (5, 5)]), uavs or make_uavs(TWO_UAVS))
 
     def test_valid_bundles_pass(self):
-        sc = build_scenario(small_config())
-        for bundle in (sc.users, sc.uavs, generate_tasks(sc, 0), two_uavs()):
+        sc = Scenario(small_config())
+        for bundle in (sc.users, sc.uavs, generate_tasks(sc, 0), make_uavs(TWO_UAVS)):
             bundle.check()
-        self.slot(uavs=two_uavs())
+        self.slot(uavs=make_uavs(TWO_UAVS))
 
     @pytest.mark.parametrize("field, value", [("cpu_freq", 10e9), ("half_angle_deg", 45.0)],
                              ids=["cpu_freq", "half_angle_deg"])
     def test_one_value_for_two_uavs_rejected(self, field, value):
-        uavs = two_uavs(**{field: np.array([value])})     # would broadcast
+        uavs = make_uavs(TWO_UAVS)
+        setattr(uavs, field, np.array([value]))     # would broadcast
         with pytest.raises(ConfigError,
                            match=rf"UAV {field} must have shape \(2,\), got \(1,\)"):
             self.slot(uavs=uavs)
 
     def test_two_coordinate_position_rejected(self):
-        users = UserArrays(position=np.zeros((2, 2)), cpu_freq=np.full(2, 1e9),
-                           tx_power=np.ones(2))
+        users = make_users(np.zeros((2, 2)))
+        users.position = np.zeros((2, 2))
         with pytest.raises(ConfigError,
                            match=r"user position must have shape \(2, 3\), got \(2, 2\)"):
             self.slot(users=users)
@@ -449,23 +435,26 @@ class TestEntityCheck:
                                              (np.array([1e9, 1e9], dtype=np.float32), "float32")],
                              ids=["list", "int64", "float32"])
     def test_non_float64_field_rejected(self, value, kind):
-        users = UserArrays(position=np.zeros((2, 3)), cpu_freq=value, tx_power=np.ones(2))
+        users = make_users(np.zeros((2, 2)))
+        users.cpu_freq = value
         with pytest.raises(ConfigError,
                            match=f"user field 'cpu_freq' must be a float64 array, got {kind}"):
             self.slot(users=users)
 
     def test_first_field_of_wrong_rank_rejected(self):
+        uavs = make_uavs(TWO_UAVS)
+        uavs.position = np.array([10.0, 10.0, 12.0])
         with pytest.raises(ConfigError,
                            match=r"UAV position must have shape \(K, 3\), got \(3,\)"):
-            two_uavs(position=np.array([10.0, 10.0, 12.0])).check()
+            uavs.check()
 
     def test_first_bad_entity_is_named(self):
-        uavs = two_uavs(position=np.array([[np.nan, 10.0, 12.0], [40.0, -np.inf, 12.0]]))
+        uavs = make_uavs([(np.nan, 10.0, 12.0), (40.0, -np.inf, 12.0)])
         with pytest.raises(ConfigError, match="UAV 0 position must be finite"):
             uavs.check()
 
     def test_no_rows_pass(self):
-        TaskArrays(bits=np.zeros(0), cycles_per_bit=np.zeros(0)).check()
+        make_tasks(0).check()
 
     def test_every_bundle_field_has_a_rule(self):
         # a field without an entry in FIELD_RULES would go unchecked
@@ -483,14 +472,14 @@ class TestEntityCheck:
 
 class TestUserMobility:
     def test_static_by_default(self):
-        sc = build_scenario(small_config())
+        sc = Scenario(small_config())
         before = sc.user_positions.copy()
         sc.advance_users()
         assert np.array_equal(sc.user_positions, before)
 
     def test_waypoint_walk_stays_in_box_and_replays(self):
         cfg = small_config(user_mobility="random_waypoint", user_speed=2.0)
-        sc = build_scenario(cfg)
+        sc = Scenario(cfg)
         sc.reset()
         trace = []
         for _ in range(50):
@@ -499,7 +488,7 @@ class TestUserMobility:
             assert (pos[:, 0] >= 0).all() and (pos[:, 0] <= cfg.area_x).all()
             assert (pos[:, 1] >= 0).all() and (pos[:, 1] <= cfg.area_y).all()
             trace.append(pos.copy())
-        sc2 = build_scenario(cfg)
+        sc2 = Scenario(cfg)
         sc2.reset()
         for step in range(50):
             sc2.advance_users()

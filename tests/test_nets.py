@@ -24,25 +24,23 @@ class TestForward:
     def test_zero_params_zero_output(self):
         rng = np.random.default_rng(0)
         net = tiny_net(rng)
-        for w in net.weights:
-            w[...] = 0.0
-        for b in net.biases:
-            b[...] = 0.0
-        out = nets.mlp_forward(net, np.array([1.0, -2.0, 3.0]))
-        assert np.array_equal(out, np.zeros(2))
+        net.theta[...] = 0.0                       # every weight and bias
+        out = nets.mlp_activations(net, np.array([[1.0, -2.0, 3.0]]))[-1]
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_chain_hand_value(self):
         # 1-1-1-1 chain with unit weights, zero biases: relu -> relu -> tanh
         theta = np.array([1.0, 0.0] * 3)          # per layer: weight, then bias
         net = nets.MlpParams(theta, [(1, 1)] * 3, "tanh")
-        assert nets.mlp_forward(net, np.array([0.5]))[0] == pytest.approx(math.tanh(0.5))
-        assert nets.mlp_forward(net, np.array([-0.5]))[0] == 0.0  # relu kills it
+        out = nets.mlp_activations(net, np.array([[0.5], [-0.5]]))[-1]
+        assert out[0, 0] == pytest.approx(math.tanh(0.5))
+        assert out[1, 0] == 0.0  # relu kills it
 
     def test_actor_output_bounded(self):
         rng = np.random.default_rng(1)
         net = tiny_net(rng, activation="tanh")
         x = rng.normal(size=(64, 3)) * 10
-        out = nets.mlp_forward(net, x)
+        out = nets.mlp_activations(net, x)[-1]
         assert np.all(np.abs(out) < 1.0)
         assert np.all(np.isfinite(out))
 
@@ -50,15 +48,15 @@ class TestForward:
         rng = np.random.default_rng(2)
         net = tiny_net(rng, activation="linear")
         xs = rng.normal(size=(5, 3))
-        batch = nets.mlp_forward(net, xs)
-        for i, x in enumerate(xs):
-            assert np.allclose(batch[i], nets.mlp_forward(net, x))
+        batch = nets.mlp_activations(net, xs)[-1]
+        for i in range(len(xs)):
+            assert np.allclose(batch[i], nets.mlp_activations(net, xs[i:i + 1])[-1][0])
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         net = tiny_net(rng)
         with pytest.raises(ConfigError):
-            nets.mlp_forward(net, np.zeros(5))
+            nets.mlp_activations(net, np.zeros((1, 5)))
 
 
 class TestGradients:
@@ -70,7 +68,7 @@ class TestGradients:
                                         input_grad=False)   # laid out like theta
 
         def objective():
-            return float(np.sum(upstream * nets.mlp_forward(net, x)))
+            return float(np.sum(upstream * nets.mlp_activations(net, x)[-1]))
 
         numeric = fd_gradient(objective, net)
         assert max_rel_error(analytic, numeric) < REL_TOL
@@ -88,24 +86,23 @@ class TestGradients:
     def test_input_gradient_matches_fd(self):
         rng = np.random.default_rng(12)
         net = tiny_net(rng, in_dim=4, hidden=5, out_dim=3)
-        x = rng.normal(size=4)
-        upstream = rng.normal(size=3)
-        _, dx = nets.mlp_gradients(net, x, upstream)
-        numeric = np.zeros(4)
+        x = rng.normal(size=(1, 4))
+        upstream = rng.normal(size=(1, 3))
+        _, dx = nets.mlp_backward(net, nets.mlp_activations(net, x), upstream, params_grad=False)
+        numeric = np.zeros((1, 4))
         for i in range(4):
-            hi = x.copy(); hi[i] += 1e-5
-            lo = x.copy(); lo[i] -= 1e-5
-            numeric[i] = (np.dot(upstream, nets.mlp_forward(net, hi))
-                          - np.dot(upstream, nets.mlp_forward(net, lo))) / 2e-5
+            hi = x.copy(); hi[0, i] += 1e-5
+            lo = x.copy(); lo[0, i] -= 1e-5
+            numeric[0, i] = np.sum(upstream * (nets.mlp_activations(net, hi)[-1]
+                                               - nets.mlp_activations(net, lo)[-1])) / 2e-5
         assert max_rel_error(dx, numeric) < REL_TOL
 
     def test_zero_upstream_zero_gradients(self):
         rng = np.random.default_rng(13)
         net = tiny_net(rng)
-        grads, dx = nets.mlp_gradients(net, rng.normal(size=(4, 3)), np.zeros((4, 2)))
-        for gw, gb in grads:
-            assert np.array_equal(gw, np.zeros_like(gw))
-            assert np.array_equal(gb, np.zeros_like(gb))
+        acts = nets.mlp_activations(net, rng.normal(size=(4, 3)))
+        grad, dx = nets.mlp_backward(net, acts, np.zeros((4, 2)))
+        assert np.array_equal(grad, np.zeros_like(grad))
         assert np.array_equal(dx, np.zeros_like(dx))
 
     def test_gradient_linear_in_upstream(self):
@@ -113,11 +110,10 @@ class TestGradients:
         net = tiny_net(rng, activation="linear")
         x = rng.normal(size=(4, 3))
         up = rng.normal(size=(4, 2))
-        g1, _ = nets.mlp_gradients(net, x, up)
-        g3, _ = nets.mlp_gradients(net, x, 3.0 * up)
-        for (gw1, gb1), (gw3, gb3) in zip(g1, g3):
-            assert np.allclose(gw3, 3.0 * gw1)
-            assert np.allclose(gb3, 3.0 * gb1)
+        acts = nets.mlp_activations(net, x)
+        g1, _ = nets.mlp_backward(net, acts, up, input_grad=False)
+        g3, _ = nets.mlp_backward(net, acts, 3.0 * up, input_grad=False)
+        assert np.allclose(g3, 3.0 * g1)
 
 
 class TestSoftUpdate:
@@ -131,14 +127,8 @@ class TestSoftUpdate:
     def test_direct_blend_value(self):
         rng = np.random.default_rng(21)
         online, target = tiny_net(rng), tiny_net(rng)
-        for w in online.weights:
-            w[...] = 0.0
-        for b in online.biases:
-            b[...] = 0.0
-        for w in target.weights:
-            w[...] = 1.0
-        for b in target.biases:
-            b[...] = 1.0
+        online.theta[...] = 0.0
+        target.theta[...] = 1.0
         nets.soft_update(target, online, 0.01)
         for w in target.weights:
             assert np.allclose(w, 0.99)
@@ -173,13 +163,12 @@ class TestPartialBackward:
         net = tiny_net(rng, 6, 16, 3, activation)
         x = rng.normal(size=(32, 6))
         upstream = rng.normal(size=(32, 3))
-        grads, dx = nets.mlp_gradients(net, x, upstream)
         acts = nets.mlp_activations(net, x)
+        grad, dx = nets.mlp_backward(net, acts, upstream)
         only_params, none = nets.mlp_backward(net, acts, upstream, input_grad=False)
         none_too, only_input = nets.mlp_backward(net, acts, upstream, params_grad=False)
         assert none is None and none_too is None
-        full = np.concatenate([p.ravel() for layer in grads for p in layer])
-        assert only_params.tobytes() == full.tobytes()
+        assert only_params.tobytes() == grad.tobytes()
         assert only_input.tobytes() == dx.tobytes()
 
     def test_stacked_network_rejected(self):
@@ -270,7 +259,7 @@ class TestStackedForward:
         out = nets.mlp_activations(stack, x)[-1]
         assert out.shape == (4, batch, out_dim)
         for n, net in enumerate(targets):
-            assert out[n].tobytes() == nets.mlp_forward(net, x[n]).tobytes()
+            assert out[n].tobytes() == nets.mlp_activations(net, x[n])[-1].tobytes()
 
     def test_views_follow_writes_to_the_stack(self):
         rng = np.random.default_rng(51)

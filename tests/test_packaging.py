@@ -184,7 +184,8 @@ def test_only_update_steps_the_agents():
     assert uses == []
 
 
-# Kept only because `bench/` looks them up; they go with this list.
+# Kept only because `bench/` looks them up; they go with `SlotContext`'s record
+# branch, tests/test_kept_for_bench.py and this list, and no other code changes.
 KEPT_FOR_BENCH = {"mlp_forward", "mlp_gradients", "build_scenario", "UserState", "UavState",
                   "Task"}
 
@@ -196,5 +197,22 @@ def test_package_calls_no_name_kept_for_the_benchmark():
     calls = [f"{filename}:{node.lineno}" for filename, node in package_nodes()
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in KEPT_FOR_BENCH]
-    from_rows = {(filename, owner) for filename, _, owner in owned_attribute_uses("from_rows")}
-    assert calls == [] and from_rows == {("delay.py", "SlotContext.__init__")}
+    stackers = {(filename, owner) for filename, _, owner in owned_attribute_uses("from_rows")}
+    assert calls == [] and stackers == {("delay.py", "SlotContext.__init__")}
+
+
+def test_only_the_kept_module_names_a_kept_name():
+    """No file in tests/ or tools/ but tests/test_kept_for_bench.py names a KEPT_FOR_BENCH
+    name or `from_rows`, and `env` calls no `slot_dor` (bench/tracing.py patches it)."""
+    kept = KEPT_FOR_BENCH | {"from_rows"}
+    names = [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+             for folder in ("tests", "tools") for path in sorted((ROOT / folder).glob("*.py"))
+             if path.name != "test_kept_for_bench.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if (name := getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))))
+             in kept and isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    env_calls = [f"env.py:{node.lineno}" for filename, node in package_nodes()
+                 if filename == "env.py" and isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "slot_dor"]
+    assert not names, "\n".join(names)
+    assert env_calls == []

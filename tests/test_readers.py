@@ -25,14 +25,14 @@ import warnings
 import numpy as np
 import pytest
 
-from tests._instances import scenario_range_context
+from tests._instances import SMALL, edit_meta, scenario_range_context, trainer_scenario
 from uavmec import allocator, baselines, channel, errors, learner, model, nets
 from uavmec.channel import ChannelParams
 from uavmec.delay import SlotDecision, slot_dor
 from uavmec.env import EdgeComputeEnv
 from uavmec.errors import ConfigError, ValidationError, check_array, float_array, int_array
 from uavmec.learner import MaddpgTrainer, TrainConfig, train
-from uavmec.model import Scenario, ScenarioConfig, apply_motion, build_scenario, generate_tasks
+from uavmec.model import Scenario, ScenarioConfig, apply_motion, generate_tasks
 
 ERRORS = tuple(value for value in vars(errors).values()
                if isinstance(value, type) and issubclass(value, Exception)
@@ -41,8 +41,6 @@ ERRORS = tuple(value for value in vars(errors).values()
 STARTS = ((10.0, 10.0, 12.0), (30.0, 20.0, 18.0), (45.0, 5.0, 10.0))
 SNAPSHOT_CONFIG = ScenarioConfig(num_users=4, num_uavs=3, horizon=10, rng_seed=2,
                                  initial_uav_positions=STARTS)
-SMALL = TrainConfig(episodes=2, batch_size=8, min_fill=8, buffer_capacity=64,
-                    hidden_actor=8, hidden_critic=8, seed=4)
 
 # Every field off its default, nested channel parameters included.
 OFF_DEFAULT_SCENARIO = ScenarioConfig(
@@ -61,10 +59,6 @@ OFF_DEFAULT_TRAIN = TrainConfig(
     noise_sigma_end=0.1, noise_decay_fraction=0.5, penalty=5.0, seed=7)
 
 
-def trainer_scenario():
-    return build_scenario(ScenarioConfig(num_users=4, num_uavs=3, horizon=12))
-
-
 def fields_at_default(config, default):
     """Names of the fields of `config` (nested configs by dotted name) equal to
     their default."""
@@ -76,11 +70,6 @@ def fields_at_default(config, default):
         elif value == base:
             same.append(f.name)
     return same
-
-
-def edit_meta(state, **changes):
-    meta = json.loads(str(state["meta"]))
-    return json.dumps({**meta, **changes})
 
 
 def loads_or_raises_typed(read, what):
@@ -293,7 +282,7 @@ class TestSnapshotReader:
         ("area_x", "50"),
     ])
     def test_bad_config_value_is_a_config_error(self, key, value):
-        data = build_scenario(SNAPSHOT_CONFIG).to_dict()
+        data = Scenario(SNAPSHOT_CONFIG).to_dict()
         data["config"][key] = value
         with pytest.raises(ConfigError, match="scenario config"):
             Scenario.from_dict(data)
@@ -313,7 +302,7 @@ class TestSnapshotReader:
 
     @pytest.mark.parametrize("config", [[], "config", None])
     def test_non_object_config_rejected(self, config):
-        data = build_scenario(SNAPSHOT_CONFIG).to_dict()
+        data = Scenario(SNAPSHOT_CONFIG).to_dict()
         data["config"] = config
         with pytest.raises(ConfigError, match="scenario config must be a JSON object"):
             Scenario.from_dict(data)
@@ -321,12 +310,12 @@ class TestSnapshotReader:
     def test_every_config_field_survives_save_and_load(self, tmp_path):
         assert fields_at_default(OFF_DEFAULT_SCENARIO, ScenarioConfig()) == []
         path = tmp_path / "scenario.json"
-        build_scenario(OFF_DEFAULT_SCENARIO).save(path)
+        Scenario(OFF_DEFAULT_SCENARIO).save(path)
         assert Scenario.load(path).config == OFF_DEFAULT_SCENARIO
 
     def test_mutated_snapshots_load_or_raise_typed_errors(self):
         rng = np.random.default_rng(1917)
-        data = build_scenario(SNAPSHOT_CONFIG).to_dict()
+        data = Scenario(SNAPSHOT_CONFIG).to_dict()
         sections = [("schema_version",), ("config",), ("config", "channel"),
                     ("user_positions",), ("uav_positions",)]
         escaped = []
@@ -340,7 +329,7 @@ class TestSnapshotReader:
 class TestCheckpointReader:
     @pytest.fixture(scope="class")
     def state(self):
-        return train(trainer_scenario(), SMALL)[0].state_dict()   # 24 replay rows
+        return train(trainer_scenario(3), SMALL)[0].state_dict()   # 24 replay rows
 
     def save(self, path, state):
         with open(path, "wb") as fh:
@@ -353,25 +342,25 @@ class TestCheckpointReader:
         self.save(tmp_path / "ckpt.npz",
                   {**state, "meta": edit_meta(state, config={**meta["config"], key: value})})
         with pytest.raises(ConfigError, match=f"checkpoint config: {key}"):
-            MaddpgTrainer.load_checkpoint(trainer_scenario(), tmp_path / "ckpt.npz")
+            MaddpgTrainer.load_checkpoint(trainer_scenario(3), tmp_path / "ckpt.npz")
 
     def test_config_too_large_to_build_is_a_config_error(self, tmp_path, state):
         config = {**json.loads(str(state["meta"]))["config"], "hidden_critic": 10 ** 400}
         self.save(tmp_path / "ckpt.npz", {**state, "meta": edit_meta(state, config=config)})
         with pytest.raises(ConfigError, match="checkpoint config does not build a trainer"):
-            MaddpgTrainer.load_checkpoint(trainer_scenario(), tmp_path / "ckpt.npz")
+            MaddpgTrainer.load_checkpoint(trainer_scenario(3), tmp_path / "ckpt.npz")
 
     @pytest.mark.parametrize("key, value", [("uinteger", -5), ("has_uint32", 10 ** 30)])
     def test_out_of_range_rng_state_is_a_config_error(self, state, key, value):
         rng_state = {**json.loads(str(state["meta"]))["rng_state"], key: value}
         with pytest.raises(ConfigError, match="rng_state does not fit"):
-            MaddpgTrainer(trainer_scenario(), SMALL).load_state_dict(
+            MaddpgTrainer(trainer_scenario(3), SMALL).load_state_dict(
                 {**state, "meta": edit_meta(state, rng_state=rng_state)})
 
     @pytest.mark.parametrize("name", [*learner.ROLES, *learner.REPLAY_FIELDS])
     @pytest.mark.parametrize("dtype", [str, complex, np.float32, int])
     def test_wrong_dtype_rejected_before_anything_changes(self, state, name, dtype):
-        trainer = MaddpgTrainer(trainer_scenario(), SMALL)
+        trainer = MaddpgTrainer(trainer_scenario(3), SMALL)
         before = [trainer.nets[role].theta.tobytes() for role in learner.ROLES]
         wrong = state[name].astype(dtype)
         with pytest.raises(ConfigError, match=f"{name} .*dtype {wrong.dtype}"):
@@ -382,8 +371,8 @@ class TestCheckpointReader:
     def test_every_config_field_survives_save_and_load(self, tmp_path):
         assert fields_at_default(OFF_DEFAULT_TRAIN, TrainConfig()) == []
         path = tmp_path / "ckpt.npz"
-        MaddpgTrainer(trainer_scenario(), OFF_DEFAULT_TRAIN).save_checkpoint(path)
-        assert MaddpgTrainer.load_checkpoint(trainer_scenario(), path).config == OFF_DEFAULT_TRAIN
+        MaddpgTrainer(trainer_scenario(3), OFF_DEFAULT_TRAIN).save_checkpoint(path)
+        assert MaddpgTrainer.load_checkpoint(trainer_scenario(3), path).config == OFF_DEFAULT_TRAIN
 
     def test_mutated_checkpoints_load_or_raise_typed_errors(self, tmp_path, state):
         rng = np.random.default_rng(2409)
@@ -408,7 +397,7 @@ class TestCheckpointReader:
                     change = f"{name} {how}"
             self.save(path, mutated)
             escaped.append(loads_or_raises_typed(
-                lambda: MaddpgTrainer.load_checkpoint(trainer_scenario(), path),
+                lambda: MaddpgTrainer.load_checkpoint(trainer_scenario(3), path),
                 f"trial {trial}: {change}"))
         assert [line for line in escaped if line] == []
 
@@ -417,12 +406,12 @@ class TestWriters:
     def test_numpy_numbers_save_as_python_numbers(self, tmp_path):
         config = dataclasses.replace(SNAPSHOT_CONFIG, num_users=np.int64(4), rng_seed=np.uint8(2),
                                      initial_uav_positions=tuple(map(np.array, STARTS)))
-        build_scenario(config).save(tmp_path / "scenario.json")
+        Scenario(config).save(tmp_path / "scenario.json")
         loaded = Scenario.load(tmp_path / "scenario.json").config
         assert loaded == dataclasses.replace(config, initial_uav_positions=STARTS)
         train_config = TrainConfig(batch_size=np.int64(8), min_fill=8, buffer_capacity=16)
-        MaddpgTrainer(trainer_scenario(), train_config).save_checkpoint(tmp_path / "ckpt.npz")
-        loaded = MaddpgTrainer.load_checkpoint(trainer_scenario(), tmp_path / "ckpt.npz")
+        MaddpgTrainer(trainer_scenario(3), train_config).save_checkpoint(tmp_path / "ckpt.npz")
+        loaded = MaddpgTrainer.load_checkpoint(trainer_scenario(3), tmp_path / "ckpt.npz")
         assert loaded.config == train_config
 
     def test_field_that_is_not_json_refused(self):
@@ -436,7 +425,7 @@ class TestWriters:
 
     def test_failed_snapshot_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "scenario.json"
-        build_scenario(SNAPSHOT_CONFIG).save(path)
+        Scenario(SNAPSHOT_CONFIG).save(path)
         saved = path.read_bytes()
 
         def disk_full(data, fh, **kwargs):
@@ -445,7 +434,7 @@ class TestWriters:
 
         monkeypatch.setattr(json, "dump", disk_full)
         with pytest.raises(OSError, match="No space"):
-            build_scenario(OFF_DEFAULT_SCENARIO).save(path)
+            Scenario(OFF_DEFAULT_SCENARIO).save(path)
         assert os.listdir(tmp_path) == ["scenario.json"]
         assert path.read_bytes() == saved
 
@@ -453,7 +442,7 @@ class TestWriters:
 class TestStepInputs:
     def test_mutated_step_inputs_run_or_raise_typed_errors(self):
         rng = np.random.default_rng(2029)
-        scenario = build_scenario(ScenarioConfig(num_users=4, num_uavs=3, horizon=10))
+        scenario = Scenario(ScenarioConfig(num_users=4, num_uavs=3, horizon=10))
         actions = rng.uniform(-2.0, 2.0, size=(3, 3))
         escaped = []
         for trial in range(300):
@@ -497,16 +486,16 @@ def motion(deltas):
 
 
 def snapshot_user_positions(value):
-    data = build_scenario(SNAPSHOT_CONFIG).to_dict()
+    data = Scenario(SNAPSHOT_CONFIG).to_dict()
     data["user_positions"] = value
     return Scenario.from_dict(data)
 
 
-USER_POSITIONS = build_scenario(SNAPSHOT_CONFIG).to_dict()["user_positions"]   # 4 x 3
+USER_POSITIONS = Scenario(SNAPSHOT_CONFIG).to_dict()["user_positions"]   # 4 x 3
 
 
 def noisy_actions(noise_sigma):
-    return MaddpgTrainer(trainer_scenario(), SMALL).joint_actions(np.full((3, 3), 5.0),
+    return MaddpgTrainer(trainer_scenario(3), SMALL).joint_actions(np.full((3, 3), 5.0),
                                                                   noise_sigma)
 
 
@@ -514,7 +503,7 @@ def remembered(name):
     """A call that stores one transition with `name` set to its argument, and
     checks that a refused one leaves the replay buffer empty."""
     def run(value):
-        trainer = MaddpgTrainer(trainer_scenario(), SMALL)
+        trainer = MaddpgTrainer(trainer_scenario(3), SMALL)
         rows = np.ones((3, 3))
         try:
             trainer.remember(**{"obs": rows, "actions": rows, "reward": 1.5, "next_obs": rows,
@@ -611,7 +600,7 @@ READERS = {
         ([0.0, 1.0, 2.0, 1.0], [0, 1, 2, np.True_]),
         [([0, 1, 2, 3], "user 3 assignment must be LOCAL (-1) or a UAV index in [0, 3)")])
        for entry in ("slot_dor", "evaluate_assignment", "numeric_convex_oracle")},
-    "generate_tasks slot": scalar(lambda slot: generate_tasks(build_scenario(ScenarioConfig(
+    "generate_tasks slot": scalar(lambda slot: generate_tasks(Scenario(ScenarioConfig(
         num_users=2, horizon=5)), slot), 4, "slot",
         [5, -1, 1.0, np.float64(2.0), np.bool_(True), None]),
     "soft_update tau": scalar(lambda tau: nets.soft_update(tiny_net(), tiny_net(), tau), 0.5,
@@ -655,7 +644,7 @@ READERS = {
         [[[0, 0, 0], [1, 1, 1.0j]]],
         [([[0.0, 0.0, 0.0], [1.0, math.inf, 1.0]], "UAV 1 motion delta must be finite")]),
     "joint_actions obs": Reader(
-        lambda obs: MaddpgTrainer(trainer_scenario(), SMALL).joint_actions(obs, 0.1),
+        lambda obs: MaddpgTrainer(trainer_scenario(3), SMALL).joint_actions(obs, 0.1),
         ROWS, ConfigError, "obs must be an array of numbers",
         [[5.0, 5.0, 5.0], [5.0, 5.0, False], [5.0, 5.0, 5.0]], False,
         (np.ones(9), "obs must have shape (3, 3)"), NON_NUMBER_ROWS,

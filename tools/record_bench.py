@@ -37,7 +37,9 @@ and after it.
 `train` prints one JSON line: per-slot wall times of train() on the default
 10x4 scenario with min_fill = batch_size = 128, one episode, in a new process.
 train_warm cannot show this number, because its set-ups warm glibc's
-allocator before the timed slots.
+allocator before the timed slots. It builds the world as `model.Scenario(config)`,
+so its --root must be a checkout from commit 581b8b5 on, the first with that
+constructor.
 
 `alloc` prints one JSON line: per size (10x4, 40x8 and 100x10 users x UAVs),
 the median wall time of `allocator.cd_search` alone over 60 seeded contexts
@@ -125,7 +127,7 @@ def fresh_train(root: Path) -> dict:
 
     stamps = []
     t0 = time.perf_counter()
-    learner.train(model.build_scenario(model.ScenarioConfig()),
+    learner.train(model.Scenario(model.ScenarioConfig()),
                   learner.TrainConfig(episodes=1, min_fill=FRESH_WARM, batch_size=FRESH_WARM),
                   slot_callback=lambda episode, info: stamps.append(time.perf_counter()))
     total = time.perf_counter() - t0
